@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalDomainError
 from .phase_space import CovarianceMatrix, QuadOrdering
@@ -52,11 +51,12 @@ def k_data(cov: CovarianceMatrix, convention_scale: float = COVARIANCE_PRESCALE)
     gamma = convention_scale * cov.entries + 0.5 * np.eye(2 * n)
     gamma = (gamma + gamma.T) / 2.0
     try:
-        chol = scipy.linalg.cholesky(gamma, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(gamma)
+    except np.linalg.LinAlgError as exc:
         raise NumericalDomainError(f"Gamma is not positive definite: {exc}") from exc
     log_det_gamma = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    inv = scipy.linalg.cho_solve((chol, True), np.eye(2 * n))
+    chol_inv = np.linalg.inv(chol)
+    inv = chol_inv.T @ chol_inv
     inv = (inv + inv.T) / 2.0
     a = inv[:n, :n]
     c = inv[:n, n:]

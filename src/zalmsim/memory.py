@@ -9,18 +9,23 @@ resulting unnormalized 4x4 spin-spin matrix lives on the ordered basis
     (|0,1>|0,1>, |0,1>|1,0>, |1,0>|0,1>, |1,0>|1,0>)
 
 and its trace is the probability of the full click pattern.
+
+Each memory pair (1, 2) and (7, 8) joins one mode of chain A with one of
+chain B, so its detection form is expanded multilinearly: every entry is a
+signed sum of products of two chain moments, and the 16 entries share one
+memo of the distinct chain moments.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
 from .errors import UndefinedFidelityError
-from .metrics import A_FULL, HERALD_MODES, _variants
-from .moments import LinearForm, MomentRequest, alpha_form, beta_conj_form, gaussian_prefactor, wick_moment
+from .metrics import A_FULL, CHAIN_MODES, HERALD_MODES, _variants, chain_request, herald_clicks, split_by_chain
+from .moments import MAX_REQUEST_CARDINALITY, wick_moment
 from .sources import SourceParams
 
 DEFAULT_CLICK_PATTERN = (1, 0, 1, 1, 0, 0, 1, 0)
@@ -35,34 +40,13 @@ BELL_TARGETS = {
     "psi_minus": np.array([0.0, -1.0, 1.0, 0.0]) / np.sqrt(2.0),
 }
 
-# Click patterns mixed in by dark counts, grouped by how many of the base
-# pattern's four clicks are attributed to dark counts.
-SIGMA_PATTERNS = {
-    1: (
-        (0, 0, 1, 1, 0, 0, 1, 0),
-        (1, 0, 0, 1, 0, 0, 1, 0),
-        (1, 0, 1, 0, 0, 0, 1, 0),
-        (1, 0, 1, 1, 0, 0, 0, 0),
-    ),
-    2: (
-        (0, 0, 0, 1, 0, 0, 1, 0),
-        (0, 0, 1, 0, 0, 0, 1, 0),
-        (0, 0, 1, 1, 0, 0, 0, 0),
-        (1, 0, 0, 0, 0, 0, 1, 0),
-        (1, 0, 0, 1, 0, 0, 0, 0),
-        (1, 0, 1, 0, 0, 0, 0, 0),
-    ),
-    3: (
-        (1, 0, 0, 0, 0, 0, 0, 0),
-        (0, 0, 1, 0, 0, 0, 0, 0),
-        (0, 0, 0, 1, 0, 0, 0, 0),
-        (0, 0, 0, 0, 0, 0, 1, 0),
-    ),
-    4: ((0, 0, 0, 0, 0, 0, 0, 0),),
-}
-
 
 def validate_click_pattern(click) -> tuple[int, ...]:
+    """Check a click pattern, including that each chain's Wick request stays under the cap.
+
+    A chain receives two forms per herald click on its modes and, in the
+    multilinear expansion, up to two per clicked memory pair.
+    """
     click = tuple(int(n) for n in click)
     if len(click) != 8 or any(n < 0 for n in click):
         raise ValueError(f"click pattern must be 8 nonnegative counts, got {click}")
@@ -71,19 +55,25 @@ def validate_click_pattern(click) -> tuple[int, ...]:
             raise ValueError(f"memory-side clicks are limited to 0 or 1, got {click[i - 1]} on mode {i}")
     if sum(click[2:6]) > 8:
         raise ValueError("heralding clicks exceed the cap of 8")
+    pairs = sum(1 for i, j in MEMORY_PAIRS if click[i - 1] or click[j - 1])
+    for chain in CHAIN_MODES:
+        forms = 2 * sum(click[m - 1] for m in chain if m in HERALD_MODES) + 2 * pairs
+        if forms > MAX_REQUEST_CARDINALITY:
+            raise ValueError(
+                f"click pattern puts up to {forms} forms on the chain of modes {chain}, "
+                f"over the cap of {MAX_REQUEST_CARDINALITY}"
+            )
     return click
 
 
 def generated_sigma_patterns() -> dict[int, tuple[tuple[int, ...], ...]]:
     """Enumerate the dark-click patterns from the base pattern's click subsets.
 
-    Cross-check for the hard-coded list: attributing k of the four base
-    clicks to dark counts removes them from the photon pattern.
+    Attributing k of the four base clicks to dark counts removes them from
+    the photon pattern.
     """
     clicked = [i for i, n in enumerate(DEFAULT_CLICK_PATTERN) if n == 1]
     out: dict[int, list[tuple[int, ...]]] = {1: [], 2: [], 3: [], 4: []}
-    import itertools
-
     for k in (1, 2, 3, 4):
         for removed in itertools.combinations(clicked, k):
             pattern = list(DEFAULT_CLICK_PATTERN)
@@ -91,6 +81,11 @@ def generated_sigma_patterns() -> dict[int, tuple[tuple[int, ...], ...]]:
                 pattern[idx] = 0
             out[k].append(tuple(pattern))
     return {k: tuple(v) for k, v in out.items()}
+
+
+# Click patterns mixed in by dark counts, grouped by how many of the base
+# pattern's four clicks are attributed to dark counts.
+SIGMA_PATTERNS = generated_sigma_patterns()
 
 
 @dataclass(frozen=True)
@@ -118,64 +113,58 @@ class SpinSpinDM:
         return float(np.min(np.linalg.eigvalsh(herm)))
 
 
-def _pair_forms(pair, clicks, branch, eta, conjugate) -> list[LinearForm]:
-    """Detection form(s) for one memory pair, one branch, one click pair."""
-    i, j = pair
-    ni, nj = clicks
-    if (ni, nj) == (0, 0):
-        return []
-    if (ni, nj) not in ((1, 0), (0, 1)):
-        raise ValueError(f"memory pair clicks must be (0,0), (1,0) or (0,1), got {(ni, nj)}")
-    base = beta_conj_form if conjugate else alpha_form
-    sign = 1.0 if branch == "10" else -1.0
-    if (ni, nj) == (0, 1):
-        sign = -sign
-    fi = base(i) * (np.sqrt(eta[i - 1]) / np.sqrt(2.0))
-    fj = base(j) * (sign * np.sqrt(eta[j - 1]) / np.sqrt(2.0))
-    return [fi + fj]
+def branch_forms(branch, click, eta) -> list[tuple[float, tuple[int, ...]]]:
+    """Memory-side detection terms for both pairs of one bra or ket branch.
 
-
-def branch_forms(branch, click, eta, conjugate: bool = False) -> list[LinearForm]:
-    """Memory-side detection forms for both pairs of one bra or ket branch.
-
-    branch is a (memory A, memory B) pair of rail labels from BRANCHES.  The
-    second rail's amplitude flips sign on the |0,1> branch (conditional-phase
-    interaction); the polarizing beam splitter then maps click (1,0) to the
-    sum form and click (0,1) to the difference form.
+    branch is a (memory A, memory B) pair of rail labels from BRANCHES.  A
+    clicked pair (i, j) detects (sqrt(eta_i) x_i +- sqrt(eta_j) x_j)/sqrt(2)
+    over the modes' amplitudes x: the second rail's amplitude flips sign on
+    the |0,1> branch (conditional-phase interaction), and the polarizing beam
+    splitter maps click (1,0) to the sum form and click (0,1) to the
+    difference form.  The product of the pair forms comes back expanded into
+    (coefficient, modes) terms, one mode per clicked pair.
     """
     click = validate_click_pattern(click)
-    forms: list[LinearForm] = []
-    for pair, mem in zip(MEMORY_PAIRS, branch):
-        clicks = (click[pair[0] - 1], click[pair[1] - 1])
-        forms.extend(_pair_forms(pair, clicks, mem, eta, conjugate))
-    return forms
+    terms: list[tuple[float, tuple[int, ...]]] = [(1.0, ())]
+    for (i, j), mem in zip(MEMORY_PAIRS, branch):
+        ni, nj = click[i - 1], click[j - 1]
+        if (ni, nj) == (0, 0):
+            continue
+        if (ni, nj) not in ((1, 0), (0, 1)):
+            raise ValueError(f"memory pair clicks must be (0,0), (1,0) or (0,1), got {(ni, nj)}")
+        sign = (1.0 if mem == "10" else -1.0) * (1.0 if ni else -1.0)
+        pair = ((np.sqrt(eta[i - 1]) / np.sqrt(2.0), i), (sign * np.sqrt(eta[j - 1]) / np.sqrt(2.0), j))
+        terms = [(c * pc, modes + (m,)) for c, modes in terms for pc, m in pair]
+    return terms
 
 
 def spin_spin_dm(params: SourceParams, click=DEFAULT_CLICK_PATTERN) -> SpinSpinDM:
     """Unnormalized two-memory density matrix heralded by one click pattern.
 
     The exponent matrix is the no-traced-modes variant; memory loading only
-    changes the polynomial prefactor of each entry.
+    changes the polynomial prefactor of each entry.  Every branch expands into
+    the same term modes with its own signs, so the matrix is C M C^T with C
+    the branch-by-term coefficients and M the moments of term pairs.
     """
     click = validate_click_pattern(click)
-    k, a = _variants(params, A_FULL)
+    pref, a = _variants(params, A_FULL)
     eta = params.eta_vector
-    pref = gaussian_prefactor(a, k, k)
-    herald_scalar = 0.25
-    herald_forms: list[LinearForm] = []
-    for mode, clicks in zip(HERALD_MODES, click[2:6]):
-        herald_scalar *= eta[mode - 1] ** clicks / factorial(clicks)
-        for _ in range(clicks):
-            herald_forms.append(alpha_form(mode))
-            herald_forms.append(beta_conj_form(mode))
-    entries = np.zeros((4, 4), dtype=complex)
-    ket_forms = {b: branch_forms(b, click, eta, conjugate=False) for b in BASIS}
-    bra_forms = {b: branch_forms(b, click, eta, conjugate=True) for b in BASIS}
-    for r, ket in enumerate(BASIS):
-        for c, bra in enumerate(BASIS):
-            forms = tuple(herald_forms + ket_forms[ket] + bra_forms[bra])
-            entries[r, c] = pref * wick_moment(a, MomentRequest(forms, herald_scalar))
-    return SpinSpinDM(entries)
+    scalar, heralds = herald_clicks(click[2:6], eta)
+    terms = [branch_forms(b, click, eta) for b in BASIS]
+    modes = [m for _, m in terms[0]]
+    coeffs = np.array([[c for c, _ in branch] for branch in terms])
+    memo: dict = {}
+
+    def moment(kets, bras) -> complex:
+        out = 1.0 + 0.0j
+        for local in split_by_chain(heralds + kets, heralds + bras):
+            if local not in memo:
+                memo[local] = wick_moment(a, chain_request(*local))
+            out *= memo[local]
+        return out
+
+    moments = np.array([[moment(k, b) for b in modes] for k in modes])
+    return SpinSpinDM((0.25 * pref * scalar) * (coeffs @ moments @ coeffs.T))
 
 
 def spin_spin_dm_dark(params: SourceParams) -> SpinSpinDM:

@@ -1,4 +1,13 @@
-"""Photonic figures of merit: trace, heralding probability, fidelity, Fock elements."""
+"""Photonic figures of merit: trace, heralding probability, fidelity, Fock elements.
+
+The cascaded source is exactly a product of two identical 4-mode chains.
+Chain A holds modes 1, 4, 6, 7 and chain B modes 2, 3, 5, 8; in each, two
+squeezed pairs meet on one heralding beam splitter, and the local modes run
+(outer, herald, herald, outer).  Loss and the traced modes are the same on
+both chains, so one 16x16 exponent matrix serves both.  Every metric is the
+8-mode Gaussian prefactor (the chain prefactor squared) times a scalar times
+a product of two chain Wick moments, or a sum of such products.
+"""
 
 from __future__ import annotations
 
@@ -19,12 +28,25 @@ from .moments import (
     gaussian_prefactor,
     wick_moment,
 )
+from .phase_space import CovarianceMatrix
 from .sources import SourceParams, build_cascaded_cov
 
 HERALD_MODES = (3, 4, 5, 6)
 OUTER_MODES = (1, 2, 7, 8)
+CHAIN_MODES = ((1, 4, 6, 7), (2, 3, 5, 8))
 REAL_TOLERANCE = 1e-9
 MAX_TOTAL_FOCK = 16
+
+# Global mode -> (chain index, local mode 1..4).
+_CHAIN_OF = {mode: (c, local) for c, modes in enumerate(CHAIN_MODES) for local, mode in enumerate(modes, 1)}
+_CHAIN_IDX = np.array(CHAIN_MODES[0]) - 1
+_ALPHA = {local: alpha_form(local, 4) for local in range(1, 5)}
+_BETA = {local: beta_conj_form(local, 4) for local in range(1, 5)}
+
+# Traced sets in local chain modes.
+A_FULL = frozenset()
+A_PGEN_TRACED = frozenset(_CHAIN_OF[m][1] for m in OUTER_MODES)
+A_TRACE_ALL = frozenset(range(1, 5))
 
 
 @dataclass(frozen=True)
@@ -52,7 +74,10 @@ def _as_metric(raw: complex, params: SourceParams, extra_flags: tuple[str, ...] 
 
 @functools.lru_cache(maxsize=256)
 def _kernel_for(mu: float) -> KFunctionData:
-    return k_data(build_cascaded_cov(mu))
+    """Kernel of chain A's 4-mode block of the cascaded covariance."""
+    cov = build_cascaded_cov(mu)
+    idx = np.r_[_CHAIN_IDX, _CHAIN_IDX + 8]
+    return k_data(CovarianceMatrix(cov.ordering, 4, cov.entries[np.ix_(idx, idx)]))
 
 
 @functools.lru_cache(maxsize=256)
@@ -61,40 +86,58 @@ def _a_variant(mu: float, eta: tuple[float, ...], traced: frozenset[int]) -> AMa
     return assemble_a(k, k, np.asarray(eta), traced)
 
 
-def _variants(params: SourceParams, traced: frozenset[int]) -> tuple[KFunctionData, AMatrix]:
-    eta = tuple(params.eta_vector)
-    return _kernel_for(params.mean_photon), _a_variant(params.mean_photon, eta, traced)
+def _variants(params: SourceParams, traced: frozenset[int]) -> tuple[complex, AMatrix]:
+    """The 8-mode Gaussian prefactor and the chain exponent matrix both chains share."""
+    eta = tuple(params.eta_vector[_CHAIN_IDX])
+    k = _kernel_for(params.mean_photon)
+    a = _a_variant(params.mean_photon, eta, traced)
+    return gaussian_prefactor(a, k, k) ** 2, a
 
 
-A_FULL = frozenset()
-A_PGEN_TRACED = frozenset(OUTER_MODES)
-A_TRACE_ALL = frozenset(range(1, 9))
+def split_by_chain(kets, bras) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Sorted local (ket, bra) modes of each chain for a multiset of global modes."""
+    split = tuple(([], []) for _ in CHAIN_MODES)
+    for side, modes in enumerate((kets, bras)):
+        for mode in modes:
+            chain, local = _CHAIN_OF[mode]
+            split[chain][side].append(local)
+    return tuple((tuple(sorted(k)), tuple(sorted(b))) for k, b in split)
 
 
-def _herald_request(pattern, eta, scalar=1.0) -> MomentRequest:
-    """Clicked-mode coherent amplitudes with their eta^n / n! weights."""
-    forms = []
+def chain_request(kets, bras) -> MomentRequest:
+    """Ket amplitudes alpha on local modes kets and bra amplitudes beta* on local modes bras."""
+    return MomentRequest(tuple(_ALPHA[m] for m in kets) + tuple(_BETA[m] for m in bras))
+
+
+def _moment(a: AMatrix, kets, bras) -> complex:
+    """Wick moment of alpha on global modes kets and beta* on bras, one factor per chain."""
+    out = 1.0 + 0.0j
+    for local in split_by_chain(kets, bras):
+        out *= wick_moment(a, chain_request(*local))
+    return out
+
+
+def herald_clicks(pattern, eta) -> tuple[float, tuple[int, ...]]:
+    """The eta^n / n! weight of a heralding pattern and its clicked modes, once per click."""
+    scalar = 1.0
+    modes: list[int] = []
     for mode, clicks in zip(HERALD_MODES, pattern):
         scalar *= eta[mode - 1] ** clicks / factorial(clicks)
-        for _ in range(clicks):
-            forms.append(alpha_form(mode))
-            forms.append(beta_conj_form(mode))
-    return MomentRequest(tuple(forms), scalar)
+        modes.extend([mode] * clicks)
+    return scalar, tuple(modes)
 
 
 def photonic_trace(params: SourceParams) -> MetricResult:
     """Trace of the lossy source state; equals 1 for every physical parameter set."""
-    k, a = _variants(params, A_TRACE_ALL)
-    raw = gaussian_prefactor(a, k, k) * wick_moment(a, MomentRequest(()))
-    return _as_metric(raw, params)
+    pref, a = _variants(params, A_TRACE_ALL)
+    return _as_metric(pref * _moment(a, (), ()), params)
 
 
 def pgen(params: SourceParams) -> MetricResult:
     """Probability that the heralding detectors fire with the requested pattern."""
-    k, a = _variants(params, A_PGEN_TRACED)
-    req = _herald_request(params.herald_pattern, params.eta_vector)
-    raw = gaussian_prefactor(a, k, k) * wick_moment(a, req)
-    return _as_metric(raw, params)
+    pref, a = _variants(params, A_PGEN_TRACED)
+    scalar, modes = herald_clicks(params.herald_pattern, params.eta_vector)
+    return _as_metric(pref * (scalar * _moment(a, modes, modes)), params)
 
 
 def pgen_with_dark(params: SourceParams) -> MetricResult:
@@ -109,25 +152,15 @@ def pgen_with_dark(params: SourceParams) -> MetricResult:
     if sorted(pattern) != [0, 0, 1, 1]:
         raise ValueError(f"dark-count heralding is defined for two single clicks, got {pattern}")
     pd = params.dark_click_prob
-    k, a = _variants(params, A_PGEN_TRACED)
-    pref = gaussian_prefactor(a, k, k)
+    pref, a = _variants(params, A_PGEN_TRACED)
     eta = params.eta_vector
-    clicked = [m for m, n in zip(HERALD_MODES, pattern) if n == 1]
-    m1, m2 = clicked
-
-    def w(modes) -> complex:
-        forms = []
-        for mode in modes:
-            forms.append(alpha_form(mode))
-            forms.append(beta_conj_form(mode))
-        return wick_moment(a, MomentRequest(tuple(forms)))
-
+    m1, m2 = [m for m, n in zip(HERALD_MODES, pattern) if n == 1]
     eta1, eta2 = eta[m1 - 1], eta[m2 - 1]
-    raw = (eta1 * eta2) * (1.0 - pd) ** 2 * w((m1, m2))
+    raw = (eta1 * eta2) * (1.0 - pd) ** 2 * _moment(a, (m1, m2), (m1, m2))
     if pd > 0.0:
-        raw += eta1 * pd * (1.0 - pd) * w((m1,))
-        raw += eta2 * pd * (1.0 - pd) * w((m2,))
-        raw += pd * pd * w(())
+        raw += eta1 * pd * (1.0 - pd) * _moment(a, (m1,), (m1,))
+        raw += eta2 * pd * (1.0 - pd) * _moment(a, (m2,), (m2,))
+        raw += pd * pd * _moment(a, (), ())
     return _as_metric(pref * raw, params)
 
 
@@ -154,26 +187,20 @@ def fidelity(params: SourceParams, bell_target: str = "psi_minus") -> MetricResu
         raise ValueError(f"unknown bell_target {bell_target!r}")
     if params.mean_photon == 0.0:
         raise UndefinedFidelityError("zero heralding probability at mean_photon = 0")
-    k, a_full = _variants(params, A_FULL)
+    _, a_full = _variants(params, A_FULL)
     _, a_pgen = _variants(params, A_PGEN_TRACED)
-
-    def w(alphas, betas) -> complex:
-        forms = [alpha_form(m) for m in alphas] + [beta_conj_form(m) for m in betas]
-        return wick_moment(a_full, MomentRequest(tuple(forms)))
 
     ket1 = (1, h1, h2, 8)
     ket2 = (2, h1, h2, 7)
-    w11 = w(ket1, ket1)
-    w12 = w(ket1, ket2)
-    w21 = w(ket2, ket1)
-    w22 = w(ket2, ket2)
-    denom = wick_moment(
-        a_pgen,
-        MomentRequest((alpha_form(h1), beta_conj_form(h1), alpha_form(h2), beta_conj_form(h2))),
-    )
+    w11 = _moment(a_full, ket1, ket1)
+    w12 = _moment(a_full, ket1, ket2)
+    w21 = _moment(a_full, ket2, ket1)
+    w22 = _moment(a_full, ket2, ket2)
+    denom = _moment(a_pgen, (h1, h2), (h1, h2))
     if denom == 0.0:
         raise UndefinedFidelityError("heralding probability vanished")
-    det_ratio = np.exp(0.5 * (a_pgen.log_det - a_full.log_det))
+    # Ratio of the two 8-mode prefactors; the kernel determinants cancel.
+    det_ratio = np.exp(a_pgen.log_det - a_full.log_det)
     raw = (
         (params.eta_d * params.eta_t) ** 2
         * det_ratio
@@ -195,13 +222,14 @@ def fock_element(params: SourceParams, d, g) -> complex:
         raise ValueError("Fock indices must be 8 nonnegative integers each")
     if sum(d) + sum(g) > MAX_TOTAL_FOCK:
         raise ValueError(f"total photon count {sum(d) + sum(g)} exceeds the cap of {MAX_TOTAL_FOCK}")
-    k, a = _variants(params, A_FULL)
+    pref, a = _variants(params, A_FULL)
     eta = params.eta_vector
     scalar = 1.0
-    forms = []
+    kets: list[int] = []
+    bras: list[int] = []
     for mode in range(1, 9):
         dj, gj = d[mode - 1], g[mode - 1]
         scalar *= np.sqrt(eta[mode - 1]) ** (dj + gj) / np.sqrt(factorial(dj) * factorial(gj))
-        forms.extend([alpha_form(mode)] * dj)
-        forms.extend([beta_conj_form(mode)] * gj)
-    return gaussian_prefactor(a, k, k) * wick_moment(a, MomentRequest(tuple(forms), scalar))
+        kets.extend([mode] * dj)
+        bras.extend([mode] * gj)
+    return pref * (scalar * _moment(a, kets, bras))

@@ -12,6 +12,7 @@ two-point functions drawn from A^{-1}.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,8 @@ from .errors import NumericalDomainError
 from .kfunction import KFunctionData
 
 MAX_REQUEST_CARDINALITY = 16
+# Below this many forms, matching enumeration beats hafnian_repeated.
+REPEATED_MIN_FORMS = 8
 
 
 def variable_order(n_modes: int = 8) -> tuple[str, ...]:
@@ -173,9 +176,8 @@ def hafnian(m: np.ndarray) -> complex:
     """Hafnian of a symmetric matrix by exact perfect-matching enumeration.
 
     Recursion anchors the first remaining index and sums over its (n-1)
-    partners, visiting every one of the (n-1)!! matchings once.  Fine up to
-    n = 16; beyond that the O(n^3 2^(n/2)) power-trace algorithm would be the
-    upgrade path.
+    partners, visiting every one of the (n-1)!! matchings once; repeated
+    rows are cheaper through hafnian_repeated.
     """
     m = np.asarray(m)
     n = m.shape[0]
@@ -197,23 +199,52 @@ def hafnian(m: np.ndarray) -> complex:
     return complex(rec(tuple(range(n))))
 
 
+def hafnian_repeated(m: np.ndarray, reps) -> complex:
+    """Hafnian of the symmetric matrix m with row and column i repeated reps[i] times.
+
+    Matches the first remaining row to a copy of itself or of a later row and
+    memoises remainders by their repetition counts, so each distinct
+    remainder is summed once, not once per matching that reaches it.
+    """
+    m, reps = np.asarray(m, dtype=complex), tuple(int(r) for r in reps)
+    if m.shape != (len(reps), len(reps)) or min(reps, default=0) < 0 or sum(reps) % 2:
+        raise ValueError(f"need a square matrix of side {len(reps)} and counts >= 0 of even sum, got {m.shape}, {reps}")
+    rows = m.tolist()
+
+    @functools.cache
+    def rec(r: tuple[int, ...]) -> complex:
+        i = next((i for i, c in enumerate(r) if c), None)
+        if i is None:
+            return 1.0 + 0.0j
+        r = r[:i] + (r[i] - 1,) + r[i + 1 :]
+        return sum(r[j] * rows[i][j] * rec(r[:j] + (r[j] - 1,) + r[j + 1 :]) for j in range(i, len(r)) if r[j])
+
+    return complex(rec(reps))
+
+
 def wick_moment(a: AMatrix, req: MomentRequest) -> complex:
     """Gaussian moment of the request's forms under exp(-x^T A x / 2).
 
     Stacks the forms into L and evaluates haf(L A^{-1} L^T) times the scalar
-    prefactor; odd cardinality vanishes identically.
+    prefactor; odd cardinality vanishes identically.  Repeated forms in
+    requests of REPEATED_MIN_FORMS or more go through hafnian_repeated.
     """
     n_forms = len(req.forms)
     if n_forms == 0:
         return complex(req.scalar_prefactor)
     if n_forms % 2 == 1:
         return 0.0 + 0.0j
-    l = np.vstack([f.coeffs for f in req.forms])
+    groups: dict[bytes, list[np.ndarray]] = {}
+    for f in req.forms if n_forms >= REPEATED_MIN_FORMS else ():
+        groups.setdefault(f.coeffs.tobytes(), []).append(f.coeffs)
+    repeated = 0 < len(groups) < n_forms
+    l = np.vstack([g[0] for g in groups.values()] if repeated else [f.coeffs for f in req.forms])
     if l.shape[1] != a.entries.shape[0]:
         raise ValueError(f"form dimension {l.shape[1]} does not match A dimension {a.entries.shape[0]}")
     pair = l @ a.inverse @ l.T
     pair = (pair + pair.T) / 2.0
-    return complex(req.scalar_prefactor) * hafnian(pair)
+    haf = hafnian_repeated(pair, [len(g) for g in groups.values()]) if repeated else hafnian(pair)
+    return complex(req.scalar_prefactor) * haf
 
 
 def gaussian_prefactor(a: AMatrix, kA: KFunctionData, kB: KFunctionData) -> complex:

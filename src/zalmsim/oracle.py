@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from math import comb, factorial, sqrt
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError
 
@@ -46,6 +45,10 @@ def _bs_sector(total: int, theta: float) -> np.ndarray:
     Basis |a, total-a> indexed by the first mode's count; generated by
     a1^dag a2 - a1 a2^dag so that a1^dag -> cos(theta) a1^dag - sin(theta) a2^dag.
     """
+    # Imported here so that the engine, which never runs the oracle, does
+    # not load scipy (about 28 MB of resident memory).
+    import scipy.linalg
+
     if total == 0:
         return np.ones((1, 1))
     dim = total + 1

@@ -11,13 +11,12 @@ import json
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from . import __version__ as ENGINE_VERSION
 from .errors import NumericalDomainError, UndefinedFidelityError
 from .kfunction import COVARIANCE_PRESCALE
 from .memory import spin_spin_dm, validate_click_pattern
 from .metrics import fidelity, pgen, photonic_trace
 from .sources import SourceParams
-
-ENGINE_VERSION = "0.1.0"
 
 _REQUEST_FIELDS = {
     "mean_photon": float,

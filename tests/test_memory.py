@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -16,41 +18,43 @@ from zalmsim import (
     spin_spin_dm_dark,
 )
 from zalmsim.memory import generated_sigma_patterns, validate_click_pattern
-from zalmsim.moments import alpha_form
 
 
 class TestBranchForms:
     def setup_method(self):
         self.eta = SourceParams(mean_photon=0.1, eta_t=0.81).eta_vector
+        self.e = {m: np.sqrt(self.eta[m - 1]) / np.sqrt(2.0) for m in (1, 2, 7, 8)}
 
     def test_no_click_pair_contributes_nothing(self):
-        forms = branch_forms(("10", "10"), (0, 0, 1, 1, 0, 0, 1, 0), self.eta)
-        assert len(forms) == 1  # only the (7,8) pair clicked
+        terms = branch_forms(("10", "10"), (0, 0, 1, 1, 0, 0, 1, 0), self.eta)
+        # only the (7,8) pair clicked: one term per mode of that pair
+        assert [modes for _, modes in terms] == [(7,), (8,)]
 
     def test_plus_combination_for_first_rail_branch(self):
-        forms = branch_forms(("10", "10"), DEFAULT_CLICK_PATTERN, self.eta)
-        f = forms[0].coeffs
-        e1 = np.sqrt(self.eta[0]) / np.sqrt(2.0)
-        e2 = np.sqrt(self.eta[1]) / np.sqrt(2.0)
-        expected = e1 * alpha_form(1).coeffs + e2 * alpha_form(2).coeffs
-        np.testing.assert_allclose(f, expected, atol=1e-15)
+        terms = dict((modes, c) for c, modes in branch_forms(("10", "10"), DEFAULT_CLICK_PATTERN, self.eta))
+        e = self.e
+        expected = {(1, 7): e[1] * e[7], (1, 8): e[1] * e[8], (2, 7): e[2] * e[7], (2, 8): e[2] * e[8]}
+        assert terms.keys() == expected.keys()
+        for modes, c in expected.items():
+            np.testing.assert_allclose(terms[modes], c, atol=1e-15)
 
     def test_minus_combination_when_click_moves(self):
         flipped = list(DEFAULT_CLICK_PATTERN)
         flipped[0], flipped[1] = 0, 1
-        forms = branch_forms(("10", "10"), tuple(flipped), self.eta)
-        f = forms[0].coeffs
-        e1 = np.sqrt(self.eta[0]) / np.sqrt(2.0)
-        e2 = np.sqrt(self.eta[1]) / np.sqrt(2.0)
-        expected = e1 * alpha_form(1).coeffs - e2 * alpha_form(2).coeffs
-        np.testing.assert_allclose(f, expected, atol=1e-15)
+        terms = dict((modes, c) for c, modes in branch_forms(("10", "10"), tuple(flipped), self.eta))
+        e = self.e
+        expected = {(1, 7): e[1] * e[7], (1, 8): e[1] * e[8], (2, 7): -e[2] * e[7], (2, 8): -e[2] * e[8]}
+        assert terms.keys() == expected.keys()
+        for modes, c in expected.items():
+            np.testing.assert_allclose(terms[modes], c, atol=1e-15)
 
     def test_second_rail_branch_flips_sign(self):
-        plus = branch_forms(("10", "10"), DEFAULT_CLICK_PATTERN, self.eta)[0]
-        minus = branch_forms(("01", "10"), DEFAULT_CLICK_PATTERN, self.eta)[0]
-        diff = plus.coeffs - minus.coeffs
-        nz = np.nonzero(diff)[0]
-        np.testing.assert_array_equal(nz, [1, 9])  # only the mode-2 quadratures
+        plus = branch_forms(("10", "10"), DEFAULT_CLICK_PATTERN, self.eta)
+        minus = branch_forms(("01", "10"), DEFAULT_CLICK_PATTERN, self.eta)
+        assert [m for _, m in plus] == [m for _, m in minus]
+        for (cp, modes), (cm, _) in zip(plus, minus):
+            # only the terms on mode 2 change sign
+            assert cm == (-cp if 2 in modes else cp)
 
     def test_rejects_double_clicks(self):
         with pytest.raises(ValueError):
@@ -59,6 +63,21 @@ class TestBranchForms:
     def test_rejects_invalid_memory_counts(self):
         with pytest.raises(ValueError):
             validate_click_pattern((2, 0, 1, 1, 0, 0, 1, 0))
+
+
+class TestClickPatternCost:
+    def test_chain_over_the_cap_is_rejected_at_once(self):
+        # chain B gets 16 herald forms plus up to 4 memory forms
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="cap"):
+            validate_click_pattern((1, 0, 8, 0, 0, 0, 1, 0))
+        assert time.perf_counter() - started < 0.1
+
+    def test_split_heralds_are_computable(self):
+        # 20 forms in one 8-mode request, 12 at most on either chain
+        dm = spin_spin_dm(SourceParams(mean_photon=0.1, eta_t=0.8), (1, 0, 4, 4, 0, 0, 1, 0))
+        assert dm.hermiticity_defect() <= 1e-12 * np.max(np.abs(dm.entries))
+        assert dm.trace > 0.0
 
 
 class TestSpinSpinDM:
@@ -141,6 +160,13 @@ class TestSpinSpinDark:
         gen = generated_sigma_patterns()
         for k in (1, 2, 3, 4):
             assert sorted(SIGMA_PATTERNS[k]) == sorted(gen[k])
+
+    def test_sigma_patterns_remove_k_base_clicks(self):
+        for k, patterns in SIGMA_PATTERNS.items():
+            assert len(set(patterns)) == len(patterns)
+            for pattern in patterns:
+                removed = [b - n for b, n in zip(DEFAULT_CLICK_PATTERN, pattern)]
+                assert set(removed) <= {0, 1} and sum(removed) == k
 
     def test_dark_mixture_stays_physical(self):
         p = SourceParams(mean_photon=0.1, eta_t=0.8, dark_click_prob=1e-4)

@@ -168,11 +168,12 @@ class TestFidelity:
 
     def test_coherence_terms_conjugate_pair(self):
         # W(a1 a3 a4 a8; b2* b3* b4* b7*) and W(a2 a3 a4 a7; b1* b3* b4* b8*)
-        from zalmsim.metrics import A_FULL, _variants
+        from zalmsim import assemble_a, build_cascaded_cov, k_data
         from zalmsim.moments import MomentRequest, alpha_form, beta_conj_form, wick_moment
 
         p = SourceParams(mean_photon=0.2, eta_b=0.6, eta_t=0.9, eta_d=0.8)
-        _, a = _variants(p, A_FULL)
+        kd = k_data(build_cascaded_cov(p.mean_photon))
+        a = assemble_a(kd, kd, p.eta_vector)
 
         def w(alphas, betas):
             forms = [alpha_form(m) for m in alphas] + [beta_conj_form(m) for m in betas]

@@ -14,6 +14,7 @@ from zalmsim import (
     build_cascaded_cov,
     gaussian_prefactor,
     hafnian,
+    hafnian_repeated,
     k_data,
     wick_moment,
 )
@@ -77,6 +78,41 @@ class TestHafnian:
             hafnian(np.zeros((3, 3)))
 
 
+class TestHafnianRepeated:
+    def test_matches_expanded_matrix(self):
+        rng = np.random.default_rng(7)
+        for reps in [(2,), (1, 1), (2, 2), (3, 1), (2, 1, 1), (3, 3, 2), (2, 2, 1, 1, 2), (1, 0, 3, 2)]:
+            k = len(reps)
+            m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+            m = m + m.T
+            idx = np.repeat(np.arange(k), reps)
+            ref = hafnian_by_enumeration(m[np.ix_(idx, idx)])
+            np.testing.assert_allclose(hafnian_repeated(m, reps), ref, rtol=1e-12)
+
+    def test_sixteen_rows_against_hafnian(self):
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m = m + m.T
+        reps = (4, 4, 4, 4)
+        idx = np.repeat(np.arange(4), reps)
+        np.testing.assert_allclose(hafnian_repeated(m, reps), hafnian(m[np.ix_(idx, idx)]), rtol=1e-11)
+
+    def test_single_variable_is_double_factorial(self):
+        # E[x^(2s)] = (2s - 1)!! c^s for a single variance c.
+        assert hafnian_repeated(np.array([[2.0]]), (8,)) == pytest.approx(105.0 * 2.0**4, rel=1e-14)
+
+    def test_no_rows_is_one(self):
+        assert hafnian_repeated(np.zeros((2, 2)), (0, 0)) == 1.0
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            hafnian_repeated(np.eye(2), (1, 2))
+        with pytest.raises(ValueError):
+            hafnian_repeated(np.eye(2), (1, -1))
+        with pytest.raises(ValueError):
+            hafnian_repeated(np.eye(3), (1, 1))
+
+
 def toy_amatrix(n: int, eps: float = 0.3, imag: float = 0.0) -> AMatrix:
     diag = np.linspace(2.5, 3.5, n)
     v = np.linspace(1.0, -0.7, n)
@@ -112,6 +148,14 @@ class TestWickMoment:
         x = unit_form(0, 1)
         got = wick_moment(a, MomentRequest((x, x, x, x)))
         np.testing.assert_allclose(got, 3.0 / 1.7**2, rtol=1e-12)
+
+    def test_repeated_forms_match_expanded_hafnian(self):
+        # Ten forms with repeats take the hafnian_repeated path.
+        a = toy_amatrix(4, imag=0.05)
+        forms = [unit_form(i, 4) for i in (0, 0, 1, 2, 2, 2, 3, 3, 1, 0)]
+        l = np.vstack([f.coeffs for f in forms])
+        ref = hafnian(l @ a.inverse @ l.T)
+        np.testing.assert_allclose(wick_moment(a, MomentRequest(tuple(forms), 0.5)), 0.5 * ref, rtol=1e-12)
 
     def test_multilinear_in_forms(self):
         a = toy_amatrix(4, imag=0.05)

@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -104,6 +105,21 @@ class TestMetricsEndpoint:
 
     def test_out_of_range_is_422(self, server_url):
         status, payload = post(f"{server_url}/v1/metrics", {"mean_photon": 0.1, "bsm_efficiency": 1.5})
+        assert status == 422
+        assert payload["code"] == "out_of_range"
+
+    def test_click_pattern_split_over_chains_is_200(self, server_url):
+        click = [1, 0, 4, 4, 0, 0, 1, 0]
+        status, payload = post(f"{server_url}/v1/metrics", {"mean_photon": 0.1, "click_pattern": click})
+        assert status == 200
+        dm = spin_spin_dm(SourceParams(mean_photon=0.1), tuple(click))
+        got = np.array([[complex(re, im) for re, im in row] for row in payload["spin_dm"]])
+        assert np.array_equal(got, dm.entries)
+
+    def test_click_pattern_over_chain_cap_is_fast_422(self, server_url):
+        started = time.perf_counter()
+        status, payload = post(f"{server_url}/v1/metrics", {"mean_photon": 0.1, "click_pattern": [1, 0, 8, 0, 0, 0, 1, 0]})
+        assert time.perf_counter() - started < 0.1
         assert status == 422
         assert payload["code"] == "out_of_range"
 
