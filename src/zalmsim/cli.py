@@ -24,9 +24,9 @@ from .oracle import (
     oracle_pgen_filtered,
     oracle_spin_spin,
 )
-from .server import ENGINE_VERSION, compute_metrics_response, serve
-from .sources import SourceParams
-from .sweep import PARAM_FIELDS, SweepConfig, render_sweep, run_sweep
+from .server import ENGINE_VERSION, _spin_dm_wire, compute_metrics_response, serve
+from .sources import PARAM_FIELDS, SourceParams, params_from_external
+from .sweep import SweepConfig, render_sweep, run_sweep
 
 
 def _add_param_args(parser: argparse.ArgumentParser) -> None:
@@ -40,16 +40,11 @@ def _add_param_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _params_from_args(args: argparse.Namespace) -> SourceParams:
-    pattern = tuple(int(x) for x in args.herald_pattern.split(","))
-    return SourceParams(
-        mean_photon=args.mean_photon,
-        eta_b=args.bsm_efficiency,
-        eta_t=args.outcoupling_efficiency,
-        eta_d=args.detection_efficiency,
-        dark_click_prob=args.dark_click_prob,
-        herald_pattern=pattern,
-    )
+def _request_from_args(args: argparse.Namespace) -> dict:
+    """The parameter flags as a service request body."""
+    request = {name: getattr(args, name) for name in PARAM_FIELDS}
+    request["herald_pattern"] = [int(x) for x in args.herald_pattern.split(",")]
+    return request
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -59,7 +54,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         stop=args.to,
         steps=args.steps,
         scale=args.scale,
-        fixed=_params_from_args(args),
+        fixed=params_from_external(_request_from_args(args)),
         metrics=tuple(args.metrics.split(",")),
         output_format=args.format,
         output_path=args.output,
@@ -75,20 +70,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    request = {
-        "mean_photon": args.mean_photon,
-        "bsm_efficiency": args.bsm_efficiency,
-        "outcoupling_efficiency": args.outcoupling_efficiency,
-        "detection_efficiency": args.detection_efficiency,
-        "dark_click_prob": args.dark_click_prob,
-        "herald_pattern": [int(x) for x in args.herald_pattern.split(",")],
-    }
-    sys.stdout.write(json.dumps(compute_metrics_response(request), indent=2) + "\n")
+    sys.stdout.write(json.dumps(compute_metrics_response(_request_from_args(args)), indent=2) + "\n")
     return 0
 
 
 def _cmd_spin_dm(args: argparse.Namespace) -> int:
-    params = _params_from_args(args)
+    params = params_from_external(_request_from_args(args))
     click = tuple(int(x) for x in args.click_pattern.split(","))
     if args.dark:
         dm = spin_spin_dm_dark(params)
@@ -97,7 +84,7 @@ def _cmd_spin_dm(args: argparse.Namespace) -> int:
     payload = {
         "click_pattern": list(click),
         "trace": dm.trace,
-        "spin_dm": [[[dm.entries[i, j].real, dm.entries[i, j].imag] for j in range(4)] for i in range(4)],
+        "spin_dm": _spin_dm_wire(dm.entries),
         "engine_version": ENGINE_VERSION,
     }
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")

@@ -12,20 +12,21 @@ and its trace is the probability of the full click pattern.
 
 Each memory pair (1, 2) and (7, 8) joins one mode of chain A with one of
 chain B, so its detection form is expanded multilinearly: every entry is a
-signed sum of products of two chain moments, and the 16 entries share one
-memo of the distinct chain moments.
+signed sum of lossy-state Fock elements with the herald counts on modes 3-6
+and one photon per clicked memory pair, and the 16 entries share one memo of
+the distinct chain moments.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UndefinedFidelityError
-from .metrics import A_FULL, CHAIN_MODES, HERALD_MODES, _variants, chain_request, herald_clicks, split_by_chain
-from .moments import MAX_REQUEST_CARDINALITY, wick_moment
+from .metrics import A_FULL, CHAIN_MODES, HERALD_MODES, _moment, _variants, _weight, dark_attributions
+from .moments import MAX_REQUEST_CARDINALITY
+from .moments import wick_moment  # noqa: F401 - unused here, but perfbench/tracing.py patches memory.wick_moment
 from .sources import SourceParams
 
 DEFAULT_CLICK_PATTERN = (1, 0, 1, 1, 0, 0, 1, 0)
@@ -66,26 +67,9 @@ def validate_click_pattern(click) -> tuple[int, ...]:
     return click
 
 
-def generated_sigma_patterns() -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Enumerate the dark-click patterns from the base pattern's click subsets.
-
-    Attributing k of the four base clicks to dark counts removes them from
-    the photon pattern.
-    """
-    clicked = [i for i, n in enumerate(DEFAULT_CLICK_PATTERN) if n == 1]
-    out: dict[int, list[tuple[int, ...]]] = {1: [], 2: [], 3: [], 4: []}
-    for k in (1, 2, 3, 4):
-        for removed in itertools.combinations(clicked, k):
-            pattern = list(DEFAULT_CLICK_PATTERN)
-            for idx in removed:
-                pattern[idx] = 0
-            out[k].append(tuple(pattern))
-    return {k: tuple(v) for k, v in out.items()}
-
-
 # Click patterns mixed in by dark counts, grouped by how many of the base
 # pattern's four clicks are attributed to dark counts.
-SIGMA_PATTERNS = generated_sigma_patterns()
+SIGMA_PATTERNS = {k: patterns for k, patterns in dark_attributions(DEFAULT_CLICK_PATTERN).items() if k}
 
 
 @dataclass(frozen=True)
@@ -144,26 +128,19 @@ def spin_spin_dm(params: SourceParams, click=DEFAULT_CLICK_PATTERN) -> SpinSpinD
     The exponent matrix is the no-traced-modes variant; memory loading only
     changes the polynomial prefactor of each entry.  Every branch expands into
     the same term modes with its own signs, so the matrix is C M C^T with C
-    the branch-by-term coefficients and M the moments of term pairs.
+    the branch-by-term coefficients and M the moments of term pairs, which
+    the prefactor and the herald weight turn into Fock elements.
     """
     click = validate_click_pattern(click)
     pref, a = _variants(params, A_FULL)
-    eta = params.eta_vector
-    scalar, heralds = herald_clicks(click[2:6], eta)
+    eta = params.eta_vector.tolist()
+    herald = (0, 0) + click[2:6] + (0, 0)
+    scalar, heralds, _ = _weight(eta, herald, herald)
     terms = [branch_forms(b, click, eta) for b in BASIS]
     modes = [m for _, m in terms[0]]
     coeffs = np.array([[c for c, _ in branch] for branch in terms])
     memo: dict = {}
-
-    def moment(kets, bras) -> complex:
-        out = 1.0 + 0.0j
-        for local in split_by_chain(heralds + kets, heralds + bras):
-            if local not in memo:
-                memo[local] = wick_moment(a, chain_request(*local))
-            out *= memo[local]
-        return out
-
-    moments = np.array([[moment(k, b) for b in modes] for k in modes])
+    moments = np.array([[_moment(a, [*heralds, *k], [*heralds, *b], memo) for b in modes] for k in modes])
     return SpinSpinDM((0.25 * pref * scalar) * (coeffs @ moments @ coeffs.T))
 
 

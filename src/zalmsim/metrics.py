@@ -4,16 +4,19 @@ The cascaded source is exactly a product of two identical 4-mode chains.
 Chain A holds modes 1, 4, 6, 7 and chain B modes 2, 3, 5, 8; in each, two
 squeezed pairs meet on one heralding beam splitter, and the local modes run
 (outer, herald, herald, outer).  Loss and the traced modes are the same on
-both chains, so one 16x16 exponent matrix serves both.  Every metric is the
-8-mode Gaussian prefactor (the chain prefactor squared) times a scalar times
-a product of two chain Wick moments, or a sum of such products.
+both chains, so one 16x16 exponent matrix serves both.  Every metric is a
+combination of lossy-state Fock elements <d| rho |g>, as in the oracle; one
+element is the 8-mode Gaussian prefactor (the chain prefactor squared) times
+the sqrt(eta)^(d+g) / sqrt(d! g!) weight times a product of two chain Wick
+moments.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, sqrt
 
 import numpy as np
 
@@ -94,90 +97,121 @@ def _variants(params: SourceParams, traced: frozenset[int]) -> tuple[complex, AM
     return gaussian_prefactor(a, k, k) ** 2, a
 
 
-def split_by_chain(kets, bras) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Sorted local (ket, bra) modes of each chain for a multiset of global modes."""
-    split = tuple(([], []) for _ in CHAIN_MODES)
+def _moment(a: AMatrix, kets, bras, memo: dict | None = None) -> complex:
+    """Wick moment of alpha on global modes kets and beta* on bras, one wick_moment per chain.
+
+    memo, if given, maps a chain's sorted local (ket, bra) modes to its moment;
+    both chains share A, so equal keys on either chain have equal moments.
+    """
+    split = (([], []), ([], []))
     for side, modes in enumerate((kets, bras)):
         for mode in modes:
             chain, local = _CHAIN_OF[mode]
             split[chain][side].append(local)
-    return tuple((tuple(sorted(k)), tuple(sorted(b))) for k, b in split)
-
-
-def chain_request(kets, bras) -> MomentRequest:
-    """Ket amplitudes alpha on local modes kets and bra amplitudes beta* on local modes bras."""
-    return MomentRequest(tuple(_ALPHA[m] for m in kets) + tuple(_BETA[m] for m in bras))
-
-
-def _moment(a: AMatrix, kets, bras) -> complex:
-    """Wick moment of alpha on global modes kets and beta* on bras, one factor per chain."""
     out = 1.0 + 0.0j
-    for local in split_by_chain(kets, bras):
-        out *= wick_moment(a, chain_request(*local))
+    for k, b in split:
+        key = (tuple(sorted(k)), tuple(sorted(b)))
+        if memo is not None and key in memo:
+            out *= memo[key]
+            continue
+        value = wick_moment(a, MomentRequest(tuple(_ALPHA[m] for m in key[0]) + tuple(_BETA[m] for m in key[1])))
+        if memo is not None:
+            memo[key] = value
+        out *= value
     return out
 
 
-def herald_clicks(pattern, eta) -> tuple[float, tuple[int, ...]]:
-    """The eta^n / n! weight of a heralding pattern and its clicked modes, once per click."""
+def _weight(eta, d, g) -> tuple[float, list[int], list[int]]:
+    """The sqrt(eta)^(d+g) / sqrt(d! g!) weight of <d| rho |g> and its ket and bra modes, once per photon."""
     scalar = 1.0
-    modes: list[int] = []
-    for mode, clicks in zip(HERALD_MODES, pattern):
-        scalar *= eta[mode - 1] ** clicks / factorial(clicks)
-        modes.extend([mode] * clicks)
-    return scalar, tuple(modes)
+    kets: list[int] = []
+    bras: list[int] = []
+    for mode, e, dj, gj in zip(range(1, 9), eta, d, g):
+        if dj or gj:
+            scalar *= e ** ((dj + gj) / 2) / sqrt(factorial(dj) * factorial(gj))
+            kets.extend([mode] * dj)
+            bras.extend([mode] * gj)
+    return scalar, kets, bras
+
+
+def _element(variant: tuple[complex, AMatrix], eta, d, g) -> complex:
+    """<d| rho |g> of the lossy state under one (prefactor, A) variant, for 8-mode counts d, g.
+
+    With traced modes in A, the element sums over their photon numbers, so
+    the heralding probability is the element of the herald counts.
+    """
+    pref, a = variant
+    scalar, kets, bras = _weight(eta, d, g)
+    return pref * (scalar * _moment(a, kets, bras))
+
+
+def dark_attributions(pattern) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """Photon patterns behind a click pattern when k of its single clicks are dark counts, keyed by k.
+
+    Attributing a click to a dark count removes it from the photon pattern;
+    k = 0 holds the pattern itself.
+    """
+    clicked = [i for i, n in enumerate(pattern) if n == 1]
+    out = {}
+    for k in range(len(clicked) + 1):
+        reduced = []
+        for dark in itertools.combinations(clicked, k):
+            photons = list(pattern)
+            for i in dark:
+                photons[i] = 0
+            reduced.append(tuple(photons))
+        out[k] = tuple(reduced)
+    return out
 
 
 def photonic_trace(params: SourceParams) -> MetricResult:
     """Trace of the lossy source state; equals 1 for every physical parameter set."""
-    pref, a = _variants(params, A_TRACE_ALL)
-    return _as_metric(pref * _moment(a, (), ()), params)
+    vacuum = (0,) * 8
+    return _as_metric(_element(_variants(params, A_TRACE_ALL), (), vacuum, vacuum), params)
 
 
 def pgen(params: SourceParams) -> MetricResult:
     """Probability that the heralding detectors fire with the requested pattern."""
-    pref, a = _variants(params, A_PGEN_TRACED)
-    scalar, modes = herald_clicks(params.herald_pattern, params.eta_vector)
-    return _as_metric(pref * (scalar * _moment(a, modes, modes)), params)
+    herald = (0, 0) + params.herald_pattern + (0, 0)
+    return _as_metric(_element(_variants(params, A_PGEN_TRACED), params.eta_vector.tolist(), herald, herald), params)
 
 
 def pgen_with_dark(params: SourceParams) -> MetricResult:
     """Heralding probability including detector dark clicks.
 
-    Sums the click-attribution terms for the (1, 1, 0, 0)-class pattern: both
-    clicks real, either single click real with the other dark, or both dark.
+    A classical mixture over the photon patterns behind the (1, 1, 0, 0)-class
+    click pattern: k of its two clicks dark, weighted pd^k (1 - pd)^(2 - k).
     A dark-attributed detector keeps its mode in the detected set with zero
-    photons, so all four terms share the same exponent matrix.
+    photons, so every term is a heralding element under the same exponent
+    matrix.
     """
     pattern = params.herald_pattern
     if sorted(pattern) != [0, 0, 1, 1]:
         raise ValueError(f"dark-count heralding is defined for two single clicks, got {pattern}")
     pd = params.dark_click_prob
-    pref, a = _variants(params, A_PGEN_TRACED)
-    eta = params.eta_vector
-    m1, m2 = [m for m, n in zip(HERALD_MODES, pattern) if n == 1]
-    eta1, eta2 = eta[m1 - 1], eta[m2 - 1]
-    raw = (eta1 * eta2) * (1.0 - pd) ** 2 * _moment(a, (m1, m2), (m1, m2))
-    if pd > 0.0:
-        raw += eta1 * pd * (1.0 - pd) * _moment(a, (m1,), (m1,))
-        raw += eta2 * pd * (1.0 - pd) * _moment(a, (m2,), (m2,))
-        raw += pd * pd * _moment(a, (), ())
-    return _as_metric(pref * raw, params)
+    variant = _variants(params, A_PGEN_TRACED)
+    eta = params.eta_vector.tolist()
+    raw = 0.0
+    for k, photon_patterns in dark_attributions(pattern).items():
+        if k and pd == 0.0:
+            break
+        for photons in photon_patterns:
+            herald = (0, 0) + photons + (0, 0)
+            raw += pd**k * (1.0 - pd) ** (2 - k) * _element(variant, eta, herald, herald)
+    return _as_metric(raw, params)
 
 
 def fidelity(params: SourceParams, bell_target: str = "psi_minus") -> MetricResult:
-    """Bell fidelity of the heralded photonic state.
+    """Bell fidelity of the heralded photonic state, (rho11 + rho22 +- (rho12 + rho21)) / (2 pgen).
 
     Supported patterns click exactly one photon on each of two heralding
-    modes, (1,1,0,0) or (0,0,1,1).  bell_target selects the relative sign of
-    the two coherence terms; "psi_minus" reproduces the pattern's nominal
-    Bell state, "psi_plus" the orthogonal one.
+    modes, (1,1,0,0) or (0,0,1,1); e1 and e2 put one photon on the outer
+    modes (1, 8) and (2, 7).  bell_target selects the relative sign of the
+    two coherence terms; "psi_minus" reproduces the pattern's nominal Bell
+    state, "psi_plus" the orthogonal one.
     """
     pattern = params.herald_pattern
-    if pattern == (1, 1, 0, 0):
-        h1, h2 = 3, 4
-    elif pattern == (0, 0, 1, 1):
-        h1, h2 = 5, 6
-    else:
+    if pattern not in ((1, 1, 0, 0), (0, 0, 1, 1)):
         raise ValueError(f"fidelity is defined for patterns (1,1,0,0) or (0,0,1,1), got {pattern}")
     if bell_target == "psi_minus":
         cross_sign = 1.0
@@ -187,26 +221,19 @@ def fidelity(params: SourceParams, bell_target: str = "psi_minus") -> MetricResu
         raise ValueError(f"unknown bell_target {bell_target!r}")
     if params.mean_photon == 0.0:
         raise UndefinedFidelityError("zero heralding probability at mean_photon = 0")
-    _, a_full = _variants(params, A_FULL)
-    _, a_pgen = _variants(params, A_PGEN_TRACED)
-
-    ket1 = (1, h1, h2, 8)
-    ket2 = (2, h1, h2, 7)
-    w11 = _moment(a_full, ket1, ket1)
-    w12 = _moment(a_full, ket1, ket2)
-    w21 = _moment(a_full, ket2, ket1)
-    w22 = _moment(a_full, ket2, ket2)
-    denom = _moment(a_pgen, (h1, h2), (h1, h2))
+    full = _variants(params, A_FULL)
+    heralded = _variants(params, A_PGEN_TRACED)
+    # Every element and pgen carry the same herald weight eta_b^2; leaving it
+    # out of all five keeps the ratio finite in the eta_b -> 0 limit.
+    eta = [1.0 if mode in HERALD_MODES else e for mode, e in enumerate(params.eta_vector.tolist(), 1)]
+    herald = (0, 0) + pattern + (0, 0)
+    e1 = (1, 0) + pattern + (0, 1)
+    e2 = (0, 1) + pattern + (1, 0)
+    r11, r12, r21, r22 = (_element(full, eta, d, g) for d in (e1, e2) for g in (e1, e2))
+    denom = _element(heralded, eta, herald, herald)
     if denom == 0.0:
         raise UndefinedFidelityError("heralding probability vanished")
-    # Ratio of the two 8-mode prefactors; the kernel determinants cancel.
-    det_ratio = np.exp(a_pgen.log_det - a_full.log_det)
-    raw = (
-        (params.eta_d * params.eta_t) ** 2
-        * det_ratio
-        * (w11 + w22 + cross_sign * (w12 + w21))
-        / (2.0 * denom)
-    )
+    raw = 0.5 * (r11 + r22 + cross_sign * (r12 + r21)) / denom
     flags = ()
     value = float(np.real(raw))
     if value < -REAL_TOLERANCE or value > 1.0 + REAL_TOLERANCE:
@@ -222,14 +249,4 @@ def fock_element(params: SourceParams, d, g) -> complex:
         raise ValueError("Fock indices must be 8 nonnegative integers each")
     if sum(d) + sum(g) > MAX_TOTAL_FOCK:
         raise ValueError(f"total photon count {sum(d) + sum(g)} exceeds the cap of {MAX_TOTAL_FOCK}")
-    pref, a = _variants(params, A_FULL)
-    eta = params.eta_vector
-    scalar = 1.0
-    kets: list[int] = []
-    bras: list[int] = []
-    for mode in range(1, 9):
-        dj, gj = d[mode - 1], g[mode - 1]
-        scalar *= np.sqrt(eta[mode - 1]) ** (dj + gj) / np.sqrt(factorial(dj) * factorial(gj))
-        kets.extend([mode] * dj)
-        bras.extend([mode] * gj)
-    return pref * (scalar * _moment(a, kets, bras))
+    return _element(_variants(params, A_FULL), params.eta_vector.tolist(), d, g)

@@ -14,26 +14,15 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from . import __version__ as ENGINE_VERSION
 from .errors import NumericalDomainError, UndefinedFidelityError
 from .kfunction import COVARIANCE_PRESCALE
-from .memory import spin_spin_dm, validate_click_pattern
+from .memory import DEFAULT_CLICK_PATTERN, spin_spin_dm, validate_click_pattern
 from .metrics import fidelity, pgen, photonic_trace
-from .sources import SourceParams
+from .sources import PARAM_FIELDS, SourceParams, params_from_external
 
-_REQUEST_FIELDS = {
-    "mean_photon": float,
-    "bsm_efficiency": float,
-    "outcoupling_efficiency": float,
-    "detection_efficiency": float,
-    "dark_click_prob": float,
-    "herald_pattern": list,
-    "click_pattern": list,
-}
-_DEFAULTS = {
-    "bsm_efficiency": 1.0,
-    "outcoupling_efficiency": 1.0,
-    "detection_efficiency": 1.0,
-    "dark_click_prob": 0.0,
-    "herald_pattern": [1, 1, 0, 0],
-}
+_REQUEST_FIELDS = {**dict.fromkeys(PARAM_FIELDS, float), "herald_pattern": list, "click_pattern": list}
+# A request body is a few hundred bytes; the cap bounds what one request may make the server read.
+MAX_BODY_BYTES = 1 << 16
+# Seconds a handler waits on its socket, so a client that sends less than it announced frees the thread.
+SOCKET_TIMEOUT_S = 2.0
 
 
 class RequestError(Exception):
@@ -61,18 +50,9 @@ def _parse_request(data: dict) -> tuple[SourceParams, tuple[int, ...] | None]:
             if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
                 raise RequestError(400, "bad_type", field, f"{field} must be a list of integers")
             clean[field] = value
-    for field, default in _DEFAULTS.items():
-        clean.setdefault(field, default)
     click = clean.pop("click_pattern", None)
     try:
-        params = SourceParams(
-            mean_photon=clean["mean_photon"],
-            eta_b=clean["bsm_efficiency"],
-            eta_t=clean["outcoupling_efficiency"],
-            eta_d=clean["detection_efficiency"],
-            dark_click_prob=clean["dark_click_prob"],
-            herald_pattern=tuple(clean["herald_pattern"]),
-        )
+        params = params_from_external(clean)
         if click is not None:
             click = validate_click_pattern(click)
     except ValueError as exc:
@@ -135,6 +115,7 @@ def _coerce_query(query: str) -> dict:
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = f"zalmsim/{ENGINE_VERSION}"
+    timeout = SOCKET_TIMEOUT_S
 
     def _send_json(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
@@ -160,7 +141,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._handle(health_payload)
         elif parsed.path == "/v1/spin_dm":
             data = _coerce_query(parsed.query)
-            data.setdefault("click_pattern", list((1, 0, 1, 1, 0, 0, 1, 0)))
+            data.setdefault("click_pattern", list(DEFAULT_CLICK_PATTERN))
 
             def spin_only():
                 payload = compute_metrics_response(data)
@@ -179,14 +160,23 @@ class _Handler(BaseHTTPRequestHandler):
         if parsed.path != "/v1/metrics":
             self._send_json(404, {"code": "not_found", "field": "", "message": self.path})
             return
-        length = int(self.headers.get("Content-Length", "0"))
-        raw = self.rfile.read(length)
+        self._handle(lambda: compute_metrics_response(self._read_json()))
+
+    def _read_json(self):
+        raw = self.headers.get("Content-Length", "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            raise RequestError(400, "malformed", "Content-Length", f"Content-Length must be a nonnegative integer, got {raw!r}")
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            raise RequestError(413, "too_large", "Content-Length", f"body of {length} bytes exceeds the cap of {MAX_BODY_BYTES}")
         try:
-            data = json.loads(raw.decode("utf-8"))
+            body = self.rfile.read(length)
+        except TimeoutError as exc:
+            raise RequestError(408, "timeout", "", f"body shorter than its Content-Length of {length} bytes") from exc
+        try:
+            return json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._send_json(400, {"code": "malformed", "field": "", "message": f"invalid JSON: {exc}"})
-            return
-        self._handle(lambda: compute_metrics_response(data))
+            raise RequestError(400, "malformed", "", f"invalid JSON: {exc}") from exc
 
     def log_message(self, fmt, *args):  # silence per-request stderr noise
         pass

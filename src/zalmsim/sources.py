@@ -19,6 +19,16 @@ from .phase_space import (
 
 DEFAULT_HERALD_PATTERN = (1, 1, 0, 0)
 
+# External names (service fields, CLI flags, sweep parameters) of the numeric
+# SourceParams fields; herald_pattern keeps its name.
+PARAM_FIELDS = {
+    "mean_photon": "mean_photon",
+    "bsm_efficiency": "eta_b",
+    "outcoupling_efficiency": "eta_t",
+    "detection_efficiency": "eta_d",
+    "dark_click_prob": "dark_click_prob",
+}
+
 
 @dataclass(frozen=True)
 class SourceParams:
@@ -59,6 +69,14 @@ class SourceParams:
         """Per-mode efficiencies (eta_t*eta_d on 1,2,7,8 and eta_b on 3-6)."""
         out = self.eta_t * self.eta_d
         return np.array([out, out, self.eta_b, self.eta_b, self.eta_b, self.eta_b, out, out])
+
+
+def params_from_external(values: dict) -> SourceParams:
+    """SourceParams from a mapping keyed by external names; absent fields keep their defaults."""
+    fields = {PARAM_FIELDS.get(name, name): value for name, value in values.items()}
+    if "herald_pattern" in fields:
+        fields["herald_pattern"] = tuple(fields["herald_pattern"])
+    return SourceParams(**fields)
 
 
 def build_spdc_cov(mu: float) -> CovarianceMatrix:

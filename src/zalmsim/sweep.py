@@ -11,16 +11,7 @@ import numpy as np
 
 from .memory import spin_spin_dm
 from .metrics import fidelity, pgen, pgen_with_dark, photonic_trace
-from .sources import SourceParams
-
-# External parameter names to SourceParams fields.
-PARAM_FIELDS = {
-    "mean_photon": "mean_photon",
-    "bsm_efficiency": "eta_b",
-    "outcoupling_efficiency": "eta_t",
-    "detection_efficiency": "eta_d",
-    "dark_click_prob": "dark_click_prob",
-}
+from .sources import PARAM_FIELDS, SourceParams
 
 KNOWN_METRICS = ("pgen", "pgen_dark", "fidelity", "trace", "spin_dm")
 

@@ -17,7 +17,8 @@ from zalmsim import (
     spin_spin_dm,
     spin_spin_dm_dark,
 )
-from zalmsim.memory import generated_sigma_patterns, validate_click_pattern
+from zalmsim.memory import validate_click_pattern
+from zalmsim.metrics import dark_attributions
 
 
 class TestBranchForms:
@@ -157,7 +158,7 @@ class TestSpinSpinDark:
         assert tuple(len(SIGMA_PATTERNS[k]) for k in (1, 2, 3, 4)) == (4, 6, 4, 1)
 
     def test_sigma_patterns_match_generator(self):
-        gen = generated_sigma_patterns()
+        gen = dark_attributions(DEFAULT_CLICK_PATTERN)
         for k in (1, 2, 3, 4):
             assert sorted(SIGMA_PATTERNS[k]) == sorted(gen[k])
 

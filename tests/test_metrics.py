@@ -126,19 +126,25 @@ class TestPgenWithDark:
         with pytest.raises(ValueError):
             pgen_with_dark(SourceParams(mean_photon=0.1, herald_pattern=(2, 0, 0, 0), dark_click_prob=0.1))
 
-    def test_equals_reduced_pattern_mixture(self):
+    @pytest.mark.parametrize(
+        "pattern", [(1, 1, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1)], ids=lambda p: "".join(map(str, p))
+    )
+    def test_equals_reduced_pattern_mixture(self, pattern):
         # each dark-attribution term is the heralding probability of the
         # pattern with that click removed, so the whole formula is a
         # classical mixture over reduced patterns
         mu, eta_b, pd = 0.15, 0.7, 1e-3
-        dark = pgen_with_dark(SourceParams(mean_photon=mu, eta_b=eta_b, dark_click_prob=pd)).value
+        dark = pgen_with_dark(
+            SourceParams(mean_photon=mu, eta_b=eta_b, dark_click_prob=pd, herald_pattern=pattern)
+        ).value
 
         def pg(pattern):
             return pgen(SourceParams(mean_photon=mu, eta_b=eta_b, herald_pattern=pattern)).value
 
+        first, second = [tuple(int(i == k) for i in range(4)) for k, n in enumerate(pattern) if n]
         mixture = (
-            (1 - pd) ** 2 * pg((1, 1, 0, 0))
-            + pd * (1 - pd) * (pg((1, 0, 0, 0)) + pg((0, 1, 0, 0)))
+            (1 - pd) ** 2 * pg(pattern)
+            + pd * (1 - pd) * (pg(first) + pg(second))
             + pd**2 * pg((0, 0, 0, 0))
         )
         np.testing.assert_allclose(dark, mixture, rtol=1e-13)
@@ -165,6 +171,26 @@ class TestFidelity:
         got = fidelity(p).value
         ref = oracle_fidelity(0.1, p.eta_vector, (0, 0, 1, 1))
         assert abs(got - ref) < 1e-6
+
+    @pytest.mark.parametrize("pattern", [(1, 1, 0, 0), (0, 0, 1, 1)])
+    @pytest.mark.parametrize("target, sign", [("psi_minus", 1.0), ("psi_plus", -1.0)])
+    def test_is_fock_elements_over_pgen(self, pattern, target, sign):
+        # F = (rho11 + rho22 +- (rho12 + rho21)) / (2 pgen) over the heralded
+        # kets e1 = |1,0;pattern;0,1> and e2 = |0,1;pattern;1,0>
+        p = SourceParams(mean_photon=0.15, eta_b=0.7, eta_t=0.9, eta_d=0.8, herald_pattern=pattern)
+        e1 = (1, 0) + pattern + (0, 1)
+        e2 = (0, 1) + pattern + (1, 0)
+        rho = {(d, g): fock_element(p, d, g) for d in (e1, e2) for g in (e1, e2)}
+        coherent = rho[e1, e1] + rho[e2, e2] + sign * (rho[e1, e2] + rho[e2, e1])
+        np.testing.assert_allclose(fidelity(p, target).value, 0.5 * coherent.real / pgen(p).value, rtol=1e-13)
+
+    @pytest.mark.parametrize("eta_b", [0.0, 1e-300])
+    def test_vanishing_herald_efficiency_gives_the_limit(self, eta_b):
+        # the herald weight eta_b^2 is common to every element and to pgen,
+        # so the fidelity keeps its eta_b -> 0 limit instead of 0/0
+        for pattern, limit in (((1, 1, 0, 0), 0.28223696502688805), ((0, 0, 1, 1), 0.282236965026888)):
+            got = fidelity(SourceParams(mean_photon=0.1, eta_b=eta_b, herald_pattern=pattern)).value
+            np.testing.assert_allclose(got, limit, rtol=1e-15)
 
     def test_coherence_terms_conjugate_pair(self):
         # W(a1 a3 a4 a8; b2* b3* b4* b7*) and W(a2 a3 a4 a7; b1* b3* b4* b8*)

@@ -1,14 +1,16 @@
 import json
+import socket
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import numpy as np
 import pytest
 
 from zalmsim import SourceParams, pgen, photonic_trace, spin_spin_dm
-from zalmsim.server import build_server
+from zalmsim.server import MAX_BODY_BYTES, SOCKET_TIMEOUT_S, build_server
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +42,21 @@ def get(url: str) -> tuple[int, dict]:
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as err:
         return err.code, json.loads(err.read())
+
+
+def raw_post(url: str, content_length: str, body: bytes = b"") -> tuple[int, dict, float]:
+    """POST /v1/metrics with a hand-written Content-Length; (status, JSON reply, seconds to the reply)."""
+    parts = urllib.parse.urlsplit(url)
+    head = f"POST /v1/metrics HTTP/1.1\r\nHost: {parts.netloc}\r\nContent-Length: {content_length}\r\n\r\n"
+    started = time.perf_counter()
+    with socket.create_connection((parts.hostname, parts.port), timeout=30) as sock:
+        sock.sendall(head.encode() + body)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    elapsed = time.perf_counter() - started
+    status_line, _, rest = reply.partition(b"\r\n")
+    return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2]), elapsed
 
 
 class TestHealth:
@@ -126,6 +143,33 @@ class TestMetricsEndpoint:
     def test_unknown_path_is_404(self, server_url):
         status, _ = post(f"{server_url}/v1/other", {"mean_photon": 0.1})
         assert status == 404
+
+
+class TestRequestBody:
+    def test_non_integer_content_length_is_400(self, server_url):
+        status, payload, elapsed = raw_post(server_url, "abc")
+        assert elapsed < 1.0
+        assert status == 400
+        assert payload["code"] == "malformed" and payload["field"] == "Content-Length"
+
+    def test_negative_content_length_is_400(self, server_url):
+        status, payload, elapsed = raw_post(server_url, "-1", b'{"mean_photon": 0.1}')
+        assert elapsed < 1.0
+        assert status == 400
+        assert payload["code"] == "malformed" and payload["field"] == "Content-Length"
+
+    def test_body_over_the_cap_is_413(self, server_url):
+        status, payload, elapsed = raw_post(server_url, str(MAX_BODY_BYTES + 1))
+        assert elapsed < 1.0
+        assert status == 413
+        assert payload["code"] == "too_large" and payload["field"] == "Content-Length"
+
+    def test_short_body_times_out_with_408(self, server_url):
+        body = b'{"mean_photon": 0.1}'
+        status, payload, elapsed = raw_post(server_url, str(len(body) + 10), body)
+        assert SOCKET_TIMEOUT_S - 0.5 < elapsed < SOCKET_TIMEOUT_S + 2.0
+        assert status == 408
+        assert payload["code"] == "timeout"
 
 
 class TestConcurrentRequests:
