@@ -24,7 +24,7 @@ from .oracle import (
     oracle_pgen_filtered,
     oracle_spin_spin,
 )
-from .server import ENGINE_VERSION, _spin_dm_wire, compute_metrics_response, serve
+from .server import ENGINE_VERSION, RequestError, _spin_dm_wire, compute_metrics_response, serve
 from .sources import PARAM_FIELDS, SourceParams, params_from_external
 from .sweep import SweepConfig, render_sweep, run_sweep
 
@@ -218,8 +218,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (RequestError, ValueError) as exc:
+        # Parameter values are checked after argparse has read the flags;
+        # report a rejected one as argparse reports a bad flag.
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

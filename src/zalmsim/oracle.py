@@ -2,8 +2,9 @@
 
 Everything here works directly with Fock amplitudes of the cascaded source:
 four truncated TMSV ladders, idler swaps, beam splitters applied per
-photon-number sector via the matrix exponential of the generator, Kraus loss,
-and explicit detection kernels.  Independent of the covariance/K-function
+photon-number sector (the exponential of the sector's generator, taken in the
+eigenbasis of a numpy Hermitian eigensolve), Kraus loss, and explicit
+detection kernels.  Independent of the covariance/K-function
 machinery by construction; agreement between the two is the package's core
 correctness argument.
 
@@ -45,18 +46,13 @@ def _bs_sector(total: int, theta: float) -> np.ndarray:
     Basis |a, total-a> indexed by the first mode's count; generated by
     a1^dag a2 - a1 a2^dag so that a1^dag -> cos(theta) a1^dag - sin(theta) a2^dag.
     """
-    # Imported here so that the engine, which never runs the oracle, does
-    # not load scipy (about 28 MB of resident memory).
-    import scipy.linalg
-
-    if total == 0:
-        return np.ones((1, 1))
-    dim = total + 1
-    g = np.zeros((dim, dim))
-    for a in range(total):
-        g[a + 1, a] = sqrt((a + 1) * (total - a))
-        g[a, a + 1] = -sqrt((a + 1) * (total - a))
-    return scipy.linalg.expm(theta * g)
+    # exp(theta g) for the real antisymmetric tridiagonal generator g, from
+    # the eigenbasis of the Hermitian i g: exp(theta g) = V exp(-i theta L) V^dag.
+    a = np.arange(total)
+    s = np.sqrt((a + 1.0) * (total - a))
+    g = np.diag(s, -1) - np.diag(s, 1)
+    lam, v = np.linalg.eigh(1j * g)
+    return ((v * np.exp(-1j * theta * lam)) @ v.conj().T).real
 
 
 def _kernel_vec(nmax: int, d: int, g: int, eta: float) -> tuple[int, np.ndarray]:
@@ -428,7 +424,7 @@ def oracle_build_cascaded(mu: float, cutoff: int, t: float = DEFAULT_BS_TRANSMIS
     if not np.isfinite(mu) or mu < 0:
         raise ValueError(f"mean photon number must be finite and >= 0, got {mu}")
     occs, amps = _support_arrays(mu, cutoff, t)
-    state = {tuple(int(x) for x in occ): complex(amp) for occ, amp in zip(occs, amps)}
+    state = {tuple(occ): complex(amp) for occ, amp in zip(occs.tolist(), amps.tolist())}
     ratio = mu / (1.0 + mu)
     deficit = 1.0 - (1.0 - ratio ** (cutoff + 1)) ** 4
     warning = None
@@ -438,29 +434,33 @@ def oracle_build_cascaded(mu: float, cutoff: int, t: float = DEFAULT_BS_TRANSMIS
 
 
 def oracle_apply_loss(state: TruncatedState, mode: int, eta: float) -> TruncatedState:
-    """Expand the Kraus-operator loss channel on one mode into branches."""
+    """Expand the Kraus-operator loss channel on one mode into branches.
+
+    Each input branch gives one output branch per Kraus index kk (photons
+    lost), in increasing kk; an entry with o photons on the mode feeds
+    branches kk = 0..o, and empty branches are dropped.
+    """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    max_occ = 0
-    for branch in state.branches:
-        for occ in branch:
-            max_occ = max(max_occ, occ[mode - 1])
+    i = mode - 1
+    max_occ = max((occ[i] for branch in state.branches for occ in branch), default=0)
+    coeffs = [
+        [
+            sqrt((1.0 - eta) ** kk / factorial(kk)) * eta ** ((o - kk) / 2.0) * sqrt(factorial(o) / factorial(o - kk))
+            for kk in range(o + 1)
+        ]
+        for o in range(max_occ + 1)
+    ]
     new_branches = []
     for branch in state.branches:
-        for kk in range(max_occ + 1):
-            nb: dict[tuple[int, ...], complex] = {}
-            for occ, amp in branch.items():
-                o = occ[mode - 1]
-                if o < kk:
-                    continue
-                coeff = sqrt((1.0 - eta) ** kk / factorial(kk)) * eta ** ((o - kk) / 2.0) * sqrt(
-                    factorial(o) / factorial(o - kk)
-                )
-                if coeff == 0.0:
-                    continue
-                nb[occ[: mode - 1] + (o - kk,) + occ[mode:]] = amp * coeff
-            if nb:
-                new_branches.append(nb)
+        by_kk: list[dict[tuple[int, ...], complex]] = [{} for _ in range(max_occ + 1)]
+        for occ, amp in branch.items():
+            o = occ[i]
+            head, tail = occ[:i], occ[i + 1 :]
+            for kk, coeff in enumerate(coeffs[o]):
+                if coeff != 0.0:
+                    by_kk[kk][head + (o - kk,) + tail] = amp * coeff
+        new_branches.extend(nb for nb in by_kk if nb)
     return TruncatedState(state.n_modes, state.cutoff, new_branches, state.norm_deficit)
 
 
@@ -519,11 +519,22 @@ def pattern_probability(state: TruncatedState, modes: tuple[int, ...], pattern: 
 def oracle_pgen_filtered(
     mu: float, eta_b: float, pattern=(1, 1, 0, 0), cutoff: int = 4
 ) -> float:
-    """Second, independent heralding-probability path: Kraus branches + amplitude filtering."""
+    """Second, independent heralding-probability path: Kraus branches + amplitude filtering.
+
+    Right after each heralding mode's loss, only the entries whose count on
+    that mode equals the pattern's are kept.  Loss on the other modes never
+    changes that count, so this projection commutes with the later losses
+    and drops exactly the entries the final pattern filter would drop: the
+    result equals loss on all four modes followed by ``pattern_probability``,
+    while the branches stay bounded by the support instead of growing as
+    (max occupation + 1)^4.
+    """
     pattern = tuple(int(n) for n in pattern)
     state = oracle_build_cascaded(mu, cutoff)
-    for mode in (3, 4, 5, 6):
+    for mode, count in zip((3, 4, 5, 6), pattern):
         state = oracle_apply_loss(state, mode, eta_b)
+        kept = ({occ: amp for occ, amp in branch.items() if occ[mode - 1] == count} for branch in state.branches)
+        state.branches = [branch for branch in kept if branch]
     return pattern_probability(state, (3, 4, 5, 6), pattern)
 
 

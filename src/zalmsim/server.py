@@ -118,7 +118,11 @@ class _Handler(BaseHTTPRequestHandler):
     timeout = SOCKET_TIMEOUT_S
 
     def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        try:
+            body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        except ValueError as exc:
+            # NaN and Infinity are not JSON; refuse the reply instead of emitting them.
+            raise NumericalDomainError(f"non-finite value in the reply: {exc}") from exc
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))

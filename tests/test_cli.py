@@ -148,3 +148,15 @@ class TestCliProcess:
         assert "[FAIL]" not in out
         lines = [line for line in out.splitlines() if line.startswith("[PASS]")]
         assert len(lines) >= 15
+
+    @pytest.mark.parametrize(
+        "args",
+        [["metrics", "--herald-pattern", "1,2"], ["spin-dm", "--herald-pattern", "5,5,0,0"]],
+        ids=["metrics-short-pattern", "spin-dm-over-cap"],
+    )
+    def test_bad_parameter_is_one_line_error(self, args):
+        result = run_cli(args)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("zalmsim: error: herald_pattern")

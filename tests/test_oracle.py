@@ -1,3 +1,5 @@
+from math import factorial, sqrt
+
 import numpy as np
 import pytest
 
@@ -153,11 +155,50 @@ class TestLossCommutation:
             assert abs(p1 - p2) < 1e-10
 
 
+def per_kraus_index_loss(state, mode, eta):
+    """Reference loss channel: one pass over every branch per Kraus index kk."""
+    max_occ = max(occ[mode - 1] for branch in state.branches for occ in branch)
+    out = []
+    for branch in state.branches:
+        for kk in range(max_occ + 1):
+            nb = {}
+            for occ, amp in branch.items():
+                o = occ[mode - 1]
+                if o < kk:
+                    continue
+                coeff = sqrt((1.0 - eta) ** kk / factorial(kk)) * eta ** ((o - kk) / 2.0) * sqrt(
+                    factorial(o) / factorial(o - kk)
+                )
+                if coeff != 0.0:
+                    nb[occ[: mode - 1] + (o - kk,) + occ[mode:]] = amp * coeff
+            if nb:
+                out.append(nb)
+    return out
+
+
+class TestProjectedFilter:
+    @pytest.mark.parametrize("eta_b", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("pattern", [(1, 1, 0, 0), (2, 0, 1, 0), (0, 0, 0, 0)])
+    def test_equals_unprojected_composition(self, pattern, eta_b):
+        state = oracle_build_cascaded(0.1, 3)
+        for mode in (3, 4, 5, 6):
+            state = oracle_apply_loss(state, mode, eta_b)
+        unprojected = pattern_probability(state, (3, 4, 5, 6), pattern)
+        assert oracle_pgen_filtered(0.1, eta_b, pattern, cutoff=3) == unprojected
+
+    def test_loss_branches_keep_order_and_amplitudes(self):
+        state = oracle_apply_loss(oracle_build_cascaded(0.1, 3), 3, 0.6)
+        got = oracle_apply_loss(state, 4, 0.6).branches
+        expected = per_kraus_index_loss(state, 4, 0.6)
+        assert [list(b.items()) for b in got] == [list(b.items()) for b in expected]
+
+
 class TestBeamsplitterSectors:
     def test_unitary(self):
-        for total in (1, 2, 5):
-            u = _bs_sector(total, np.pi / 4)
-            np.testing.assert_allclose(u @ u.T, np.eye(total + 1), atol=1e-12)
+        for theta in (np.pi / 4, float(np.arccos(np.sqrt(0.37)))):
+            for total in range(61):
+                u = _bs_sector(total, theta)
+                np.testing.assert_allclose(u @ u.T, np.eye(total + 1), rtol=0, atol=1e-13)
 
     def test_single_photon_sector(self):
         # basis index within a sector is the first mode's count
@@ -166,6 +207,21 @@ class TestBeamsplitterSectors:
         # |1,0> -> (|1,0> - |0,1>)/sqrt(2) under the covariance-stage convention
         np.testing.assert_allclose(u[:, 1], [-r, r], atol=1e-12)
         np.testing.assert_allclose(u[:, 0], [r, r], atol=1e-12)
+
+    def test_angles_compose(self):
+        for total in (1, 4, 17, 40):
+            u = _bs_sector(total, 0.3) @ _bs_sector(total, 0.5)
+            np.testing.assert_allclose(u, _bs_sector(total, 0.8), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("theta", [np.pi / 4, float(np.arccos(np.sqrt(0.37)))])
+    def test_matches_matrix_exponential(self, theta):
+        linalg = pytest.importorskip("scipy.linalg")
+        for total in range(61):
+            g = np.zeros((total + 1, total + 1))
+            for a in range(total):
+                g[a + 1, a] = sqrt((a + 1) * (total - a))
+                g[a, a + 1] = -g[a + 1, a]
+            np.testing.assert_allclose(_bs_sector(total, theta), linalg.expm(theta * g), rtol=0, atol=1e-12)
 
     def test_covariance_consistency(self):
         engine = build_cascaded_cov(0.05).entries

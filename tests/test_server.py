@@ -172,6 +172,22 @@ class TestRequestBody:
         assert payload["code"] == "timeout"
 
 
+class TestReplyJson:
+    def test_non_finite_value_is_numerical_domain_error(self, server_url, monkeypatch):
+        from zalmsim import server
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        monkeypatch.setattr(server, "compute_metrics_response", lambda data: {"pgen": float("nan")})
+        req = urllib.request.Request(f"{server_url}/v1/metrics", data=b'{"mean_photon": 0.1}', method="POST")
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(req, timeout=60)
+        payload = json.loads(info.value.read(), parse_constant=reject)
+        assert info.value.code == 500
+        assert payload["code"] == "numerical_domain"
+
+
 class TestConcurrentRequests:
     def test_parallel_posts_all_match_library(self, server_url):
         import concurrent.futures

@@ -50,8 +50,12 @@ def test_worker_names_stay_bound():
 
 
 def test_import_leaves_scipy_unloaded():
-    # only the oracle needs scipy, and imports it on first use
-    code = "import sys, zalmsim; print('scipy' in sys.modules)"
+    # neither the engine nor the oracle needs scipy
+    code = (
+        "import sys, zalmsim; "
+        "zalmsim.oracle_pgen(0.1, 0.8); zalmsim.oracle_pgen_filtered(0.1, 0.8, cutoff=2); "
+        "print('scipy' in sys.modules)"
+    )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
