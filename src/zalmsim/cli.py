@@ -14,6 +14,7 @@ from .memory import (
     SIGMA_PATTERNS,
     spin_spin_dm,
     spin_spin_dm_dark,
+    validate_click_pattern,
 )
 from .metrics import fidelity, pgen, pgen_with_dark, photonic_trace
 from .moments import hafnian
@@ -57,12 +58,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         fixed=params_from_external(_request_from_args(args)),
         metrics=tuple(args.metrics.split(",")),
         output_format=args.format,
-        output_path=args.output,
         include_timing=args.timing,
     )
     text = render_sweep(config, run_sweep(config))
-    if config.output_path:
-        with open(config.output_path, "w", newline="") as fh:
+    if args.output:
+        with open(args.output, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -76,8 +76,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_spin_dm(args: argparse.Namespace) -> int:
     params = params_from_external(_request_from_args(args))
-    click = tuple(int(x) for x in args.click_pattern.split(","))
+    click = validate_click_pattern(int(x) for x in args.click_pattern.split(","))
     if args.dark:
+        if click != DEFAULT_CLICK_PATTERN:
+            default = ",".join(map(str, DEFAULT_CLICK_PATTERN))
+            raise ValueError(
+                f"--dark mixes dark counts into the default click pattern {default} only, got {args.click_pattern}"
+            )
         dm = spin_spin_dm_dark(params)
     else:
         dm = spin_spin_dm(params, click)

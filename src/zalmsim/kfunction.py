@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDomainError
-from .phase_space import CovarianceMatrix, QuadOrdering
+from .phase_space import CovarianceMatrix
 
 COVARIANCE_PRESCALE = 0.5
 
@@ -30,7 +30,6 @@ class KFunctionData:
     gamma: np.ndarray
     log_det_gamma: float
     script_b: np.ndarray
-    convention_scale: float
 
     def __post_init__(self):
         for name in ("gamma", "script_b"):
@@ -39,16 +38,15 @@ class KFunctionData:
             object.__setattr__(self, name, arr)
 
 
-def k_data(cov: CovarianceMatrix, convention_scale: float = COVARIANCE_PRESCALE) -> KFunctionData:
+def k_data(cov: CovarianceMatrix) -> KFunctionData:
     """Gaussian kernel data (Gamma, its log-det, and the exponent matrix) for a covariance.
 
-    Requires QQPP ordering so that the exponent matrix blocks line up with the
-    (q..q, p..p) layout of the coherent quadrature vector.
+    Gamma = COVARIANCE_PRESCALE * V + I/2.  The covariance's (q..q, p..p)
+    layout is the coherent quadrature vector's, so the q-q, q-p and p-p
+    blocks of Gamma^-1 build the exponent matrix directly.
     """
-    if cov.ordering is not QuadOrdering.QQPP:
-        raise ValueError("k_data requires a QQPP-ordered covariance")
     n = cov.n_modes
-    gamma = convention_scale * cov.entries + 0.5 * np.eye(2 * n)
+    gamma = COVARIANCE_PRESCALE * cov.entries + 0.5 * np.eye(2 * n)
     gamma = (gamma + gamma.T) / 2.0
     try:
         chol = np.linalg.cholesky(gamma)
@@ -70,4 +68,4 @@ def k_data(cov: CovarianceMatrix, convention_scale: float = COVARIANCE_PRESCALE)
         ]
     )
     script_b = (script_b + script_b.T) / 2.0
-    return KFunctionData(n, gamma, log_det_gamma, script_b, convention_scale)
+    return KFunctionData(n, gamma, log_det_gamma, script_b)

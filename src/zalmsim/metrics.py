@@ -80,13 +80,12 @@ def _kernel_for(mu: float) -> KFunctionData:
     """Kernel of chain A's 4-mode block of the cascaded covariance."""
     cov = build_cascaded_cov(mu)
     idx = np.r_[_CHAIN_IDX, _CHAIN_IDX + 8]
-    return k_data(CovarianceMatrix(cov.ordering, 4, cov.entries[np.ix_(idx, idx)]))
+    return k_data(CovarianceMatrix(cov.entries[np.ix_(idx, idx)]))
 
 
 @functools.lru_cache(maxsize=256)
 def _a_variant(mu: float, eta: tuple[float, ...], traced: frozenset[int]) -> AMatrix:
-    k = _kernel_for(mu)
-    return assemble_a(k, k, np.asarray(eta), traced)
+    return assemble_a(_kernel_for(mu), np.asarray(eta), traced)
 
 
 def _variants(params: SourceParams, traced: frozenset[int]) -> tuple[complex, AMatrix]:
@@ -94,7 +93,7 @@ def _variants(params: SourceParams, traced: frozenset[int]) -> tuple[complex, AM
     eta = tuple(params.eta_vector[_CHAIN_IDX])
     k = _kernel_for(params.mean_photon)
     a = _a_variant(params.mean_photon, eta, traced)
-    return gaussian_prefactor(a, k, k) ** 2, a
+    return gaussian_prefactor(a, k) ** 2, a
 
 
 def _moment(a: AMatrix, kets, bras, memo: dict | None = None) -> complex:
@@ -122,7 +121,12 @@ def _moment(a: AMatrix, kets, bras, memo: dict | None = None) -> complex:
 
 
 def _weight(eta, d, g) -> tuple[float, list[int], list[int]]:
-    """The sqrt(eta)^(d+g) / sqrt(d! g!) weight of <d| rho |g> and its ket and bra modes, once per photon."""
+    """The sqrt(eta)^(d+g) / sqrt(d! g!) weight of <d| rho |g> and its ket and bra modes, once per photon.
+
+    Every metric in this module weights its Fock counts here.  spin_spin_dm
+    weights only its herald counts here: memory.branch_forms puts sqrt(eta)
+    on the memory modes' detection forms itself.
+    """
     scalar = 1.0
     kets: list[int] = []
     bras: list[int] = []

@@ -25,16 +25,6 @@ MAX_REQUEST_CARDINALITY = 16
 REPEATED_MIN_FORMS = 8
 
 
-def variable_order(n_modes: int = 8) -> tuple[str, ...]:
-    """Labels of the doubled quadrature vector, in storage order."""
-    return tuple(
-        f"{quad}_{side}{mode}"
-        for side in ("a", "b")
-        for quad in ("q", "p")
-        for mode in range(1, n_modes + 1)
-    )
-
-
 @dataclass(frozen=True)
 class LinearForm:
     """Complex linear form over the doubled quadrature vector."""
@@ -76,14 +66,9 @@ def beta_conj_form(mode: int, n_modes: int = 8) -> LinearForm:
 
 @dataclass(frozen=True)
 class MomentRequest:
-    """Multiset of linear forms to Wick-integrate, times a scalar prefactor.
-
-    The scalar carries efficiency powers and 1/n! factors; repeated Fock
-    exponents enter as repeated forms.
-    """
+    """Multiset of linear forms to Wick-integrate; repeated Fock exponents enter as repeated forms."""
 
     forms: tuple[LinearForm, ...]
-    scalar_prefactor: complex = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "forms", tuple(self.forms))
@@ -98,8 +83,6 @@ class AMatrix:
     """Complex symmetric exponent matrix with its cached inverse and log-det."""
 
     entries: np.ndarray
-    eta: np.ndarray | None = None
-    traced_modes: frozenset[int] = frozenset()
     inverse: np.ndarray = field(init=False)
     log_det: complex = field(init=False)
 
@@ -110,7 +93,6 @@ class AMatrix:
         m = (m + m.T) / 2.0
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "traced_modes", frozenset(self.traced_modes))
         sign, logabs = np.linalg.slogdet(m)
         if sign == 0 or not np.isfinite(logabs):
             raise NumericalDomainError("A matrix is singular")
@@ -127,20 +109,20 @@ class AMatrix:
 
 
 def assemble_a(
-    kA: KFunctionData,
-    kB: KFunctionData,
+    k: KFunctionData,
     eta: np.ndarray,
     traced_modes: frozenset[int] | set[int] = frozenset(),
 ) -> AMatrix:
     """Assemble the detection exponent matrix for one loss/trace configuration.
 
-    The bra kernel enters conjugated.  Each mode contributes an a<->b cross
-    coupling expanded from (eta_i - 1)(q_a + i p_a)(q_b - i p_b), with the
-    coefficient replaced by -1 on traced-out modes; every off-diagonal
-    contribution is halved before symmetric placement so the quadratic form
-    reproduces the scalar exponent exactly.
+    The ket block is the kernel's exponent matrix and the bra block its
+    conjugate.  Each mode contributes an a<->b cross coupling expanded from
+    (eta_i - 1)(q_a + i p_a)(q_b - i p_b), with the coefficient replaced by
+    -1 on traced-out modes; every off-diagonal contribution is halved before
+    symmetric placement so the quadratic form reproduces the scalar exponent
+    exactly.
     """
-    n = kA.n_modes
+    n = k.n_modes
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (n,):
         raise ValueError(f"expected {n} per-mode efficiencies, got shape {eta.shape}")
@@ -151,8 +133,8 @@ def assemble_a(
         raise ValueError(f"traced modes must lie in 1..{n}")
     dim = 4 * n
     a = np.zeros((dim, dim), dtype=complex)
-    a[: 2 * n, : 2 * n] = kA.script_b
-    a[2 * n :, 2 * n :] = np.conj(kB.script_b)
+    a[: 2 * n, : 2 * n] = k.script_b
+    a[2 * n :, 2 * n :] = np.conj(k.script_b)
     a += 0.5 * np.eye(dim)
     for mode in range(1, n + 1):
         w = -1.0 if mode in traced else eta[mode - 1] - 1.0
@@ -169,7 +151,7 @@ def assemble_a(
         ):
             a[r, c] += v
             a[c, r] += v
-    return AMatrix(a, eta=eta, traced_modes=traced)
+    return AMatrix(a)
 
 
 def hafnian(m: np.ndarray) -> complex:
@@ -225,13 +207,13 @@ def hafnian_repeated(m: np.ndarray, reps) -> complex:
 def wick_moment(a: AMatrix, req: MomentRequest) -> complex:
     """Gaussian moment of the request's forms under exp(-x^T A x / 2).
 
-    Stacks the forms into L and evaluates haf(L A^{-1} L^T) times the scalar
-    prefactor; odd cardinality vanishes identically.  Repeated forms in
+    Stacks the forms into L and evaluates haf(L A^{-1} L^T); no forms give 1
+    and odd cardinality vanishes identically.  Repeated forms in
     requests of REPEATED_MIN_FORMS or more go through hafnian_repeated.
     """
     n_forms = len(req.forms)
     if n_forms == 0:
-        return complex(req.scalar_prefactor)
+        return 1.0 + 0.0j
     if n_forms % 2 == 1:
         return 0.0 + 0.0j
     groups: dict[bytes, list[np.ndarray]] = {}
@@ -243,15 +225,15 @@ def wick_moment(a: AMatrix, req: MomentRequest) -> complex:
         raise ValueError(f"form dimension {l.shape[1]} does not match A dimension {a.entries.shape[0]}")
     pair = l @ a.inverse @ l.T
     pair = (pair + pair.T) / 2.0
-    haf = hafnian_repeated(pair, [len(g) for g in groups.values()]) if repeated else hafnian(pair)
-    return complex(req.scalar_prefactor) * haf
+    return hafnian_repeated(pair, [len(g) for g in groups.values()]) if repeated else hafnian(pair)
 
 
-def gaussian_prefactor(a: AMatrix, kA: KFunctionData, kB: KFunctionData) -> complex:
-    """Normalization 1 / (det(Gamma)^(1/4) det(Gamma*)^(1/4) sqrt(det A)).
+def gaussian_prefactor(a: AMatrix, k: KFunctionData) -> complex:
+    """Normalization 1 / (det(Gamma)^(1/4) det(Gamma*)^(1/4) sqrt(det A)) = 1 / sqrt(det(Gamma) det A).
 
+    Gamma is real, so the ket and bra kernels give one det(Gamma)^(1/2).
     Computed in log space; the 2 pi powers of the kernel normalization and the
     Gaussian integral cancel exactly at this dimension.
     """
-    log_total = -0.25 * kA.log_det_gamma - 0.25 * kB.log_det_gamma - 0.5 * a.log_det
+    log_total = -0.5 * k.log_det_gamma - 0.5 * a.log_det
     return complex(np.exp(log_total))

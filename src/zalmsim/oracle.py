@@ -539,7 +539,7 @@ def oracle_pgen_filtered(
 
 
 def oracle_covariance(mu: float, cutoff: int, t: float = DEFAULT_BS_TRANSMISSIVITY) -> np.ndarray:
-    """Symmetrized quadrature second moments of the truncated state, QQPP ordering.
+    """Symmetrized quadrature second moments of the truncated state over (q_1..q_8, p_1..p_8).
 
     Uses q = a + a^dag, p = i(a^dag - a) so the vacuum diagonal is 1, matching
     the covariance stage's normalization.

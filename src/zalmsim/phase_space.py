@@ -1,28 +1,20 @@
-"""Quadrature-ordering-aware real symplectic linear algebra.
+"""Real symplectic linear algebra over the grouped quadrature vector.
 
 Covariance matrices are kept in the normalization where the vacuum state has
-unit variance on every quadrature (vacuum covariance = identity).  Two
-orderings of the quadrature vector are supported:
+unit variance on every quadrature (vacuum covariance = identity).  The
+quadrature vector of N modes is always
 
-* QQPP: (q_1, ..., q_N, p_1, ..., p_N)
-* QPQP: (q_1, p_1, q_2, p_2, ...)
+    (q_1, ..., q_N, p_1, ..., p_N)
 
-Modes are numbered 1..N in the public API.
+which is the layout the coherent-basis kernel reads its blocks from.  Modes
+are numbered 1..N in the public API.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
-
-SYMMETRY_TOL = 1e-12
-
-
-class QuadOrdering(str, enum.Enum):
-    QQPP = "qqpp"
-    QPQP = "qpqp"
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -31,20 +23,25 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def quad_slots(mode: int, n_modes: int, ordering: QuadOrdering) -> tuple[int, int]:
-    """0-based (q, p) row indices of a 1-based mode in the given ordering."""
+def _quad_matrix(entries) -> np.ndarray:
+    m = np.asarray(entries, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
+        raise ValueError(f"expected 2N x 2N entries, got shape {m.shape}")
+    return m
+
+
+def quad_slots(mode: int, n_modes: int) -> tuple[int, int]:
+    """0-based (q, p) row indices of a 1-based mode."""
     if not 1 <= mode <= n_modes:
         raise ValueError(f"mode {mode} outside 1..{n_modes}")
-    if ordering is QuadOrdering.QQPP:
-        return mode - 1, n_modes + mode - 1
-    return 2 * (mode - 1), 2 * (mode - 1) + 1
+    return mode - 1, n_modes + mode - 1
 
 
-def symplectic_form(n_modes: int, ordering: QuadOrdering) -> np.ndarray:
-    """The form Omega with [x_i, x_j] = 2i Omega_ij for this ordering."""
+def symplectic_form(n_modes: int) -> np.ndarray:
+    """The form Omega with [x_i, x_j] = 2i Omega_ij."""
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     for mode in range(1, n_modes + 1):
-        q, p = quad_slots(mode, n_modes, ordering)
+        q, p = quad_slots(mode, n_modes)
         omega[q, p] = 1.0
         omega[p, q] = -1.0
     return omega
@@ -54,74 +51,48 @@ def symplectic_form(n_modes: int, ordering: QuadOrdering) -> np.ndarray:
 class CovarianceMatrix:
     """Symmetrized second-moment matrix of a zero-mean Gaussian state."""
 
-    ordering: QuadOrdering
-    n_modes: int
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.shape != (2 * self.n_modes, 2 * self.n_modes):
-            raise ValueError(f"expected {2 * self.n_modes}x{2 * self.n_modes} entries, got {m.shape}")
+        m = _quad_matrix(self.entries)
         object.__setattr__(self, "entries", _frozen((m + m.T) / 2.0))
+
+    @property
+    def n_modes(self) -> int:
+        return self.entries.shape[0] // 2
 
 
 @dataclass(frozen=True)
 class SymplecticOp:
     """Real linear map on the quadrature vector, S Omega S^T = Omega."""
 
-    ordering: QuadOrdering
-    n_modes: int
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.shape != (2 * self.n_modes, 2 * self.n_modes):
-            raise ValueError(f"expected {2 * self.n_modes}x{2 * self.n_modes} entries, got {m.shape}")
-        object.__setattr__(self, "entries", _frozen(m))
+        object.__setattr__(self, "entries", _frozen(_quad_matrix(self.entries)))
+
+    @property
+    def n_modes(self) -> int:
+        return self.entries.shape[0] // 2
 
     def symplectic_defect(self) -> float:
         """Max-norm of S Omega S^T - Omega; exactly symplectic ops give ~0."""
-        omega = symplectic_form(self.n_modes, self.ordering)
+        omega = symplectic_form(self.n_modes)
         return float(np.max(np.abs(self.entries @ omega @ self.entries.T - omega)))
 
 
-def tmsv_cov(mu: float, ordering: QuadOrdering) -> CovarianceMatrix:
+def tmsv_cov(mu: float) -> CovarianceMatrix:
     """Two-mode squeezed vacuum covariance with mean photon number mu per mode."""
     if not np.isfinite(mu) or mu < 0:
         raise ValueError(f"mean photon number must be finite and >= 0, got {mu}")
     d = 1.0 + 2.0 * mu
     c = 2.0 * np.sqrt(mu * (mu + 1.0))
-    if ordering is QuadOrdering.QPQP:
-        a = d * np.eye(2)
-        b = np.diag([c, -c])
-        m = np.block([[a, b], [b, a]])
-    else:
-        gp = np.array([[d, c], [c, d]])
-        gm = np.array([[d, -c], [-c, d]])
-        m = np.block([[gp, np.zeros((2, 2))], [np.zeros((2, 2)), gm]])
-    return CovarianceMatrix(ordering, 2, m)
+    gp = np.array([[d, c], [c, d]])
+    gm = np.array([[d, -c], [-c, d]])
+    return CovarianceMatrix(np.block([[gp, np.zeros((2, 2))], [np.zeros((2, 2)), gm]]))
 
 
-def _reorder_permutation(n_modes: int, source: QuadOrdering, target: QuadOrdering) -> np.ndarray:
-    """Row permutation taking a quad vector from *source* to *target* ordering."""
-    perm = np.zeros(2 * n_modes, dtype=int)
-    for mode in range(1, n_modes + 1):
-        qs, ps = quad_slots(mode, n_modes, source)
-        qt, pt = quad_slots(mode, n_modes, target)
-        perm[qt] = qs
-        perm[pt] = ps
-    return perm
-
-
-def reorder(cov: CovarianceMatrix, target: QuadOrdering) -> CovarianceMatrix:
-    """Express the same state with the quad vector in *target* ordering."""
-    if cov.ordering is target:
-        return cov
-    perm = _reorder_permutation(cov.n_modes, cov.ordering, target)
-    return CovarianceMatrix(target, cov.n_modes, cov.entries[np.ix_(perm, perm)])
-
-
-def mode_permutation(n_modes: int, mapping: dict[int, int], ordering: QuadOrdering) -> SymplecticOp:
+def mode_permutation(n_modes: int, mapping: dict[int, int]) -> SymplecticOp:
     """Symplectic permutation sending mode i to mode mapping[i] (identity elsewhere).
 
     ``mapping`` is given on 1-based mode labels and must be a bijection on the
@@ -132,16 +103,14 @@ def mode_permutation(n_modes: int, mapping: dict[int, int], ordering: QuadOrderi
         raise ValueError(f"mapping {mapping} is not a bijection on 1..{n_modes}")
     s = np.zeros((2 * n_modes, 2 * n_modes))
     for src, dst in full.items():
-        qs, ps = quad_slots(src, n_modes, ordering)
-        qd, pd = quad_slots(dst, n_modes, ordering)
+        qs, ps = quad_slots(src, n_modes)
+        qd, pd = quad_slots(dst, n_modes)
         s[qd, qs] = 1.0
         s[pd, ps] = 1.0
-    return SymplecticOp(ordering, n_modes, s)
+    return SymplecticOp(s)
 
 
-def beamsplitter_symplectic(
-    n_modes: int, i: int, j: int, t: float, ordering: QuadOrdering
-) -> SymplecticOp:
+def beamsplitter_symplectic(n_modes: int, i: int, j: int, t: float) -> SymplecticOp:
     """Beam splitter of transmissivity t between modes i and j.
 
     Acts as [[sqrt(t), sqrt(1-t)], [-sqrt(1-t), sqrt(t)]] on the (q_i, q_j)
@@ -154,42 +123,34 @@ def beamsplitter_symplectic(
     ct = np.sqrt(t)
     st = np.sqrt(1.0 - t)
     s = np.eye(2 * n_modes)
-    qi, pi = quad_slots(i, n_modes, ordering)
-    qj, pj = quad_slots(j, n_modes, ordering)
+    qi, pi = quad_slots(i, n_modes)
+    qj, pj = quad_slots(j, n_modes)
     for a, b in ((qi, qj), (pi, pj)):
         s[a, a] = ct
         s[a, b] = st
         s[b, a] = -st
         s[b, b] = ct
-    return SymplecticOp(ordering, n_modes, s)
+    return SymplecticOp(s)
 
 
 def apply_symplectic(s: SymplecticOp, cov: CovarianceMatrix) -> CovarianceMatrix:
     """Transform the state: V -> S V S^T (re-symmetrized)."""
-    if s.ordering is not cov.ordering:
-        raise ValueError(f"ordering mismatch: {s.ordering} vs {cov.ordering}")
     if s.n_modes != cov.n_modes:
         raise ValueError(f"mode count mismatch: {s.n_modes} vs {cov.n_modes}")
-    return CovarianceMatrix(cov.ordering, cov.n_modes, s.entries @ cov.entries @ s.entries.T)
+    return CovarianceMatrix(s.entries @ cov.entries @ s.entries.T)
 
 
 def direct_sum(a: CovarianceMatrix, b: CovarianceMatrix) -> CovarianceMatrix:
     """Covariance of the joint product state of two independent blocks.
 
-    QPQP concatenates blocks directly.  QQPP interleaves: the joint quad
-    vector stays (q ... q, p ... p) with a's modes first.
+    The joint quad vector stays (q ... q, p ... p) with a's modes first, so
+    each block's q and p halves interleave into the joint matrix.
     """
-    if a.ordering is not b.ordering:
-        raise ValueError(f"ordering mismatch: {a.ordering} vs {b.ordering}")
-    n = a.n_modes + b.n_modes
+    na = a.n_modes
+    n = na + b.n_modes
     joint = np.zeros((2 * n, 2 * n))
-    if a.ordering is QuadOrdering.QPQP:
-        joint[: 2 * a.n_modes, : 2 * a.n_modes] = a.entries
-        joint[2 * a.n_modes :, 2 * a.n_modes :] = b.entries
-    else:
-        na, nb = a.n_modes, b.n_modes
-        idx_a = np.r_[0:na, n : n + na]
-        idx_b = np.r_[na:n, n + na : 2 * n]
-        joint[np.ix_(idx_a, idx_a)] = a.entries
-        joint[np.ix_(idx_b, idx_b)] = b.entries
-    return CovarianceMatrix(a.ordering, n, joint)
+    idx_a = np.r_[0:na, n : n + na]
+    idx_b = np.r_[na:n, n + na : 2 * n]
+    joint[np.ix_(idx_a, idx_a)] = a.entries
+    joint[np.ix_(idx_b, idx_b)] = b.entries
+    return CovarianceMatrix(joint)

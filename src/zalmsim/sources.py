@@ -8,12 +8,10 @@ import numpy as np
 
 from .phase_space import (
     CovarianceMatrix,
-    QuadOrdering,
     apply_symplectic,
     beamsplitter_symplectic,
     direct_sum,
     mode_permutation,
-    reorder,
     tmsv_cov,
 )
 
@@ -82,22 +80,21 @@ def params_from_external(values: dict) -> SourceParams:
 def build_spdc_cov(mu: float) -> CovarianceMatrix:
     """SPDC polarization-entanglement source: two TMSVs with an idler swap.
 
-    Returns the 4-mode covariance in QPQP ordering.  Mode pairs (1, 4) and
-    (2, 3) carry the two-mode squeezing correlations.
+    Returns the 4-mode covariance.  Mode pairs (1, 4) and (2, 3) carry the
+    two-mode squeezing correlations.
     """
-    two = direct_sum(tmsv_cov(mu, QuadOrdering.QPQP), tmsv_cov(mu, QuadOrdering.QPQP))
-    swap = mode_permutation(4, {2: 4, 4: 2}, QuadOrdering.QPQP)
-    return apply_symplectic(swap, two)
+    swap = mode_permutation(4, {2: 4, 4: 2})
+    return apply_symplectic(swap, direct_sum(tmsv_cov(mu), tmsv_cov(mu)))
 
 
 def build_cascaded_cov(mu: float, t: float = 0.5) -> CovarianceMatrix:
     """Cascaded/ZALM source: two SPDC sources joined by BSM beam splitters.
 
     The two splitters (transmissivity t, 50/50 by default) act between modes
-    (3, 5) and (4, 6).  Returns the 8-mode covariance in QQPP ordering.
+    (3, 5) and (4, 6).  Returns the 8-mode covariance.
     """
     spdc = build_spdc_cov(mu)
-    initial = reorder(direct_sum(spdc, spdc), QuadOrdering.QQPP)
-    bs35 = beamsplitter_symplectic(8, 3, 5, t, QuadOrdering.QQPP)
-    bs46 = beamsplitter_symplectic(8, 4, 6, t, QuadOrdering.QQPP)
+    initial = direct_sum(spdc, spdc)
+    bs35 = beamsplitter_symplectic(8, 3, 5, t)
+    bs46 = beamsplitter_symplectic(8, 4, 6, t)
     return apply_symplectic(bs46, apply_symplectic(bs35, initial))

@@ -26,7 +26,6 @@ class SweepConfig:
     scale: str = "linear"
     metrics: tuple[str, ...] = ("pgen",)
     output_format: str = "csv"
-    output_path: str | None = None
     include_timing: bool = False
 
     def __post_init__(self):

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from zalmsim import (
-    QuadOrdering,
     SourceParams,
     beamsplitter_symplectic,
     build_cascaded_cov,
@@ -181,13 +180,13 @@ def test_criterion_8_purity_and_symplectic_suite():
     worst_symp = 0.0
     for t in (0.0, 0.3, 0.5, 1.0):
         worst_symp = max(
-            worst_symp, beamsplitter_symplectic(8, 3, 5, t, QuadOrdering.QQPP).symplectic_defect()
+            worst_symp, beamsplitter_symplectic(8, 3, 5, t).symplectic_defect()
         )
         worst_symp = max(
-            worst_symp, beamsplitter_symplectic(8, 4, 6, t, QuadOrdering.QQPP).symplectic_defect()
+            worst_symp, beamsplitter_symplectic(8, 4, 6, t).symplectic_defect()
         )
     worst_symp = max(
-        worst_symp, mode_permutation(4, {2: 4, 4: 2}, QuadOrdering.QPQP).symplectic_defect()
+        worst_symp, mode_permutation(4, {2: 4, 4: 2}).symplectic_defect()
     )
     ok = worst_det < 1e-9 and worst_symp < 1e-12
     report(8, ok, f"purity |det-1| {worst_det:.2e} (<1e-9), symplectic defect {worst_symp:.2e} (<1e-12)")

@@ -38,13 +38,13 @@ PARAMS = SourceParams(mean_photon=0.2, eta_b=0.6, eta_t=0.9, eta_d=0.8)
 
 def reference_a(params, traced=frozenset()):
     kd = k_data(build_cascaded_cov(params.mean_photon))
-    a = assemble_a(kd, kd, params.eta_vector, traced)
-    return gaussian_prefactor(a, kd, kd), a
+    a = assemble_a(kd, params.eta_vector, traced)
+    return gaussian_prefactor(a, kd), a
 
 
 def reference_moment(a, kets, bras, scalar=1.0):
     forms = [alpha_form(m) for m in kets] + [beta_conj_form(m) for m in bras]
-    return wick_moment(a, MomentRequest(tuple(forms), scalar))
+    return scalar * wick_moment(a, MomentRequest(tuple(forms)))
 
 
 def reference_pgen(params):
@@ -107,7 +107,7 @@ def reference_spin(params, click):
     for r, ket in enumerate(BASIS):
         for c, bra in enumerate(BASIS):
             forms = tuple(herald + pair_forms(ket, alpha_form) + pair_forms(bra, beta_conj_form))
-            entries[r, c] = pref * wick_moment(a, MomentRequest(forms, scalar))
+            entries[r, c] = pref * scalar * wick_moment(a, MomentRequest(forms))
     return entries
 
 

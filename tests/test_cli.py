@@ -160,3 +160,15 @@ class TestCliProcess:
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("zalmsim: error: herald_pattern")
+
+    @pytest.mark.parametrize(
+        "pattern, message",
+        [("9,9", "click pattern must be 8"), ("0,1,1,1,0,0,0,1", "--dark mixes dark counts")],
+        ids=["invalid-pattern", "non-default-pattern"],
+    )
+    def test_dark_spin_dm_rejects_other_click_patterns(self, pattern, message):
+        result = run_cli(["spin-dm", "--dark", "--click-pattern", pattern])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"zalmsim: error: {message}")

@@ -4,7 +4,6 @@ import pytest
 from zalmsim import (
     COVARIANCE_PRESCALE,
     NumericalDomainError,
-    QuadOrdering,
     build_cascaded_cov,
     k_data,
     tmsv_cov,
@@ -21,14 +20,14 @@ def coherent_overlap_from_kernel(kd, alphas: np.ndarray) -> complex:
 
 class TestVacuumKernel:
     def test_gamma_and_exponent(self):
-        kd = k_data(tmsv_cov(0.0, QuadOrdering.QQPP))
-        assert kd.convention_scale == COVARIANCE_PRESCALE == 0.5
+        kd = k_data(tmsv_cov(0.0))
+        assert COVARIANCE_PRESCALE == 0.5
         np.testing.assert_allclose(kd.gamma, np.eye(4), atol=1e-15)
         np.testing.assert_allclose(kd.script_b, 0.5 * np.eye(4), atol=1e-15)
         assert abs(kd.log_det_gamma) < 1e-14
 
     def test_matches_vacuum_coherent_overlap(self):
-        kd = k_data(tmsv_cov(0.0, QuadOrdering.QQPP))
+        kd = k_data(tmsv_cov(0.0))
         rng = np.random.default_rng(11)
         for _ in range(5):
             alphas = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -39,7 +38,7 @@ class TestVacuumKernel:
 class TestTmsvKernel:
     def test_matches_fock_series_closed_form(self):
         mu = 0.1
-        kd = k_data(tmsv_cov(mu, QuadOrdering.QQPP))
+        kd = k_data(tmsv_cov(mu))
         schmidt = np.sqrt(mu / (1.0 + mu))
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -55,7 +54,7 @@ class TestTmsvKernel:
     def test_normalization_factor(self):
         # det(Gamma) = (1 + mu)^2 for the two-mode squeezed kernel
         mu = 0.3
-        kd = k_data(tmsv_cov(mu, QuadOrdering.QQPP))
+        kd = k_data(tmsv_cov(mu))
         np.testing.assert_allclose(np.exp(kd.log_det_gamma), (1.0 + mu) ** 2, rtol=1e-12)
 
 
@@ -68,13 +67,9 @@ class TestKernelStructure:
         kd = k_data(build_cascaded_cov(2.0))
         assert np.min(np.linalg.eigvalsh(kd.gamma)) > 0.0
 
-    def test_requires_qqpp(self):
-        with pytest.raises(ValueError):
-            k_data(tmsv_cov(0.1, QuadOrdering.QPQP))
-
     def test_non_positive_definite_rejected(self):
         from zalmsim.phase_space import CovarianceMatrix
 
-        bad = CovarianceMatrix(QuadOrdering.QQPP, 1, -10.0 * np.eye(2))
+        bad = CovarianceMatrix(-10.0 * np.eye(2))
         with pytest.raises(NumericalDomainError):
             k_data(bad)

@@ -199,7 +199,7 @@ class TestFidelity:
 
         p = SourceParams(mean_photon=0.2, eta_b=0.6, eta_t=0.9, eta_d=0.8)
         kd = k_data(build_cascaded_cov(p.mean_photon))
-        a = assemble_a(kd, kd, p.eta_vector)
+        a = assemble_a(kd, p.eta_vector)
 
         def w(alphas, betas):
             forms = [alpha_form(m) for m in alphas] + [beta_conj_form(m) for m in betas]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from zalmsim import (
-    QuadOrdering,
     SourceParams,
     apply_symplectic,
     build_cascaded_cov,
@@ -10,7 +9,6 @@ from zalmsim import (
     direct_sum,
     mode_permutation,
     oracle_covariance,
-    reorder,
 )
 
 
@@ -50,9 +48,8 @@ class TestSpdcCov:
 
     def test_correlation_pattern_after_idler_swap(self):
         cov = build_spdc_cov(0.1)
-        assert cov.ordering is QuadOrdering.QPQP
         # q-q correlation sits between modes 1 and 4, none between 1 and 2
-        q1, q2, q4 = 0, 2, 6
+        q1, q2, q4 = 0, 1, 3
         assert abs(cov.entries[q1, q4]) > 0.1
         assert cov.entries[q1, q2] == 0.0
 
@@ -69,12 +66,12 @@ class TestCascadedCov:
 
     def test_unit_transmissivity_reduces_to_two_spdcs(self):
         spdc = build_spdc_cov(0.3)
-        expected = reorder(direct_sum(spdc, spdc), QuadOrdering.QQPP)
+        expected = direct_sum(spdc, spdc)
         np.testing.assert_allclose(build_cascaded_cov(0.3, t=1.0).entries, expected.entries, atol=1e-14)
 
     def test_source_swap_is_mode_relabeling(self):
         cov = build_cascaded_cov(0.4)
-        swap = mode_permutation(8, {1: 5, 2: 6, 3: 7, 4: 8, 5: 1, 6: 2, 7: 3, 8: 4}, QuadOrdering.QQPP)
+        swap = mode_permutation(8, {1: 5, 2: 6, 3: 7, 4: 8, 5: 1, 6: 2, 7: 3, 8: 4})
         np.testing.assert_allclose(apply_symplectic(swap, cov).entries, cov.entries, atol=1e-12)
 
     @pytest.mark.parametrize("mu", [0.05, 0.2])
