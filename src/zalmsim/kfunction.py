@@ -10,6 +10,9 @@ with Gamma = kappa*V + I/2.  The prescale kappa = 1/2 reconciles the unit
 vacuum variance of the covariance stage with the hbar = 1 normalization this
 kernel assumes; it is pinned by the vacuum kernel (B = I/2), trace
 preservation, and the truncated-Fock cross-checks in the test suite.
+
+The engine takes the kernel of one chain's 8x8 closed-form covariance
+(``sources.build_cascaded_cov``).
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDomainError
-from .phase_space import CovarianceMatrix
 
 COVARIANCE_PRESCALE = 0.5
 
@@ -38,15 +40,15 @@ class KFunctionData:
             object.__setattr__(self, name, arr)
 
 
-def k_data(cov: CovarianceMatrix) -> KFunctionData:
-    """Gaussian kernel data (Gamma, its log-det, and the exponent matrix) for a covariance.
+def k_data(cov: np.ndarray) -> KFunctionData:
+    """Gaussian kernel data (Gamma, its log-det, and the exponent matrix) for a 2N x 2N covariance.
 
     Gamma = COVARIANCE_PRESCALE * V + I/2.  The covariance's (q..q, p..p)
     layout is the coherent quadrature vector's, so the q-q, q-p and p-p
     blocks of Gamma^-1 build the exponent matrix directly.
     """
-    n = cov.n_modes
-    gamma = COVARIANCE_PRESCALE * cov.entries + 0.5 * np.eye(2 * n)
+    n = cov.shape[0] // 2
+    gamma = COVARIANCE_PRESCALE * cov + 0.5 * np.eye(2 * n)
     gamma = (gamma + gamma.T) / 2.0
     try:
         chol = np.linalg.cholesky(gamma)

@@ -3,12 +3,13 @@
 The cascaded source is exactly a product of two identical 4-mode chains.
 Chain A holds modes 1, 4, 6, 7 and chain B modes 2, 3, 5, 8; in each, two
 squeezed pairs meet on one heralding beam splitter, and the local modes run
-(outer, herald, herald, outer).  Loss and the traced modes are the same on
-both chains, so one 16x16 exponent matrix serves both.  Every metric is a
-combination of lossy-state Fock elements <d| rho |g>, as in the oracle; one
-element is the 8-mode Gaussian prefactor (the chain prefactor squared) times
-the sqrt(eta)^(d+g) / sqrt(d! g!) weight times a product of two chain Wick
-moments.
+(outer, herald, herald, outer).  No 8-mode state is built: the kernel comes
+from one chain's closed-form covariance, and since loss and the traced
+modes are the same on both chains, one 16x16 exponent matrix serves both.
+Every metric is a combination of lossy-state Fock elements <d| rho |g>, as
+in the oracle; one element is the 8-mode Gaussian prefactor (the chain
+prefactor squared) times the sqrt(eta)^(d+g) / sqrt(d! g!) weight times a
+product of two chain Wick moments.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .moments import (
     gaussian_prefactor,
     wick_moment,
 )
-from .phase_space import CovarianceMatrix
 from .sources import SourceParams, build_cascaded_cov
 
 HERALD_MODES = (3, 4, 5, 6)
@@ -77,10 +77,8 @@ def _as_metric(raw: complex, params: SourceParams, extra_flags: tuple[str, ...] 
 
 @functools.lru_cache(maxsize=256)
 def _kernel_for(mu: float) -> KFunctionData:
-    """Kernel of chain A's 4-mode block of the cascaded covariance."""
-    cov = build_cascaded_cov(mu)
-    idx = np.r_[_CHAIN_IDX, _CHAIN_IDX + 8]
-    return k_data(CovarianceMatrix(cov.entries[np.ix_(idx, idx)]))
+    """Kernel of one chain's covariance; both chains share it."""
+    return k_data(build_cascaded_cov(mu))
 
 
 @functools.lru_cache(maxsize=256)

@@ -1,12 +1,14 @@
 """Brute-force truncated-Fock reference for the Gaussian/Wick pipeline.
 
 Everything here works directly with Fock amplitudes of the cascaded source:
-four truncated TMSV ladders, idler swaps, beam splitters applied per
+four truncated TMSV ladders, idler swaps, 50:50 beam splitters applied per
 photon-number sector (the exponential of the sector's generator, taken in the
 eigenbasis of a numpy Hermitian eigensolve), Kraus loss, and explicit
 detection kernels.  Independent of the covariance/K-function
 machinery by construction; agreement between the two is the package's core
-correctness argument.
+correctness argument.  ``oracle_covariance`` reports one chain's second
+moments from that chain's Fock amplitudes, the quantity the engine's
+closed-form chain covariance is checked against.
 
 Mode bookkeeping: TMSV ladder indices (n, m, k, l) populate modes
 (1,4) = n, (2,3) = m, (5,8) = k, (6,7) = l before the splitters mix
@@ -24,9 +26,10 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, UndefinedFidelityError
 
-DEFAULT_BS_TRANSMISSIVITY = 0.5
+# Mixing angle of the 50:50 Bell-measurement splitters.
+BS_THETA = np.pi / 4
 CUTOFF_START = 4
 CUTOFF_STEP = 2
 CUTOFF_CAP = 30
@@ -84,7 +87,6 @@ def _trace_vec(nmax: int) -> tuple[int, np.ndarray]:
 def _chain_value(
     mu: float,
     cutoff: int,
-    theta: float,
     outer1: tuple[int, np.ndarray],
     outer2: tuple[int, np.ndarray],
     bs1: tuple[int, np.ndarray],
@@ -120,8 +122,8 @@ def _chain_value(
                 continue
             t = u + v
             tb = ub + vb
-            uk = _bs_sector(t, theta)
-            ukb = _bs_sector(tb, theta)
+            uk = _bs_sector(t, BS_THETA)
+            ukb = _bs_sector(tb, BS_THETA)
             acc = 0.0
             for a in range(t + 1):
                 ab = a + s1
@@ -166,18 +168,16 @@ def oracle_pgen(
     eta_b: float = 1.0,
     pattern=(1, 1, 0, 0),
     cutoff: int | None = None,
-    t: float = DEFAULT_BS_TRANSMISSIVITY,
 ) -> float:
     """Heralding-pattern probability by direct Fock-space contraction."""
     pattern = tuple(int(n) for n in pattern)
-    theta = float(np.arccos(np.sqrt(t)))
 
     def at(c: int) -> float:
         nmax = 2 * c
         h = _herald_kernels(pattern, eta_b, nmax)
         tr = _trace_vec(c)
-        chain_b = _chain_value(mu, c, theta, tr, tr, h[3], h[5])
-        chain_a = _chain_value(mu, c, theta, tr, tr, h[4], h[6])
+        chain_b = _chain_value(mu, c, tr, tr, h[3], h[5])
+        chain_a = _chain_value(mu, c, tr, tr, h[4], h[6])
         return chain_a * chain_b
 
     if cutoff is not None:
@@ -192,19 +192,17 @@ def oracle_fock_element(
     d,
     g,
     cutoff: int | None = None,
-    t: float = DEFAULT_BS_TRANSMISSIVITY,
 ) -> complex:
     """<d| rho_lossy |g> for 8-mode Fock indices by chain contraction."""
     etas = np.asarray(etas, dtype=float)
     d = tuple(int(x) for x in d)
     g = tuple(int(x) for x in g)
-    theta = float(np.arccos(np.sqrt(t)))
 
     def at(c: int) -> float:
         nmax = 2 * c
         ker = {m: _kernel_vec(nmax if m in (3, 4, 5, 6) else c, d[m - 1], g[m - 1], etas[m - 1]) for m in range(1, 9)}
-        chain_b = _chain_value(mu, c, theta, ker[2], ker[8], ker[3], ker[5])
-        chain_a = _chain_value(mu, c, theta, ker[1], ker[7], ker[4], ker[6])
+        chain_b = _chain_value(mu, c, ker[2], ker[8], ker[3], ker[5])
+        chain_a = _chain_value(mu, c, ker[1], ker[7], ker[4], ker[6])
         return chain_a * chain_b
 
     if cutoff is not None:
@@ -220,9 +218,15 @@ def oracle_fidelity(
     cross_sign: float = 1.0,
     cutoff: int | None = None,
 ) -> float:
-    """Conditional Bell fidelity of the heralded photonic state."""
+    """Conditional Bell fidelity of the heralded photonic state.
+
+    Undefined where nothing heralds (mean photon number 0 or heralding
+    efficiency 0): every term and pgen vanish at every cutoff.
+    """
     pattern = tuple(int(n) for n in pattern)
     etas = np.asarray(etas, dtype=float)
+    if mu == 0.0 or etas[2] == 0.0:
+        raise UndefinedFidelityError(f"zero heralding probability at mu={mu}, eta_b={etas[2]}")
     e1 = (1, 0) + pattern + (0, 1)
     e2 = (0, 1) + pattern + (1, 0)
 
@@ -263,7 +267,6 @@ def oracle_spin_spin(
     etas,
     click_pattern=(1, 0, 1, 1, 0, 0, 1, 0),
     cutoff: int | None = None,
-    t: float = DEFAULT_BS_TRANSMISSIVITY,
 ) -> np.ndarray:
     """Unnormalized 4x4 spin-spin matrix by direct Fock-space loading.
 
@@ -274,7 +277,6 @@ def oracle_spin_spin(
     """
     etas = np.asarray(etas, dtype=float)
     click = tuple(int(n) for n in click_pattern)
-    theta = float(np.arccos(np.sqrt(t)))
     herald = click[2:6]
     opts12 = _pair_detection_amps((click[0], click[1]))
     opts78 = _pair_detection_amps((click[6], click[7]))
@@ -288,13 +290,13 @@ def oracle_spin_spin(
         def chain_a(r1: int, rb1: int, r7: int, rb7: int) -> float:
             k1 = _kernel_vec(c, r1, rb1, etas[0])
             k7 = _kernel_vec(c, r7, rb7, etas[6])
-            return _chain_value(mu, c, theta, k1, k7, h[4], h[6])
+            return _chain_value(mu, c, k1, k7, h[4], h[6])
 
         @functools.lru_cache(maxsize=None)
         def chain_b(r2: int, rb2: int, r8: int, rb8: int) -> float:
             k2 = _kernel_vec(c, r2, rb2, etas[1])
             k8 = _kernel_vec(c, r8, rb8, etas[7])
-            return _chain_value(mu, c, theta, k2, k8, h[3], h[5])
+            return _chain_value(mu, c, k2, k8, h[3], h[5])
 
         def phase(branch: str, r_second: int) -> float:
             return -1.0 if branch == "01" and r_second % 2 == 1 else 1.0
@@ -369,13 +371,12 @@ class TruncatedState:
         return sum(sum(abs(a) ** 2 for a in b.values()) for b in self.branches)
 
 
-def _support_arrays(mu: float, cutoff: int, t: float = DEFAULT_BS_TRANSMISSIVITY):
+def _support_arrays(mu: float, cutoff: int):
     """Occupations and amplitudes of the truncated cascaded state, vectorized.
 
     Groups the four TMSV indices (n, m, k, l) by splitter sector totals so
     the splitter amplitudes broadcast; returns (occs [N, 8], amps [N]).
     """
-    theta = float(np.arccos(np.sqrt(t)))
     amps1 = _tmsv_amps(mu, cutoff)
     occ_blocks = []
     amp_blocks = []
@@ -385,13 +386,13 @@ def _support_arrays(mu: float, cutoff: int, t: float = DEFAULT_BS_TRANSMISSIVITY
         if m.size == 0:
             continue
         k = t35 - m
-        u35 = _bs_sector(t35, theta)
+        u35 = _bs_sector(t35, BS_THETA)
         for t46 in range(2 * cutoff + 1):
             n = idx[(idx >= t46 - cutoff) & (idx <= t46)]
             if n.size == 0:
                 continue
             l = t46 - n
-            u46 = _bs_sector(t46, theta)
+            u46 = _bs_sector(t46, BS_THETA)
             base = np.einsum("i,j->ij", amps1[n] * amps1[l], amps1[m] * amps1[k])
             # amplitude[(n,l),(m,k),a,e] = base * u35[a, m] * u46[e, n]
             amp = np.einsum("ij,aj,ei->ijae", base, u35[:, m], u46[:, n])
@@ -417,13 +418,13 @@ def _support_arrays(mu: float, cutoff: int, t: float = DEFAULT_BS_TRANSMISSIVITY
     return occs[keep], amps[keep]
 
 
-def oracle_build_cascaded(mu: float, cutoff: int, t: float = DEFAULT_BS_TRANSMISSIVITY) -> TruncatedState:
+def oracle_build_cascaded(mu: float, cutoff: int) -> TruncatedState:
     """Cascaded-source state from four truncated TMSV ladders and the BSM splitters."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     if not np.isfinite(mu) or mu < 0:
         raise ValueError(f"mean photon number must be finite and >= 0, got {mu}")
-    occs, amps = _support_arrays(mu, cutoff, t)
+    occs, amps = _support_arrays(mu, cutoff)
     state = {tuple(occ): complex(amp) for occ, amp in zip(occs.tolist(), amps.tolist())}
     ratio = mu / (1.0 + mu)
     deficit = 1.0 - (1.0 - ratio ** (cutoff + 1)) ** 4
@@ -480,17 +481,14 @@ def build_pre_bsm_state(mu: float, cutoff: int) -> TruncatedState:
     return TruncatedState(8, cutoff, [state], deficit)
 
 
-def apply_beamsplitter(
-    state: TruncatedState, i: int, j: int, t: float = DEFAULT_BS_TRANSMISSIVITY
-) -> TruncatedState:
-    """Apply the (i, j) beam splitter to every branch, sector by sector."""
-    theta = float(np.arccos(np.sqrt(t)))
+def apply_beamsplitter(state: TruncatedState, i: int, j: int) -> TruncatedState:
+    """Apply the 50:50 (i, j) beam splitter to every branch, sector by sector."""
     new_branches = []
     for branch in state.branches:
         nb: dict[tuple[int, ...], complex] = {}
         for occ, amp in branch.items():
             oi, oj = occ[i - 1], occ[j - 1]
-            sector = _bs_sector(oi + oj, theta)
+            sector = _bs_sector(oi + oj, BS_THETA)
             for a in range(oi + oj + 1):
                 f = sector[a, oi]
                 if f == 0.0:
@@ -538,88 +536,58 @@ def oracle_pgen_filtered(
     return pattern_probability(state, (3, 4, 5, 6), pattern)
 
 
-def oracle_covariance(mu: float, cutoff: int, t: float = DEFAULT_BS_TRANSMISSIVITY) -> np.ndarray:
-    """Symmetrized quadrature second moments of the truncated state over (q_1..q_8, p_1..p_8).
+def oracle_covariance(mu: float, cutoff: int) -> np.ndarray:
+    """Symmetrized quadrature second moments of one truncated chain over (q_1..q_4, p_1..p_4).
 
-    Uses q = a + a^dag, p = i(a^dag - a) so the vacuum diagonal is 1, matching
-    the covariance stage's normalization.
+    The chain's local modes run (outer, herald, herald, outer), as in
+    ``sources.build_cascaded_cov``: TMSV ladders u on (1, 2) and v on (3, 4),
+    then the splitter on (2, 3).  Uses q = a + a^dag, p = i(a^dag - a) so the
+    vacuum diagonal is 1, matching the covariance stage's normalization.
     """
-    theta = float(np.arccos(np.sqrt(t)))
     amps1 = _tmsv_amps(mu, cutoff)
+    occ_rows = []
+    amp_rows = []
+    for u in range(cutoff + 1):
+        for v in range(cutoff + 1):
+            sector = _bs_sector(u + v, BS_THETA)
+            for a in range(u + v + 1):
+                amp = amps1[u] * amps1[v] * sector[a, u]
+                if amp != 0.0:
+                    occ_rows.append((u, a, u + v - a, v))
+                    amp_rows.append(amp)
+    occs = np.array(occ_rows, dtype=np.int64)
+    amps = np.array(amp_rows)
+    norm = float(np.sum(amps**2))
+    powers = (2 * cutoff + 2) ** np.arange(4, dtype=np.int64)
+    index = {int(k): i for i, k in enumerate(occs @ powers)}
 
-    def chain_support(first_modes: bool):
-        # chain A covers modes (1, 4, 6, 7) via indices (n, l); chain B covers
-        # (2, 3, 5, 8) via (m, k).  Occupations listed in mode order.
-        occ_rows = []
-        amp_rows = []
-        for u in range(cutoff + 1):
-            for v in range(cutoff + 1):
-                sector = _bs_sector(u + v, theta)
-                for a in range(u + v + 1):
-                    amp = amps1[u] * amps1[v] * sector[a, u]
-                    if amp != 0.0:
-                        occ_rows.append((u, a, u + v - a, v))
-                        amp_rows.append(amp)
-        return np.array(occ_rows, dtype=np.int64), np.array(amp_rows)
-
-    def chain_moments(occs: np.ndarray, amps: np.ndarray):
-        norm = float(np.sum(amps**2))
-        keymax = 2 * cutoff + 2
-        powers = keymax ** np.arange(4, dtype=np.int64)
-        index = {int(k): i for i, k in enumerate(occs @ powers)}
-
-        def pair_expect(i: int, j: int, lower_both: bool) -> float:
-            total = 0.0
-            for row, occ in enumerate(occs):
-                nj = occ[j]
-                if nj == 0:
+    def pair_expect(i: int, j: int, lower_both: bool) -> float:
+        total = 0.0
+        for row, occ in enumerate(occs):
+            nj = occ[j]
+            if nj == 0:
+                continue
+            target = occ.copy()
+            target[j] -= 1
+            ni = target[i]
+            if lower_both:
+                if ni == 0:
                     continue
-                target = occ.copy()
-                target[j] -= 1
-                ni = target[i]
-                if lower_both:
-                    if ni == 0:
-                        continue
-                    target[i] -= 1
-                    factor = sqrt(nj * ni)
-                else:
-                    target[i] += 1
-                    factor = sqrt(nj * (ni + 1))
-                other = index.get(int(target @ powers))
-                if other is not None:
-                    total += amps[other] * amps[row] * factor
-            return total / norm
+                target[i] -= 1
+                factor = sqrt(nj * ni)
+            else:
+                target[i] += 1
+                factor = sqrt(nj * (ni + 1))
+            other = index.get(int(target @ powers))
+            if other is not None:
+                total += amps[other] * amps[row] * factor
+        return total / norm
 
-        ada = np.array([[pair_expect(i, j, False) for j in range(4)] for i in range(4)])
-        aa = np.array([[pair_expect(i, j, True) for j in range(4)] for i in range(4)])
-        return ada, aa
-
-    a_occ, a_amp = chain_support(True)
-    b_occ, b_amp = chain_support(False)
-    ada_a, aa_a = chain_moments(a_occ, a_amp)
-    ada_b, aa_b = chain_moments(b_occ, b_amp)
-
-    # Cross-chain moments vanish: the state is a product over the chains and
-    # each chain has even total photon number.
-    chain_a_modes = (1, 4, 6, 7)
-    chain_b_modes = (2, 3, 5, 8)
-    ada = np.zeros((8, 8))
-    aa = np.zeros((8, 8))
-    for local_i, gi in enumerate(chain_a_modes):
-        for local_j, gj in enumerate(chain_a_modes):
-            ada[gi - 1, gj - 1] = ada_a[local_i, local_j]
-            aa[gi - 1, gj - 1] = aa_a[local_i, local_j]
-    for local_i, gi in enumerate(chain_b_modes):
-        for local_j, gj in enumerate(chain_b_modes):
-            ada[gi - 1, gj - 1] = ada_b[local_i, local_j]
-            aa[gi - 1, gj - 1] = aa_b[local_i, local_j]
-
-    n = 8
-    v = np.zeros((16, 16))
-    for i in range(n):
-        for j in range(n):
-            delta = 1.0 if i == j else 0.0
-            # real amplitudes: <a a> and <a^dag a> are real, so q-p blocks vanish
-            v[i, j] = 2.0 * aa[i, j] + ada[i, j] + ada[j, i] + delta
-            v[n + i, n + j] = -2.0 * aa[i, j] + ada[i, j] + ada[j, i] + delta
+    ada = np.array([[pair_expect(i, j, False) for j in range(4)] for i in range(4)])
+    aa = np.array([[pair_expect(i, j, True) for j in range(4)] for i in range(4)])
+    # Real amplitudes: <a a> and <a^dag a> are real, so the q-p blocks vanish.
+    sym = ada + ada.T + np.eye(4)
+    v = np.zeros((8, 8))
+    v[:4, :4] = sym + 2.0 * aa
+    v[4:, 4:] = sym - 2.0 * aa
     return (v + v.T) / 2.0

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import socket
+import threading
+import time
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -23,6 +26,16 @@ _REQUEST_FIELDS = {**dict.fromkeys(PARAM_FIELDS, float), "herald_pattern": list,
 MAX_BODY_BYTES = 1 << 16
 # Seconds a handler waits on its socket, so a client that sends less than it announced frees the thread.
 SOCKET_TIMEOUT_S = 2.0
+# Handlers that may run at once; a connection beyond them is answered 503 "busy" and closed.
+MAX_CONCURRENT_HANDLERS = 32
+# Seconds a refused connection may hold the accept loop while the client takes its 503.
+BUSY_LINGER_S = 0.2
+_BUSY_BODY = b'{"code": "busy", "field": "", "message": "every request handler is in use"}'
+_BUSY_REPLY = (
+    b"HTTP/1.0 503 Service Unavailable\r\n"
+    b"Content-Type: application/json; charset=utf-8\r\n"
+    b"Content-Length: %d\r\nConnection: close\r\n\r\n%s" % (len(_BUSY_BODY), _BUSY_BODY)
+)
 
 
 class RequestError(Exception):
@@ -186,8 +199,46 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-def build_server(bind: str = "127.0.0.1", port: int = 8791) -> ThreadingHTTPServer:
-    return ThreadingHTTPServer((bind, port), _Handler)
+class BoundedHTTPServer(ThreadingHTTPServer):
+    """One thread per connection, at most MAX_CONCURRENT_HANDLERS of them at once."""
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._slots = threading.BoundedSemaphore(MAX_CONCURRENT_HANDLERS)
+
+    def process_request(self, request, client_address):
+        if not self._slots.acquire(blocking=False):
+            self._refuse(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self._slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
+
+    def _refuse(self, request) -> None:
+        """Answer 503 unread, then drain until the client closes (at most BUSY_LINGER_S), so close() sends no reset."""
+        deadline = time.monotonic() + BUSY_LINGER_S
+        try:
+            request.sendall(_BUSY_REPLY)
+            request.shutdown(socket.SHUT_WR)
+            while (left := deadline - time.monotonic()) > 0:
+                request.settimeout(left)
+                if not request.recv(MAX_BODY_BYTES):
+                    break
+        except OSError:
+            pass
+        self.close_request(request)
+
+
+def build_server(bind: str = "127.0.0.1", port: int = 8791) -> BoundedHTTPServer:
+    return BoundedHTTPServer((bind, port), _Handler)
 
 
 def serve(bind: str = "127.0.0.1", port: int = 8791) -> None:

@@ -1,19 +1,18 @@
-"""Physical source models: SPDC (4 modes) and the cascaded/ZALM source (8 modes)."""
+"""Physical parameters of the cascaded (ZALM) source and the covariance of one of its chains.
+
+The cascaded source is two SPDC sources whose inner modes meet on two 50:50
+Bell-measurement splitters, (3, 5) and (4, 6).  Its 8-mode state is exactly
+a product of two identical 4-mode chains, modes (1, 4, 6, 7) and (2, 3, 5, 8):
+in each, two squeezed-vacuum pairs meet on one heralding splitter.  Only one
+chain's covariance is ever built.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
-
-from .phase_space import (
-    CovarianceMatrix,
-    apply_symplectic,
-    beamsplitter_symplectic,
-    direct_sum,
-    mode_permutation,
-    tmsv_cov,
-)
 
 DEFAULT_HERALD_PATTERN = (1, 1, 0, 0)
 
@@ -77,24 +76,23 @@ def params_from_external(values: dict) -> SourceParams:
     return SourceParams(**fields)
 
 
-def build_spdc_cov(mu: float) -> CovarianceMatrix:
-    """SPDC polarization-entanglement source: two TMSVs with an idler swap.
+def build_cascaded_cov(mu: float) -> np.ndarray:
+    """One chain of the cascaded/ZALM source: its 8x8 covariance, in closed form.
 
-    Returns the 4-mode covariance.  Mode pairs (1, 4) and (2, 3) carry the
-    two-mode squeezing correlations.
+    The local modes run (outer, herald, herald, outer) and the quadratures
+    (q_1..q_4, p_1..p_4), with unit vacuum variance.  The squeezed pairs
+    (1, 2) and (3, 4) give N = <a^dag a> = mu I and M = <a a> =
+    sqrt(mu (1 + mu)) M0; the 50:50 splitter on the herald modes (2, 3)
+    keeps N and turns M0 into the pairing P = U M0 U^T below, so
+
+        V = (1 + 2 mu) I + 2 sqrt(mu (1 + mu)) diag(P, -P).
     """
-    swap = mode_permutation(4, {2: 4, 4: 2})
-    return apply_symplectic(swap, direct_sum(tmsv_cov(mu), tmsv_cov(mu)))
-
-
-def build_cascaded_cov(mu: float, t: float = 0.5) -> CovarianceMatrix:
-    """Cascaded/ZALM source: two SPDC sources joined by BSM beam splitters.
-
-    The two splitters (transmissivity t, 50/50 by default) act between modes
-    (3, 5) and (4, 6).  Returns the 8-mode covariance.
-    """
-    spdc = build_spdc_cov(mu)
-    initial = direct_sum(spdc, spdc)
-    bs35 = beamsplitter_symplectic(8, 3, 5, t)
-    bs46 = beamsplitter_symplectic(8, 4, 6, t)
-    return apply_symplectic(bs46, apply_symplectic(bs35, initial))
+    if not np.isfinite(mu) or mu < 0:
+        raise ValueError(f"mean photon number must be finite and >= 0, got {mu}")
+    c = sqrt(0.5)
+    pairing = np.array([[0.0, c, -c, 0.0], [c, 0.0, 0.0, c], [-c, 0.0, 0.0, c], [0.0, c, c, 0.0]])
+    squeeze = 2.0 * sqrt(mu * (1.0 + mu))
+    cov = (1.0 + 2.0 * mu) * np.eye(8)
+    cov[:4, :4] += squeeze * pairing
+    cov[4:, 4:] -= squeeze * pairing
+    return cov

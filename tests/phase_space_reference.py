@@ -1,4 +1,9 @@
-"""Real symplectic linear algebra over the grouped quadrature vector.
+"""Real symplectic linear algebra over the grouped quadrature vector, for the tests.
+
+The engine builds one chain's covariance in closed form (sources.build_cascaded_cov).
+This module builds the cascaded source the long way, from squeezed pairs, mode
+permutations and beam splitters, so the tests can check that closed form
+against a construction that shares none of its algebra.
 
 Covariance matrices are kept in the normalization where the vacuum state has
 unit variance on every quadrature (vacuum covariance = identity).  The
@@ -6,8 +11,7 @@ quadrature vector of N modes is always
 
     (q_1, ..., q_N, p_1, ..., p_N)
 
-which is the layout the coherent-basis kernel reads its blocks from.  Modes
-are numbered 1..N in the public API.
+Modes are numbered 1..N.
 """
 
 from __future__ import annotations
@@ -154,3 +158,17 @@ def direct_sum(a: CovarianceMatrix, b: CovarianceMatrix) -> CovarianceMatrix:
     joint[np.ix_(idx_a, idx_a)] = a.entries
     joint[np.ix_(idx_b, idx_b)] = b.entries
     return CovarianceMatrix(joint)
+
+
+def symplectic_cascaded_cov(mu: float) -> CovarianceMatrix:
+    """The 8-mode cascaded source: two SPDC sources joined by 50:50 splitters on (3, 5) and (4, 6).
+
+    Each SPDC source is two squeezed pairs with an idler swap, so its pairs sit on
+    modes (1, 4) and (2, 3).
+    """
+    swap = mode_permutation(4, {2: 4, 4: 2})
+    spdc = apply_symplectic(swap, direct_sum(tmsv_cov(mu), tmsv_cov(mu)))
+    cov = direct_sum(spdc, spdc)
+    for i, j in ((3, 5), (4, 6)):
+        cov = apply_symplectic(beamsplitter_symplectic(8, i, j, 0.5), cov)
+    return cov

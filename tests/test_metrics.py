@@ -187,18 +187,24 @@ class TestFidelity:
     @pytest.mark.parametrize("eta_b", [0.0, 1e-300])
     def test_vanishing_herald_efficiency_gives_the_limit(self, eta_b):
         # the herald weight eta_b^2 is common to every element and to pgen,
-        # so the fidelity keeps its eta_b -> 0 limit instead of 0/0
-        for pattern, limit in (((1, 1, 0, 0), 0.28223696502688805), ((0, 0, 1, 1), 0.282236965026888)):
+        # so the fidelity keeps its eta_b -> 0 limit instead of 0/0.  Then a
+        # herald click is a_h applied to the chain, which leaves one photon in
+        # (a_1^dag +- a_4^dag) on two thermal outer modes, and the limit is
+        # 0.5 / (1 + mu)^6.
+        for pattern, pinned in (((1, 1, 0, 0), 0.2822369650268884), ((0, 0, 1, 1), 0.28223696502688783)):
             got = fidelity(SourceParams(mean_photon=0.1, eta_b=eta_b, herald_pattern=pattern)).value
-            np.testing.assert_allclose(got, limit, rtol=1e-15)
+            np.testing.assert_allclose(got, pinned, rtol=1e-15)
+            np.testing.assert_allclose(got, 0.5 / 1.1**6, rtol=1e-14)
 
     def test_coherence_terms_conjugate_pair(self):
         # W(a1 a3 a4 a8; b2* b3* b4* b7*) and W(a2 a3 a4 a7; b1* b3* b4* b8*)
-        from zalmsim import assemble_a, build_cascaded_cov, k_data
+        from cascade_reference import eight_mode_cov
+
+        from zalmsim import assemble_a, k_data
         from zalmsim.moments import MomentRequest, alpha_form, beta_conj_form, wick_moment
 
         p = SourceParams(mean_photon=0.2, eta_b=0.6, eta_t=0.9, eta_d=0.8)
-        kd = k_data(build_cascaded_cov(p.mean_photon))
+        kd = k_data(eight_mode_cov(p.mean_photon))
         a = assemble_a(kd, p.eta_vector)
 
         def w(alphas, betas):

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from cascade_reference import eight_mode_cov
 
 from zalmsim import (
     AMatrix,
@@ -11,7 +12,6 @@ from zalmsim import (
     alpha_form,
     assemble_a,
     beta_conj_form,
-    build_cascaded_cov,
     gaussian_prefactor,
     hafnian,
     hafnian_repeated,
@@ -232,7 +232,7 @@ class TestWickAgainstQuadrature:
 
 class TestAssembleA:
     def setup_method(self):
-        self.kd = k_data(build_cascaded_cov(0.2))
+        self.kd = k_data(eight_mode_cov(0.2))
 
     def test_unit_efficiency_no_trace_is_block_kernel(self):
         a = assemble_a(self.kd, np.ones(8))
@@ -268,12 +268,12 @@ class TestAssembleA:
 
 class TestGaussianPrefactor:
     def test_vacuum_all_traced_is_one(self):
-        kd = k_data(build_cascaded_cov(0.0))
+        kd = k_data(eight_mode_cov(0.0))
         a = assemble_a(kd, np.ones(8), traced_modes=set(range(1, 9)))
         np.testing.assert_allclose(gaussian_prefactor(a, kd), 1.0, atol=1e-12)
 
     def test_real_positive_over_eta_grid(self):
-        kd = k_data(build_cascaded_cov(0.4))
+        kd = k_data(eight_mode_cov(0.4))
         for eta in (0.2, 0.5, 0.9, 1.0):
             a = assemble_a(kd, np.full(8, eta), traced_modes=set(range(1, 9)))
             value = gaussian_prefactor(a, kd)
@@ -282,7 +282,7 @@ class TestGaussianPrefactor:
 
     def test_log_det_branch_is_real_for_physical_matrices(self):
         params = SourceParams(mean_photon=1.5, eta_b=0.4, eta_t=0.7, eta_d=0.9)
-        kd = k_data(build_cascaded_cov(params.mean_photon))
+        kd = k_data(eight_mode_cov(params.mean_photon))
         a = assemble_a(kd, params.eta_vector, traced_modes={1, 2, 7, 8})
         assert abs(a.log_det.imag) < 1e-9
 

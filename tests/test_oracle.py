@@ -1,9 +1,11 @@
+import warnings
 from math import factorial, sqrt
 
 import numpy as np
 import pytest
 
 from zalmsim import (
+    UndefinedFidelityError,
     build_cascaded_cov,
     oracle_apply_loss,
     oracle_build_cascaded,
@@ -109,6 +111,16 @@ class TestOraclePgen:
         b = oracle_pgen(0.1, 0.8, (0, 0, 1, 1))
         np.testing.assert_allclose(a, b, rtol=1e-10)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="_converge stops on its absolute tolerance 1e-11 at too small a cutoff when the value is small",
+    )
+    def test_small_value_converges_to_closed_form(self):
+        mu, eta_b = 3.0, 1e-6
+        exact = (eta_b * mu) ** 2 / (1.0 + eta_b * mu) ** 6
+        np.testing.assert_allclose(oracle_pgen(mu, eta_b), exact, rtol=1e-8)
+
 
 class TestOracleFidelity:
     def test_stabilizes_between_small_cutoffs(self):
@@ -119,6 +131,15 @@ class TestOracleFidelity:
 
     def test_small_mu_limit_is_half_at_unit_efficiency(self):
         assert abs(oracle_fidelity(1e-3, np.ones(8)) - 0.5) < 1e-9
+
+    @pytest.mark.parametrize("mu, eta_b", [(0.125, 0.0), (0.0, 1.0)])
+    def test_nothing_heralds_is_undefined_at_once(self, mu, eta_b):
+        # pgen and every element vanish at every cutoff, so the ratio must not be attempted
+        etas = np.array([1.0, 1.0, eta_b, eta_b, eta_b, eta_b, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(UndefinedFidelityError):
+                oracle_fidelity(mu, etas)
 
 
 class TestOracleFockElement:
@@ -224,6 +245,6 @@ class TestBeamsplitterSectors:
             np.testing.assert_allclose(_bs_sector(total, theta), linalg.expm(theta * g), rtol=0, atol=1e-12)
 
     def test_covariance_consistency(self):
-        engine = build_cascaded_cov(0.05).entries
+        engine = build_cascaded_cov(0.05)
         oracle = oracle_covariance(0.05, cutoff=10)
         assert np.max(np.abs(engine - oracle)) < 1e-9

@@ -1,16 +1,21 @@
+"""The test-side symplectic construction, and its agreement with the closed-form references."""
+
 import numpy as np
 import pytest
-
-from zalmsim import (
+from cascade_reference import eight_mode_cov
+from phase_space_reference import (
     CovarianceMatrix,
     SymplecticOp,
     apply_symplectic,
     beamsplitter_symplectic,
     direct_sum,
     mode_permutation,
+    symplectic_cascaded_cov,
     symplectic_form,
     tmsv_cov,
 )
+
+from zalmsim import build_cascaded_cov
 
 
 class TestTmsvCov:
@@ -191,3 +196,12 @@ class TestDirectSum:
 def test_symplectic_form_conventions():
     omega = symplectic_form(2)
     assert omega[0, 2] == 1.0 and omega[2, 0] == -1.0
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-8, 0.1, 3.0, 1e5, 1e12])
+def test_symplectic_cascade_matches_closed_forms(mu):
+    cov = symplectic_cascaded_cov(mu).entries
+    atol = 1e-15 * np.max(np.abs(cov))
+    np.testing.assert_allclose(eight_mode_cov(mu), cov, rtol=0, atol=atol)
+    chain_a = np.r_[[0, 3, 5, 6], [8, 11, 13, 14]]
+    np.testing.assert_allclose(build_cascaded_cov(mu), cov[np.ix_(chain_a, chain_a)], rtol=0, atol=atol)

@@ -172,6 +172,43 @@ class TestRequestBody:
         assert payload["code"] == "timeout"
 
 
+class TestHandlerBound:
+    def test_full_pool_answers_503_busy(self, monkeypatch):
+        from zalmsim import server
+
+        monkeypatch.setattr(server, "MAX_CONCURRENT_HANDLERS", 2)
+        monkeypatch.setattr(server._Handler, "timeout", 1.0)
+        httpd = build_server("127.0.0.1", 0)
+        port = httpd.server_address[1]
+        url = f"http://127.0.0.1:{port}/v1/metrics"
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        held = []
+        try:
+            # Two connections announce a body and send none: each holds a handler until its socket timeout.
+            for _ in range(2):
+                sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+                sock.sendall(b"POST /v1/metrics HTTP/1.1\r\nHost: x\r\nContent-Length: 20\r\n\r\n")
+                held.append(sock)
+            started = time.perf_counter()
+            status, payload = post(url, {"mean_photon": 0.1})
+            assert time.perf_counter() - started < 0.5
+            assert status == 503
+            assert payload["code"] == "busy"
+            for sock in held:
+                assert b" 408 " in sock.recv(65536).partition(b"\r\n")[0]
+            # A handler frees its slot just after its reply, so allow it a moment.
+            deadline = time.perf_counter() + 5.0
+            while (status := post(url, {"mean_photon": 0.1})[0]) == 503 and time.perf_counter() < deadline:
+                time.sleep(0.05)
+            assert status == 200
+        finally:
+            for sock in held:
+                sock.close()
+            httpd.shutdown()
+            httpd.server_close()
+
+
 class TestReplyJson:
     def test_non_finite_value_is_numerical_domain_error(self, server_url, monkeypatch):
         from zalmsim import server
