@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedFidelityError
-from .metrics import A_FULL, CHAIN_MODES, HERALD_MODES, _moment, _variants, _weight, dark_attributions
+from .metrics import CHAIN_MODES, HERALD_MODES, _detected, _moment, _variants, _weight, dark_attributions
 from .moments import MAX_REQUEST_CARDINALITY
 from .moments import wick_moment  # noqa: F401 - unused here, but perfbench/tracing.py patches memory.wick_moment
 from .sources import SourceParams
@@ -125,14 +125,14 @@ def branch_forms(branch, click, eta) -> list[tuple[float, tuple[int, ...]]]:
 def spin_spin_dm(params: SourceParams, click=DEFAULT_CLICK_PATTERN) -> SpinSpinDM:
     """Unnormalized two-memory density matrix heralded by one click pattern.
 
-    The exponent matrix is the no-traced-modes variant; memory loading only
+    The exponent matrix is the every-mode-detected variant; memory loading only
     changes the polynomial prefactor of each entry.  Every branch expands into
     the same term modes with its own signs, so the matrix is C M C^T with C
     the branch-by-term coefficients and M the moments of term pairs, which
     the prefactor and the herald weight turn into Fock elements.
     """
     click = validate_click_pattern(click)
-    pref, a = _variants(params, A_FULL)
+    pref, a = _variants(params, _detected(params))
     eta = params.eta_vector.tolist()
     herald = (0, 0) + click[2:6] + (0, 0)
     scalar, heralds, _ = _weight(eta, herald, herald)

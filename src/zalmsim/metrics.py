@@ -4,8 +4,9 @@ The cascaded source is exactly a product of two identical 4-mode chains.
 Chain A holds modes 1, 4, 6, 7 and chain B modes 2, 3, 5, 8; in each, two
 squeezed pairs meet on one heralding beam splitter, and the local modes run
 (outer, herald, herald, outer).  No 8-mode state is built: the kernel comes
-from one chain's closed-form covariance, and since loss and the traced
-modes are the same on both chains, one 16x16 exponent matrix serves both.
+from one chain's closed-form covariance, and since loss is the same on
+both chains, one 16x16 exponent matrix serves both; a traced mode is a mode
+at efficiency 0.
 Every metric is a combination of lossy-state Fock elements <d| rho |g>, as
 in the oracle; one element is the 8-mode Gaussian prefactor (the chain
 prefactor squared) times the sqrt(eta)^(d+g) / sqrt(d! g!) weight times a
@@ -35,7 +36,6 @@ from .moments import (
 from .sources import SourceParams, build_cascaded_cov
 
 HERALD_MODES = (3, 4, 5, 6)
-OUTER_MODES = (1, 2, 7, 8)
 CHAIN_MODES = ((1, 4, 6, 7), (2, 3, 5, 8))
 REAL_TOLERANCE = 1e-9
 MAX_TOTAL_FOCK = 16
@@ -45,11 +45,6 @@ _CHAIN_OF = {mode: (c, local) for c, modes in enumerate(CHAIN_MODES) for local, 
 _CHAIN_IDX = np.array(CHAIN_MODES[0]) - 1
 _ALPHA = {local: alpha_form(local, 4) for local in range(1, 5)}
 _BETA = {local: beta_conj_form(local, 4) for local in range(1, 5)}
-
-# Traced sets in local chain modes.
-A_FULL = frozenset()
-A_PGEN_TRACED = frozenset(_CHAIN_OF[m][1] for m in OUTER_MODES)
-A_TRACE_ALL = frozenset(range(1, 5))
 
 
 @dataclass(frozen=True)
@@ -82,16 +77,29 @@ def _kernel_for(mu: float) -> KFunctionData:
 
 
 @functools.lru_cache(maxsize=256)
-def _a_variant(mu: float, eta: tuple[float, ...], traced: frozenset[int]) -> AMatrix:
-    return assemble_a(_kernel_for(mu), np.asarray(eta), traced)
+def _a_variant(mu: float, eta: tuple[float, ...]) -> AMatrix:
+    return assemble_a(_kernel_for(mu), np.asarray(eta))
 
 
-def _variants(params: SourceParams, traced: frozenset[int]) -> tuple[complex, AMatrix]:
-    """The 8-mode Gaussian prefactor and the chain exponent matrix both chains share."""
-    eta = tuple(params.eta_vector[_CHAIN_IDX])
+def _variants(params: SourceParams, eta) -> tuple[complex, AMatrix]:
+    """The 8-mode Gaussian prefactor and the chain exponent matrix both chains share.
+
+    eta holds one chain's efficiencies over its local modes (outer, herald,
+    herald, outer), 0.0 on each mode to trace out.
+    """
     k = _kernel_for(params.mean_photon)
-    a = _a_variant(params.mean_photon, eta, traced)
+    a = _a_variant(params.mean_photon, tuple(eta))
     return gaussian_prefactor(a, k) ** 2, a
+
+
+def _detected(params: SourceParams) -> tuple[float, ...]:
+    """Chain efficiencies with every mode detected."""
+    return tuple(params.eta_vector[_CHAIN_IDX])
+
+
+def _heralded(params: SourceParams) -> tuple[float, ...]:
+    """Chain efficiencies with the outer modes traced out: only the heralds are detected."""
+    return (0.0, params.eta_b, params.eta_b, 0.0)
 
 
 def _moment(a: AMatrix, kets, bras, memo: dict | None = None) -> complex:
@@ -139,8 +147,8 @@ def _weight(eta, d, g) -> tuple[float, list[int], list[int]]:
 def _element(variant: tuple[complex, AMatrix], eta, d, g) -> complex:
     """<d| rho |g> of the lossy state under one (prefactor, A) variant, for 8-mode counts d, g.
 
-    With traced modes in A, the element sums over their photon numbers, so
-    the heralding probability is the element of the herald counts.
+    With traced modes (efficiency 0) in A, the element sums over their photon
+    numbers, so the heralding probability is the element of the herald counts.
     """
     pref, a = variant
     scalar, kets, bras = _weight(eta, d, g)
@@ -169,13 +177,13 @@ def dark_attributions(pattern) -> dict[int, tuple[tuple[int, ...], ...]]:
 def photonic_trace(params: SourceParams) -> MetricResult:
     """Trace of the lossy source state; equals 1 for every physical parameter set."""
     vacuum = (0,) * 8
-    return _as_metric(_element(_variants(params, A_TRACE_ALL), (), vacuum, vacuum), params)
+    return _as_metric(_element(_variants(params, (0.0,) * 4), (), vacuum, vacuum), params)
 
 
 def pgen(params: SourceParams) -> MetricResult:
     """Probability that the heralding detectors fire with the requested pattern."""
     herald = (0, 0) + params.herald_pattern + (0, 0)
-    return _as_metric(_element(_variants(params, A_PGEN_TRACED), params.eta_vector.tolist(), herald, herald), params)
+    return _as_metric(_element(_variants(params, _heralded(params)), params.eta_vector.tolist(), herald, herald), params)
 
 
 def pgen_with_dark(params: SourceParams) -> MetricResult:
@@ -191,7 +199,7 @@ def pgen_with_dark(params: SourceParams) -> MetricResult:
     if sorted(pattern) != [0, 0, 1, 1]:
         raise ValueError(f"dark-count heralding is defined for two single clicks, got {pattern}")
     pd = params.dark_click_prob
-    variant = _variants(params, A_PGEN_TRACED)
+    variant = _variants(params, _heralded(params))
     eta = params.eta_vector.tolist()
     raw = 0.0
     for k, photon_patterns in dark_attributions(pattern).items():
@@ -223,8 +231,8 @@ def fidelity(params: SourceParams, bell_target: str = "psi_minus") -> MetricResu
         raise ValueError(f"unknown bell_target {bell_target!r}")
     if params.mean_photon == 0.0:
         raise UndefinedFidelityError("zero heralding probability at mean_photon = 0")
-    full = _variants(params, A_FULL)
-    heralded = _variants(params, A_PGEN_TRACED)
+    full = _variants(params, _detected(params))
+    heralded = _variants(params, _heralded(params))
     # Every element and pgen carry the same herald weight eta_b^2; leaving it
     # out of all five keeps the ratio finite in the eta_b -> 0 limit.
     eta = [1.0 if mode in HERALD_MODES else e for mode, e in enumerate(params.eta_vector.tolist(), 1)]
@@ -251,4 +259,4 @@ def fock_element(params: SourceParams, d, g) -> complex:
         raise ValueError("Fock indices must be 8 nonnegative integers each")
     if sum(d) + sum(g) > MAX_TOTAL_FOCK:
         raise ValueError(f"total photon count {sum(d) + sum(g)} exceeds the cap of {MAX_TOTAL_FOCK}")
-    return _element(_variants(params, A_FULL), params.eta_vector.tolist(), d, g)
+    return _element(_variants(params, _detected(params)), params.eta_vector.tolist(), d, g)

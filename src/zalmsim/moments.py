@@ -108,19 +108,15 @@ class AMatrix:
         return self.entries.shape[0] // 4
 
 
-def assemble_a(
-    k: KFunctionData,
-    eta: np.ndarray,
-    traced_modes: frozenset[int] | set[int] = frozenset(),
-) -> AMatrix:
-    """Assemble the detection exponent matrix for one loss/trace configuration.
+def assemble_a(k: KFunctionData, eta: np.ndarray) -> AMatrix:
+    """Assemble the detection exponent matrix for one set of per-mode efficiencies.
 
     The ket block is the kernel's exponent matrix and the bra block its
     conjugate.  Each mode contributes an a<->b cross coupling expanded from
-    (eta_i - 1)(q_a + i p_a)(q_b - i p_b), with the coefficient replaced by
-    -1 on traced-out modes; every off-diagonal contribution is halved before
-    symmetric placement so the quadratic form reproduces the scalar exponent
-    exactly.
+    (eta_i - 1)(q_a + i p_a)(q_b - i p_b); a traced-out mode is a mode at
+    efficiency 0, whose coupling is -1.  Every off-diagonal contribution is
+    halved before symmetric placement so the quadratic form reproduces the
+    scalar exponent exactly.
     """
     n = k.n_modes
     eta = np.asarray(eta, dtype=float)
@@ -128,16 +124,13 @@ def assemble_a(
         raise ValueError(f"expected {n} per-mode efficiencies, got shape {eta.shape}")
     if np.any(eta < 0.0) or np.any(eta > 1.0):
         raise ValueError("efficiencies must lie in [0, 1]")
-    traced = frozenset(traced_modes)
-    if any(not 1 <= m <= n for m in traced):
-        raise ValueError(f"traced modes must lie in 1..{n}")
     dim = 4 * n
     a = np.zeros((dim, dim), dtype=complex)
     a[: 2 * n, : 2 * n] = k.script_b
     a[2 * n :, 2 * n :] = np.conj(k.script_b)
     a += 0.5 * np.eye(dim)
     for mode in range(1, n + 1):
-        w = -1.0 if mode in traced else eta[mode - 1] - 1.0
+        w = eta[mode - 1] - 1.0
         if w == 0.0:
             continue
         qa, pa = mode - 1, n + mode - 1

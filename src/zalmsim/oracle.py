@@ -6,9 +6,14 @@ photon-number sector (the exponential of the sector's generator, taken in the
 eigenbasis of a numpy Hermitian eigensolve), Kraus loss, and explicit
 detection kernels.  Independent of the covariance/K-function
 machinery by construction; agreement between the two is the package's core
-correctness argument.  ``oracle_covariance`` reports one chain's second
-moments from that chain's Fock amplitudes, the quantity the engine's
-closed-form chain covariance is checked against.
+correctness argument.  Every scalar quantity is one lossy-state element
+<d| rho |g> from ``_element``: each chain contracted with a detection kernel
+at every detected mode's own efficiency and summed over the traced modes.
+The full truncated state, which the Kraus-branch heralding path needs, has
+one builder: ``build_pre_bsm_state``, then the (3, 5) and (4, 6) splitters.
+``oracle_covariance`` reports one chain's second moments from that chain's
+Fock amplitudes, the quantity the engine's closed-form chain covariance is
+checked against.
 
 Mode bookkeeping: TMSV ladder indices (n, m, k, l) populate modes
 (1,4) = n, (2,3) = m, (5,8) = k, (6,7) = l before the splitters mix
@@ -153,14 +158,23 @@ def _converge(evaluate, start: int = CUTOFF_START) -> tuple[np.ndarray, int]:
     raise ConvergenceError(f"no convergence by cutoff {CUTOFF_CAP}")
 
 
-def _herald_kernels(pattern, eta_b: float, nmax: int):
-    p3, p4, p5, p6 = pattern
-    return {
-        3: _kernel_vec(nmax, p3, p3, eta_b),
-        4: _kernel_vec(nmax, p4, p4, eta_b),
-        5: _kernel_vec(nmax, p5, p5, eta_b),
-        6: _kernel_vec(nmax, p6, p6, eta_b),
-    }
+HERALD_MODES = (3, 4, 5, 6)
+OUTER_MODES = (1, 2, 7, 8)
+
+
+def _element(mu: float, etas, d, g, traced, cutoff: int) -> float:
+    """<d| rho_lossy |g> at one cutoff: the product of the two chains' contractions.
+
+    Each detected mode m gets the kernel of its own efficiency etas[m - 1];
+    each mode in traced is summed over, so d and g are ignored there.
+    """
+    ker = {}
+    for m in range(1, 9):
+        nmax = 2 * cutoff if m in HERALD_MODES else cutoff
+        ker[m] = _trace_vec(nmax) if m in traced else _kernel_vec(nmax, d[m - 1], g[m - 1], etas[m - 1])
+    chain_b = _chain_value(mu, cutoff, ker[2], ker[8], ker[3], ker[5])
+    chain_a = _chain_value(mu, cutoff, ker[1], ker[7], ker[4], ker[6])
+    return chain_a * chain_b
 
 
 def oracle_pgen(
@@ -169,16 +183,12 @@ def oracle_pgen(
     pattern=(1, 1, 0, 0),
     cutoff: int | None = None,
 ) -> float:
-    """Heralding-pattern probability by direct Fock-space contraction."""
-    pattern = tuple(int(n) for n in pattern)
+    """Heralding-pattern probability by direct Fock-space contraction, eta_b on every herald mode."""
+    herald = (0, 0) + tuple(int(n) for n in pattern) + (0, 0)
+    etas = (1.0, 1.0, eta_b, eta_b, eta_b, eta_b, 1.0, 1.0)
 
     def at(c: int) -> float:
-        nmax = 2 * c
-        h = _herald_kernels(pattern, eta_b, nmax)
-        tr = _trace_vec(c)
-        chain_b = _chain_value(mu, c, tr, tr, h[3], h[5])
-        chain_a = _chain_value(mu, c, tr, tr, h[4], h[6])
-        return chain_a * chain_b
+        return _element(mu, etas, herald, herald, OUTER_MODES, c)
 
     if cutoff is not None:
         return at(cutoff)
@@ -199,11 +209,7 @@ def oracle_fock_element(
     g = tuple(int(x) for x in g)
 
     def at(c: int) -> float:
-        nmax = 2 * c
-        ker = {m: _kernel_vec(nmax if m in (3, 4, 5, 6) else c, d[m - 1], g[m - 1], etas[m - 1]) for m in range(1, 9)}
-        chain_b = _chain_value(mu, c, ker[2], ker[8], ker[3], ker[5])
-        chain_a = _chain_value(mu, c, ker[1], ker[7], ker[4], ker[6])
-        return chain_a * chain_b
+        return _element(mu, etas, d, g, (), c)
 
     if cutoff is not None:
         return complex(at(cutoff))
@@ -220,22 +226,21 @@ def oracle_fidelity(
 ) -> float:
     """Conditional Bell fidelity of the heralded photonic state.
 
-    Undefined where nothing heralds (mean photon number 0 or heralding
-    efficiency 0): every term and pgen vanish at every cutoff.
+    Undefined where nothing heralds (mean photon number 0 or a clicked
+    herald mode at efficiency 0): every term and pgen vanish at every cutoff.
     """
     pattern = tuple(int(n) for n in pattern)
     etas = np.asarray(etas, dtype=float)
-    if mu == 0.0 or etas[2] == 0.0:
-        raise UndefinedFidelityError(f"zero heralding probability at mu={mu}, eta_b={etas[2]}")
+    blind = [m for m, n in zip(HERALD_MODES, pattern) if n and etas[m - 1] == 0.0]
+    if mu == 0.0 or blind:
+        raise UndefinedFidelityError(f"zero heralding probability at mu={mu}, efficiency 0 on clicked modes {blind}")
+    herald = (0, 0) + pattern + (0, 0)
     e1 = (1, 0) + pattern + (0, 1)
     e2 = (0, 1) + pattern + (1, 0)
 
     def at(c: int) -> float:
-        t11 = oracle_fock_element(mu, etas, e1, e1, cutoff=c).real
-        t22 = oracle_fock_element(mu, etas, e2, e2, cutoff=c).real
-        t12 = oracle_fock_element(mu, etas, e1, e2, cutoff=c).real
-        t21 = oracle_fock_element(mu, etas, e2, e1, cutoff=c).real
-        den = oracle_pgen(mu, etas[2], pattern, cutoff=c)
+        t11, t22, t12, t21 = (_element(mu, etas, d, g, (), c) for d, g in ((e1, e1), (e2, e2), (e1, e2), (e2, e1)))
+        den = _element(mu, etas, herald, herald, OUTER_MODES, c)
         return 0.5 * (t11 + t22 + cross_sign * (t12 + t21)) / den
 
     if cutoff is not None:
@@ -283,21 +288,6 @@ def oracle_spin_spin(
     branches = ("01", "10")
 
     def at(c: int) -> np.ndarray:
-        nmax = 2 * c
-        h = _herald_kernels(herald, etas[2], nmax)
-
-        @functools.lru_cache(maxsize=None)
-        def chain_a(r1: int, rb1: int, r7: int, rb7: int) -> float:
-            k1 = _kernel_vec(c, r1, rb1, etas[0])
-            k7 = _kernel_vec(c, r7, rb7, etas[6])
-            return _chain_value(mu, c, k1, k7, h[4], h[6])
-
-        @functools.lru_cache(maxsize=None)
-        def chain_b(r2: int, rb2: int, r8: int, rb8: int) -> float:
-            k2 = _kernel_vec(c, r2, rb2, etas[1])
-            k8 = _kernel_vec(c, r8, rb8, etas[7])
-            return _chain_value(mu, c, k2, k8, h[3], h[5])
-
         def phase(branch: str, r_second: int) -> float:
             return -1.0 if branch == "01" and r_second % 2 == 1 else 1.0
 
@@ -306,9 +296,9 @@ def oracle_spin_spin(
         for (rk12, ak12), (rb12, ab12), (rk78, ak78), (rb78, ab78) in itertools.product(
             opts12, opts12, opts78, opts78
         ):
-            ca = chain_a(rk12[0], rb12[0], rk78[0], rb78[0])
-            cb = chain_b(rk12[1], rb12[1], rk78[1], rb78[1])
-            weight = 0.25 * ak12 * ab12 * ak78 * ab78 * ca * cb
+            d = rk12 + herald + rk78
+            g = rb12 + herald + rb78
+            weight = 0.25 * ak12 * ab12 * ak78 * ab78 * _element(mu, etas, d, g, (), c)
             if weight == 0.0:
                 continue
             for r, (ket_a, ket_b) in enumerate(basis):
@@ -371,67 +361,14 @@ class TruncatedState:
         return sum(sum(abs(a) ** 2 for a in b.values()) for b in self.branches)
 
 
-def _support_arrays(mu: float, cutoff: int):
-    """Occupations and amplitudes of the truncated cascaded state, vectorized.
-
-    Groups the four TMSV indices (n, m, k, l) by splitter sector totals so
-    the splitter amplitudes broadcast; returns (occs [N, 8], amps [N]).
-    """
-    amps1 = _tmsv_amps(mu, cutoff)
-    occ_blocks = []
-    amp_blocks = []
-    idx = np.arange(cutoff + 1)
-    for t35 in range(2 * cutoff + 1):
-        m = idx[(idx >= t35 - cutoff) & (idx <= t35)]
-        if m.size == 0:
-            continue
-        k = t35 - m
-        u35 = _bs_sector(t35, BS_THETA)
-        for t46 in range(2 * cutoff + 1):
-            n = idx[(idx >= t46 - cutoff) & (idx <= t46)]
-            if n.size == 0:
-                continue
-            l = t46 - n
-            u46 = _bs_sector(t46, BS_THETA)
-            base = np.einsum("i,j->ij", amps1[n] * amps1[l], amps1[m] * amps1[k])
-            # amplitude[(n,l),(m,k),a,e] = base * u35[a, m] * u46[e, n]
-            amp = np.einsum("ij,aj,ei->ijae", base, u35[:, m], u46[:, n])
-            na, nm = n.size, m.size
-            da, de = t35 + 1, t46 + 1
-            a_grid = np.arange(da)
-            e_grid = np.arange(de)
-            shape = (na, nm, da, de)
-            occ = np.empty(shape + (8,), dtype=np.int16)
-            occ[..., 0] = n[:, None, None, None]
-            occ[..., 1] = m[None, :, None, None]
-            occ[..., 2] = a_grid[None, None, :, None]
-            occ[..., 3] = e_grid[None, None, None, :]
-            occ[..., 4] = t35 - a_grid[None, None, :, None]
-            occ[..., 5] = t46 - e_grid[None, None, None, :]
-            occ[..., 6] = l[:, None, None, None]
-            occ[..., 7] = k[None, :, None, None]
-            occ_blocks.append(occ.reshape(-1, 8))
-            amp_blocks.append(amp.reshape(-1))
-    occs = np.concatenate(occ_blocks, axis=0)
-    amps = np.concatenate(amp_blocks, axis=0)
-    keep = amps != 0.0
-    return occs[keep], amps[keep]
-
-
 def oracle_build_cascaded(mu: float, cutoff: int) -> TruncatedState:
-    """Cascaded-source state from four truncated TMSV ladders and the BSM splitters."""
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    """Cascaded-source state: four truncated TMSV ladders, then the BSM splitters (3, 5) and (4, 6)."""
     if not np.isfinite(mu) or mu < 0:
         raise ValueError(f"mean photon number must be finite and >= 0, got {mu}")
-    occs, amps = _support_arrays(mu, cutoff)
-    state = {tuple(occ): complex(amp) for occ, amp in zip(occs.tolist(), amps.tolist())}
-    ratio = mu / (1.0 + mu)
-    deficit = 1.0 - (1.0 - ratio ** (cutoff + 1)) ** 4
-    warning = None
-    if deficit > 1e-3:
-        warning = f"norm deficit {deficit:.2e} exceeds 1e-3 at mu={mu}"
-    return TruncatedState(8, cutoff, [state], deficit, warning)
+    state = apply_beamsplitter(apply_beamsplitter(build_pre_bsm_state(mu, cutoff), 3, 5), 4, 6)
+    if state.norm_deficit > 1e-3:
+        state.warning = f"norm deficit {state.norm_deficit:.2e} exceeds 1e-3 at mu={mu}"
+    return state
 
 
 def oracle_apply_loss(state: TruncatedState, mode: int, eta: float) -> TruncatedState:
@@ -469,7 +406,7 @@ def build_pre_bsm_state(mu: float, cutoff: int) -> TruncatedState:
     """Two SPDC sources side by side, before the BSM splitters mix (3,5) and (4,6)."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    amps = _tmsv_amps(mu, cutoff)
+    amps = _tmsv_amps(mu, cutoff).tolist()
     state: dict[tuple[int, ...], complex] = {}
     rng = range(cutoff + 1)
     for n, m, k, l in itertools.product(rng, rng, rng, rng):
@@ -488,9 +425,7 @@ def apply_beamsplitter(state: TruncatedState, i: int, j: int) -> TruncatedState:
         nb: dict[tuple[int, ...], complex] = {}
         for occ, amp in branch.items():
             oi, oj = occ[i - 1], occ[j - 1]
-            sector = _bs_sector(oi + oj, BS_THETA)
-            for a in range(oi + oj + 1):
-                f = sector[a, oi]
+            for a, f in enumerate(_bs_sector(oi + oj, BS_THETA)[:, oi].tolist()):
                 if f == 0.0:
                     continue
                 new_occ = list(occ)

@@ -15,6 +15,9 @@ from math import sqrt
 import numpy as np
 
 DEFAULT_HERALD_PATTERN = (1, 1, 0, 0)
+# The largest power of ten at which the engine's measured |trace - 1| (1.5e-10)
+# stays within metrics.REAL_TOLERANCE = 1e-9; at 1e7 it is 5.4e-9.
+MAX_MEAN_PHOTON = 1e6
 
 # External names (service fields, CLI flags, sweep parameters) of the numeric
 # SourceParams fields; herald_pattern keeps its name.
@@ -31,7 +34,9 @@ PARAM_FIELDS = {
 class SourceParams:
     """Physical parameters of one cascaded-source trial.
 
-    mean_photon is the mean photon number per mode of each constituent TMSV.
+    mean_photon is the mean photon number per mode of each constituent TMSV,
+    at most MAX_MEAN_PHOTON: above it double precision no longer keeps the
+    trace within 1e-9 of 1.
     eta_b is the heralding (BSM) path efficiency applied to modes 3-6,
     eta_t the transmission and eta_d the detector efficiency applied to the
     outer modes 1, 2, 7, 8.  dark_click_prob is the per-detector dark click
@@ -46,8 +51,8 @@ class SourceParams:
     herald_pattern: tuple[int, int, int, int] = DEFAULT_HERALD_PATTERN
 
     def __post_init__(self):
-        if not np.isfinite(self.mean_photon) or self.mean_photon < 0:
-            raise ValueError(f"mean_photon must be finite and >= 0, got {self.mean_photon}")
+        if not 0.0 <= self.mean_photon <= MAX_MEAN_PHOTON:
+            raise ValueError(f"mean_photon must lie in [0, {MAX_MEAN_PHOTON:g}], got {self.mean_photon}")
         for name in ("eta_b", "eta_t", "eta_d"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

@@ -40,7 +40,8 @@ PARAMS = SourceParams(mean_photon=0.2, eta_b=0.6, eta_t=0.9, eta_d=0.8)
 
 def reference_a(params, traced=frozenset()):
     kd = k_data(eight_mode_cov(params.mean_photon))
-    a = assemble_a(kd, params.eta_vector, traced)
+    eta = [0.0 if mode in traced else e for mode, e in enumerate(params.eta_vector, 1)]
+    a = assemble_a(kd, eta)
     return gaussian_prefactor(a, kd), a
 
 

@@ -150,16 +150,20 @@ class TestCliProcess:
         assert len(lines) >= 15
 
     @pytest.mark.parametrize(
-        "args",
-        [["metrics", "--herald-pattern", "1,2"], ["spin-dm", "--herald-pattern", "5,5,0,0"]],
-        ids=["metrics-short-pattern", "spin-dm-over-cap"],
+        "args, field",
+        [
+            (["metrics", "--herald-pattern", "1,2"], "herald_pattern"),
+            (["spin-dm", "--herald-pattern", "5,5,0,0"], "herald_pattern"),
+            (["metrics", "--mean-photon", "1e17"], "mean_photon"),
+        ],
+        ids=["metrics-short-pattern", "spin-dm-over-cap", "metrics-mean-photon-over-bound"],
     )
-    def test_bad_parameter_is_one_line_error(self, args):
+    def test_bad_parameter_is_one_line_error(self, args, field):
         result = run_cli(args)
         assert result.returncode == 2
         assert result.stdout == ""
         lines = result.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("zalmsim: error: herald_pattern")
+        assert len(lines) == 1 and lines[0].startswith(f"zalmsim: error: {field}")
 
     @pytest.mark.parametrize(
         "pattern, message",

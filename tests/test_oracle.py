@@ -14,9 +14,11 @@ from zalmsim import (
     oracle_fock_element,
     oracle_pgen,
     oracle_pgen_filtered,
+    oracle_spin_spin,
 )
 from zalmsim.oracle import (
     _bs_sector,
+    _element,
     _tmsv_amps,
     apply_beamsplitter,
     build_pre_bsm_state,
@@ -47,14 +49,6 @@ class TestBuildCascaded:
     def test_deficit_decreases_with_cutoff(self):
         deficits = [oracle_build_cascaded(0.2, c).norm_deficit for c in (2, 3, 4, 5)]
         assert all(b < a for a, b in zip(deficits, deficits[1:]))
-
-    def test_matches_explicit_beamsplitter_route(self):
-        direct = oracle_build_cascaded(0.15, 3).branches[0]
-        routed = apply_beamsplitter(apply_beamsplitter(build_pre_bsm_state(0.15, 3), 3, 5), 4, 6)
-        alt = routed.branches[0]
-        keys = set(direct) | set(alt)
-        worst = max(abs(direct.get(k, 0.0) - alt.get(k, 0.0)) for k in keys)
-        assert worst < 1e-14
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -140,6 +134,49 @@ class TestOracleFidelity:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(UndefinedFidelityError):
                 oracle_fidelity(mu, etas)
+
+
+class TestPerModeEfficiencies:
+    """Every oracle quantity puts each herald mode's own efficiency on that mode."""
+
+    OUTER = 0.8
+
+    @pytest.mark.parametrize("cross_sign", [1.0, -1.0])
+    @pytest.mark.parametrize(
+        "heralds, swapped",
+        [((0.9, 0.5, 0.5, 0.5), (0.5, 0.9, 0.5, 0.5)), ((0.5, 0.5, 0.9, 0.5), (0.5, 0.5, 0.5, 0.9))],
+    )
+    def test_fidelity_invariant_under_chain_swap(self, heralds, swapped, cross_sign):
+        # swapping chains A and B exchanges modes 3<->4 and 5<->6 and maps e1 to e2
+        etas = [(self.OUTER,) * 2 + h + (self.OUTER,) * 2 for h in (heralds, swapped)]
+        a, b = (oracle_fidelity(0.1, e, cross_sign=cross_sign) for e in etas)
+        np.testing.assert_allclose(a, b, rtol=1e-12)
+
+    def test_silent_herald_efficiency_lowers_spin_trace(self):
+        # a silent herald at higher efficiency vetoes more of the lossy state
+        traces = [
+            np.trace(oracle_spin_spin(0.1, [0.9, 0.9, 0.7, 0.7, e, e, 0.9, 0.9], cutoff=6)).real
+            for e in (0.0, 0.5, 1.0)
+        ]
+        assert traces[0] > traces[1] > traces[2]
+
+    def test_only_a_blind_clicked_herald_makes_fidelity_undefined(self):
+        etas = np.ones(8)
+        etas[2] = 0.0  # mode 3 never clicks
+        with pytest.raises(UndefinedFidelityError):
+            oracle_fidelity(0.1, etas, (1, 1, 0, 0))
+        assert 0.0 < oracle_fidelity(0.1, etas, (0, 0, 1, 1)) < 1.0
+
+    @pytest.mark.parametrize("pattern", [(1, 1, 0, 0), (0, 1, 1, 0), (2, 0, 0, 1)])
+    def test_heralding_element_matches_kraus_route(self, pattern):
+        mu, cutoff = 0.1, 3
+        etas = (1.0, 1.0, 0.9, 0.5, 0.7, 0.6, 1.0, 1.0)
+        state = oracle_build_cascaded(mu, cutoff)
+        for mode in (3, 4, 5, 6):
+            state = oracle_apply_loss(state, mode, etas[mode - 1])
+        herald = (0, 0) + pattern + (0, 0)
+        got = _element(mu, etas, herald, herald, (1, 2, 7, 8), cutoff)
+        np.testing.assert_allclose(got, pattern_probability(state, (3, 4, 5, 6), pattern), rtol=1e-13)
 
 
 class TestOracleFockElement:

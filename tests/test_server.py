@@ -125,6 +125,16 @@ class TestMetricsEndpoint:
         assert status == 422
         assert payload["code"] == "out_of_range"
 
+    @pytest.mark.parametrize("mean_photon, status", [(1e6, 200), (1e10, 422), (1e17, 422)])
+    def test_mean_photon_bound(self, server_url, mean_photon, status):
+        # above MAX_MEAN_PHOTON = 1e6 double precision no longer keeps the trace within 1e-9
+        got, payload = post(f"{server_url}/v1/metrics", {"mean_photon": mean_photon})
+        assert got == status
+        if status == 422:
+            assert payload["code"] == "out_of_range"
+        else:
+            assert abs(payload["trace"] - 1.0) < 1e-9
+
     def test_click_pattern_split_over_chains_is_200(self, server_url):
         click = [1, 0, 4, 4, 0, 0, 1, 0]
         status, payload = post(f"{server_url}/v1/metrics", {"mean_photon": 0.1, "click_pattern": click})
