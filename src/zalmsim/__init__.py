@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .errors import ConvergenceError, NumericalDomainError, UndefinedFidelityError
-from .kfunction import COVARIANCE_PRESCALE, KFunctionData, k_data
+from .kfunction import COVARIANCE_PRESCALE, ChainMoments, k_data
 from .memory import (
     BASIS,
     BELL_TARGETS,
@@ -25,12 +25,8 @@ from .metrics import (
 )
 from .moments import (
     AMatrix,
-    LinearForm,
     MomentRequest,
-    alpha_form,
     assemble_a,
-    beta_conj_form,
-    gaussian_prefactor,
     hafnian,
     hafnian_repeated,
     wick_moment,
@@ -54,10 +50,9 @@ __all__ = [
     "BASIS",
     "BELL_TARGETS",
     "COVARIANCE_PRESCALE",
+    "ChainMoments",
     "ConvergenceError",
     "DEFAULT_CLICK_PATTERN",
-    "KFunctionData",
-    "LinearForm",
     "MetricResult",
     "MomentRequest",
     "NumericalDomainError",
@@ -66,15 +61,12 @@ __all__ = [
     "SpinSpinDM",
     "TruncatedState",
     "UndefinedFidelityError",
-    "alpha_form",
     "assemble_a",
     "bell_fidelity_spin",
-    "beta_conj_form",
     "branch_forms",
     "build_cascaded_cov",
     "fidelity",
     "fock_element",
-    "gaussian_prefactor",
     "hafnian",
     "hafnian_repeated",
     "k_data",

@@ -1,73 +1,45 @@
-"""Coherent-basis kernel of a Gaussian pure state.
+"""The K-function of one chain, in the amplitude basis.
 
-For a zero-mean state with covariance V the overlap with an N-mode coherent
-state, written over the coherent amplitude quadratures x = (q_1..q_N, p_1..p_N)
-with alpha_k = (q_k + i p_k)/sqrt(2), is a Gaussian
+The paper's K-function is the coherent-state kernel of the Gaussian source
+state.  Written over one chain's amplitudes (a_1..a_4, a_1^dag..a_4^dag)
+instead of its quadratures, it is fixed by the chain's excess normally
+ordered moments
 
-    (2 pi)^N K(x) = exp(-x^T B x / 2) / det(Gamma)^(1/4)
+    S = [[N, M], [M, N]],   N = <a^dag a> = mu I,   M = <a a> = sqrt(mu (1 + mu)) P,
 
-with Gamma = kappa*V + I/2.  The prescale kappa = 1/2 reconciles the unit
-vacuum variance of the covariance stage with the hbar = 1 normalization this
-kernel assumes; it is pinned by the vacuum kernel (B = I/2), trace
-preservation, and the truncated-Fock cross-checks in the test suite.
+with P the heralding splitter's pairing (``sources.PAIRING``): the Husimi
+matrix is Q = I + S and the kernel's exponent follows from (I + S)^-1 S.  S
+is known in closed form, so it is never formed as Q - I from a covariance,
+which would cancel the O(mu) moments against the vacuum's 1 at small mu.
 
-The engine takes the kernel of one chain's 8x8 closed-form covariance
-(``sources.build_cascaded_cov``).
+COVARIANCE_PRESCALE relates the quadrature covariance V of
+``sources.build_cascaded_cov`` (unit vacuum variance) to the amplitude
+basis: with W the map from (q, p) to (a, a^dag), Q = W (COVARIANCE_PRESCALE
+V) W^dag + I/2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
-
-from .errors import NumericalDomainError
+from math import isfinite, sqrt
 
 COVARIANCE_PRESCALE = 0.5
 
 
 @dataclass(frozen=True)
-class KFunctionData:
-    n_modes: int
-    gamma: np.ndarray
-    log_det_gamma: float
-    script_b: np.ndarray
+class ChainMoments:
+    """One chain's excess moments: N = mean_photon I and M = pair P."""
 
-    def __post_init__(self):
-        for name in ("gamma", "script_b"):
-            arr = np.ascontiguousarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+    mean_photon: float
+    pair: float
 
 
-def k_data(cov: np.ndarray) -> KFunctionData:
-    """Gaussian kernel data (Gamma, its log-det, and the exponent matrix) for a 2N x 2N covariance.
+def k_data(mu: float) -> ChainMoments:
+    """The chain's excess moments at mean photon number mu per squeezed mode.
 
-    Gamma = COVARIANCE_PRESCALE * V + I/2.  The covariance's (q..q, p..p)
-    layout is the coherent quadrature vector's, so the q-q, q-p and p-p
-    blocks of Gamma^-1 build the exponent matrix directly.
+    sqrt(mu) sqrt(1 + mu) instead of sqrt(mu (1 + mu)) keeps the pair moment
+    finite wherever mu is.
     """
-    n = cov.shape[0] // 2
-    gamma = COVARIANCE_PRESCALE * cov + 0.5 * np.eye(2 * n)
-    gamma = (gamma + gamma.T) / 2.0
-    try:
-        chol = np.linalg.cholesky(gamma)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDomainError(f"Gamma is not positive definite: {exc}") from exc
-    log_det_gamma = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    chol_inv = np.linalg.inv(chol)
-    inv = chol_inv.T @ chol_inv
-    inv = (inv + inv.T) / 2.0
-    a = inv[:n, :n]
-    c = inv[:n, n:]
-    b = inv[n:, n:]
-    cs = c + c.T
-    ab = a - b
-    script_b = 0.5 * np.block(
-        [
-            [a + 0.5j * cs, c - 0.5j * ab],
-            [c.T - 0.5j * ab, b - 0.5j * cs],
-        ]
-    )
-    script_b = (script_b + script_b.T) / 2.0
-    return KFunctionData(n, gamma, log_det_gamma, script_b)
+    if not isfinite(mu) or mu < 0:
+        raise ValueError(f"mean photon number must be finite and >= 0, got {mu}")
+    return ChainMoments(float(mu), sqrt(mu) * sqrt(1.0 + mu))

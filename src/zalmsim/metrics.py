@@ -3,14 +3,16 @@
 The cascaded source is exactly a product of two identical 4-mode chains.
 Chain A holds modes 1, 4, 6, 7 and chain B modes 2, 3, 5, 8; in each, two
 squeezed pairs meet on one heralding beam splitter, and the local modes run
-(outer, herald, herald, outer).  No 8-mode state is built: the kernel comes
-from one chain's closed-form covariance, and since loss is the same on
-both chains, one 16x16 exponent matrix serves both; a traced mode is a mode
-at efficiency 0.
+(outer, herald, herald, outer).  No 8-mode state is built: the paper's
+K-function integral is taken in the amplitude basis, where one chain's
+excess moments (``kfunction.k_data``) give a closed-form 8x8 real exponent
+matrix B (``moments.assemble_a``) per pair of outer and herald efficiencies.
+Loss is the same on both chains, so one B serves both; a traced mode is a
+mode at efficiency 0.
 Every metric is a combination of lossy-state Fock elements <d| rho |g>, as
-in the oracle; one element is the 8-mode Gaussian prefactor (the chain
-prefactor squared) times the sqrt(eta)^(d+g) / sqrt(d! g!) weight times a
-product of two chain Wick moments.
+in the oracle; one element is the 8-mode Gaussian prefactor 1 / det(I + S E)
+times the sqrt(eta)^(d+g) / sqrt(d! g!) weight times a product of two chain
+Wick moments, each the hafnian of B at the chain's amplitude indices.
 """
 
 from __future__ import annotations
@@ -23,17 +25,9 @@ from math import factorial, sqrt
 import numpy as np
 
 from .errors import UndefinedFidelityError
-from .kfunction import KFunctionData, k_data
-from .moments import (
-    AMatrix,
-    MomentRequest,
-    alpha_form,
-    assemble_a,
-    beta_conj_form,
-    gaussian_prefactor,
-    wick_moment,
-)
-from .sources import SourceParams, build_cascaded_cov
+from .kfunction import ChainMoments, k_data
+from .moments import AMatrix, MomentRequest, assemble_a, wick_moment
+from .sources import SourceParams, build_cascaded_cov  # noqa: F401 - perfbench/tracing.py patches metrics.build_cascaded_cov
 
 HERALD_MODES = (3, 4, 5, 6)
 CHAIN_MODES = ((1, 4, 6, 7), (2, 3, 5, 8))
@@ -42,9 +36,6 @@ MAX_TOTAL_FOCK = 16
 
 # Global mode -> (chain index, local mode 1..4).
 _CHAIN_OF = {mode: (c, local) for c, modes in enumerate(CHAIN_MODES) for local, mode in enumerate(modes, 1)}
-_CHAIN_IDX = np.array(CHAIN_MODES[0]) - 1
-_ALPHA = {local: alpha_form(local, 4) for local in range(1, 5)}
-_BETA = {local: beta_conj_form(local, 4) for local in range(1, 5)}
 
 
 @dataclass(frozen=True)
@@ -71,42 +62,40 @@ def _as_metric(raw: complex, params: SourceParams, extra_flags: tuple[str, ...] 
 
 
 @functools.lru_cache(maxsize=256)
-def _kernel_for(mu: float) -> KFunctionData:
-    """Kernel of one chain's covariance; both chains share it."""
-    return k_data(build_cascaded_cov(mu))
+def _kernel_for(mu: float) -> ChainMoments:
+    """One chain's excess moments (the K-function's amplitude-basis data); both chains share them."""
+    return k_data(mu)
 
 
 @functools.lru_cache(maxsize=256)
-def _a_variant(mu: float, eta: tuple[float, ...]) -> AMatrix:
-    return assemble_a(_kernel_for(mu), np.asarray(eta))
+def _a_variant(mu: float, eta_outer: float, eta_herald: float) -> AMatrix:
+    return assemble_a(_kernel_for(mu), eta_outer, eta_herald)
 
 
-def _variants(params: SourceParams, eta) -> tuple[complex, AMatrix]:
+def _variants(params: SourceParams, eta) -> tuple[float, AMatrix]:
     """The 8-mode Gaussian prefactor and the chain exponent matrix both chains share.
 
-    eta holds one chain's efficiencies over its local modes (outer, herald,
-    herald, outer), 0.0 on each mode to trace out.
+    eta is one chain's (outer, herald) efficiency pair, 0.0 to trace those modes out.
     """
-    k = _kernel_for(params.mean_photon)
-    a = _a_variant(params.mean_photon, tuple(eta))
-    return gaussian_prefactor(a, k) ** 2, a
+    a = _a_variant(params.mean_photon, *eta)
+    return a.prefactor, a
 
 
-def _detected(params: SourceParams) -> tuple[float, ...]:
+def _detected(params: SourceParams) -> tuple[float, float]:
     """Chain efficiencies with every mode detected."""
-    return tuple(params.eta_vector[_CHAIN_IDX])
+    return params.eta_t * params.eta_d, params.eta_b
 
 
-def _heralded(params: SourceParams) -> tuple[float, ...]:
+def _heralded(params: SourceParams) -> tuple[float, float]:
     """Chain efficiencies with the outer modes traced out: only the heralds are detected."""
-    return (0.0, params.eta_b, params.eta_b, 0.0)
+    return 0.0, params.eta_b
 
 
 def _moment(a: AMatrix, kets, bras, memo: dict | None = None) -> complex:
-    """Wick moment of alpha on global modes kets and beta* on bras, one wick_moment per chain.
+    """Wick moment of a_j on global modes kets and a_j^dag on bras, one wick_moment per chain.
 
     memo, if given, maps a chain's sorted local (ket, bra) modes to its moment;
-    both chains share A, so equal keys on either chain have equal moments.
+    both chains share B, so equal keys on either chain have equal moments.
     """
     split = (([], []), ([], []))
     for side, modes in enumerate((kets, bras)):
@@ -119,7 +108,7 @@ def _moment(a: AMatrix, kets, bras, memo: dict | None = None) -> complex:
         if memo is not None and key in memo:
             out *= memo[key]
             continue
-        value = wick_moment(a, MomentRequest(tuple(_ALPHA[m] for m in key[0]) + tuple(_BETA[m] for m in key[1])))
+        value = wick_moment(a, MomentRequest(tuple(m - 1 for m in key[0]) + tuple(m + 3 for m in key[1])))
         if memo is not None:
             memo[key] = value
         out *= value
@@ -144,10 +133,10 @@ def _weight(eta, d, g) -> tuple[float, list[int], list[int]]:
     return scalar, kets, bras
 
 
-def _element(variant: tuple[complex, AMatrix], eta, d, g) -> complex:
-    """<d| rho |g> of the lossy state under one (prefactor, A) variant, for 8-mode counts d, g.
+def _element(variant: tuple[float, AMatrix], eta, d, g) -> complex:
+    """<d| rho |g> of the lossy state under one (prefactor, B) variant, for 8-mode counts d, g.
 
-    With traced modes (efficiency 0) in A, the element sums over their photon
+    With traced modes (efficiency 0) in B, the element sums over their photon
     numbers, so the heralding probability is the element of the herald counts.
     """
     pref, a = variant
@@ -175,9 +164,9 @@ def dark_attributions(pattern) -> dict[int, tuple[tuple[int, ...], ...]]:
 
 
 def photonic_trace(params: SourceParams) -> MetricResult:
-    """Trace of the lossy source state; equals 1 for every physical parameter set."""
+    """Trace of the lossy source state: the vacuum element with every mode traced out, exactly 1."""
     vacuum = (0,) * 8
-    return _as_metric(_element(_variants(params, (0.0,) * 4), (), vacuum, vacuum), params)
+    return _as_metric(_element(_variants(params, (0.0, 0.0)), (), vacuum, vacuum), params)
 
 
 def pgen(params: SourceParams) -> MetricResult:

@@ -1,24 +1,48 @@
-"""Gaussian moment engine: exponent-matrix assembly, hafnian, and Wick coupling.
+"""Chain moment engine: the amplitude-basis exponent matrix, hafnians and Wick moments.
 
-All detection-stage quantities reduce to integrals of a polynomial prefactor
-against exp(-x^T A x / 2) over the doubled quadrature vector
+A Gaussian state with excess moments S (``kfunction``) and per-mode
+efficiencies eta has the Fock elements (Hamilton et al., PRL 119, 170501
+(2017), in the form of The Walrus's ``density_matrix_element``)
 
-    x = (q_a1..q_aN, p_a1..p_aN, q_b1..q_bN, p_b1..p_bN)
+    <d| rho |g> = haf(A_(d,g)) / (sqrt(det(I + D S D)) sqrt(d! g!)),   A = X (I + D S D)^-1 D S D,
 
-where the a-block carries the ket kernel and the b-block the conjugated bra
-kernel.  Wick's theorem evaluates the polynomial part as a hafnian of
-two-point functions drawn from A^{-1}.
+over the amplitudes (a_1..a_n, a_1^dag..a_n^dag), with D = diag(sqrt(eta),
+sqrt(eta)), X the swap of the a and a^dag blocks, and A_(d,g) the submatrix
+that repeats a_j's row and column d_j times and a_j^dag's g_j times.  Loss
+factors out exactly: (I + D S D)^-1 D S D = D (I + S E)^-1 S D with E = D^2,
+so A = D B D with
+
+    B = X (I + S E)^-1 S,
+
+every photon's sqrt(eta) leaves the hafnian (``metrics._weight`` puts it
+back), and det(I + D S D) = det(I + S E).  A mode at efficiency 0 is summed
+over.
+
+On one chain both herald modes have one efficiency eta_h, so the loss
+commutes with the heralding splitter.  Undoing the splitter leaves two equal
+squeezed pairs (outer, herald) at efficiencies (eta_o, eta_h), on which
+I + S E splits into 2x2 blocks of determinant
+
+    Delta = 1 + (eta_o + eta_h (1 - eta_o)) mu.
+
+So B = [[p P, T], [T, p P]] with p = sqrt(mu (1 + mu)) / Delta and
+T = diag(t_o, t_h, t_h, t_o), t_o = (1 - eta_h) mu / Delta,
+t_h = (1 - eta_o) mu / Delta, and det(I + S E) = Delta^4 per chain.  No
+entry is a difference of nearly equal terms, at any mu or efficiency; the
+solve (I + S E)^-1 S is conditioned like 4 mu, and (S^-1 + E)^-1 loses
+precision wherever an efficiency is near 0.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalDomainError
-from .kfunction import KFunctionData
+from .kfunction import ChainMoments
+from .sources import PAIRING
 
 MAX_REQUEST_CARDINALITY = 16
 # Below this many forms, matching enumeration beats hafnian_repeated.
@@ -26,125 +50,55 @@ REPEATED_MIN_FORMS = 8
 
 
 @dataclass(frozen=True)
-class LinearForm:
-    """Complex linear form over the doubled quadrature vector."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.coeffs, dtype=complex)
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
-
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        return LinearForm(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return LinearForm(self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: complex) -> "LinearForm":
-        return LinearForm(self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-
-def alpha_form(mode: int, n_modes: int = 8) -> LinearForm:
-    """Ket-side coherent amplitude alpha_j = (q_aj + i p_aj)/sqrt(2)."""
-    coeffs = np.zeros(4 * n_modes, dtype=complex)
-    coeffs[mode - 1] = 1.0 / np.sqrt(2.0)
-    coeffs[n_modes + mode - 1] = 1.0j / np.sqrt(2.0)
-    return LinearForm(coeffs)
-
-
-def beta_conj_form(mode: int, n_modes: int = 8) -> LinearForm:
-    """Bra-side conjugated amplitude beta_j* = (q_bj - i p_bj)/sqrt(2)."""
-    coeffs = np.zeros(4 * n_modes, dtype=complex)
-    coeffs[2 * n_modes + mode - 1] = 1.0 / np.sqrt(2.0)
-    coeffs[3 * n_modes + mode - 1] = -1.0j / np.sqrt(2.0)
-    return LinearForm(coeffs)
-
-
-@dataclass(frozen=True)
 class MomentRequest:
-    """Multiset of linear forms to Wick-integrate; repeated Fock exponents enter as repeated forms."""
+    """Multiset of amplitude indices to Wick-contract, one per form.
 
-    forms: tuple[LinearForm, ...]
+    On a chain of n modes, index j - 1 is a_j (a ket photon on mode j) and
+    n + j - 1 is a_j^dag (a bra photon); a Fock exponent repeats its index.
+    """
+
+    forms: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "forms", tuple(self.forms))
-        if len(self.forms) > MAX_REQUEST_CARDINALITY:
-            raise ValueError(
-                f"request cardinality {len(self.forms)} exceeds the cap of {MAX_REQUEST_CARDINALITY}"
-            )
+        forms = tuple(self.forms)
+        object.__setattr__(self, "forms", forms)
+        if len(forms) > MAX_REQUEST_CARDINALITY:
+            raise ValueError(f"request cardinality {len(forms)} exceeds the cap of {MAX_REQUEST_CARDINALITY}")
+        if min(forms, default=0) < 0:
+            raise ValueError(f"amplitude indices must be >= 0, got {forms}")
 
 
 @dataclass(frozen=True)
 class AMatrix:
-    """Complex symmetric exponent matrix with its cached inverse and log-det."""
+    """One chain's exponent matrix B over its amplitudes, and the 8-mode Gaussian prefactor 1 / det(I + S E)."""
 
     entries: np.ndarray
-    inverse: np.ndarray = field(init=False)
-    log_det: complex = field(init=False)
+    prefactor: float
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"A matrix must be square, got shape {m.shape}")
-        m = (m + m.T) / 2.0
+        m = np.ascontiguousarray(self.entries, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
+            raise ValueError(f"A matrix must be square of even side, got shape {m.shape}")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-        sign, logabs = np.linalg.slogdet(m)
-        if sign == 0 or not np.isfinite(logabs):
-            raise NumericalDomainError("A matrix is singular")
-        # Principal branch; physical outputs are asserted real downstream.
-        object.__setattr__(self, "log_det", complex(logabs, float(np.angle(sign))))
-        inv = np.linalg.inv(m)
-        inv = (inv + inv.T) / 2.0
-        inv.flags.writeable = False
-        object.__setattr__(self, "inverse", inv)
-
-    @property
-    def n_modes(self) -> int:
-        return self.entries.shape[0] // 4
 
 
-def assemble_a(k: KFunctionData, eta: np.ndarray) -> AMatrix:
-    """Assemble the detection exponent matrix for one set of per-mode efficiencies.
+def assemble_a(k: ChainMoments, eta_outer: float, eta_herald: float) -> AMatrix:
+    """One chain's closed-form exponent matrix B and prefactor at outer and herald efficiencies.
 
-    The ket block is the kernel's exponent matrix and the bra block its
-    conjugate.  Each mode contributes an a<->b cross coupling expanded from
-    (eta_i - 1)(q_a + i p_a)(q_b - i p_b); a traced-out mode is a mode at
-    efficiency 0, whose coupling is -1.  Every off-diagonal contribution is
-    halved before symmetric placement so the quadratic form reproduces the
-    scalar exponent exactly.
+    The local modes run (outer, herald, herald, outer); an efficiency of 0
+    traces its modes out.
     """
-    n = k.n_modes
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (n,):
-        raise ValueError(f"expected {n} per-mode efficiencies, got shape {eta.shape}")
-    if np.any(eta < 0.0) or np.any(eta > 1.0):
-        raise ValueError("efficiencies must lie in [0, 1]")
-    dim = 4 * n
-    a = np.zeros((dim, dim), dtype=complex)
-    a[: 2 * n, : 2 * n] = k.script_b
-    a[2 * n :, 2 * n :] = np.conj(k.script_b)
-    a += 0.5 * np.eye(dim)
-    for mode in range(1, n + 1):
-        w = eta[mode - 1] - 1.0
-        if w == 0.0:
-            continue
-        qa, pa = mode - 1, n + mode - 1
-        qb, pb = 2 * n + mode - 1, 3 * n + mode - 1
-        half = 0.5 * w
-        for r, c, v in (
-            (qa, qb, half),
-            (pa, pb, half),
-            (qa, pb, -1.0j * half),
-            (pa, qb, 1.0j * half),
-        ):
-            a[r, c] += v
-            a[c, r] += v
-    return AMatrix(a)
+    for name, eta in (("eta_outer", eta_outer), ("eta_herald", eta_herald)):
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {eta}")
+    mu = k.mean_photon
+    delta = 1.0 + (eta_outer + eta_herald * (1.0 - eta_outer)) * mu
+    t_o = (1.0 - eta_herald) * mu / delta
+    t_h = (1.0 - eta_outer) * mu / delta
+    thermal = np.diag([t_o, t_h, t_h, t_o])
+    pair = (k.pair / delta) * PAIRING
+    return AMatrix(np.block([[pair, thermal], [thermal, pair]]), delta**-4.0)
 
 
 def hafnian(m: np.ndarray) -> complex:
@@ -160,15 +114,15 @@ def hafnian(m: np.ndarray) -> complex:
         raise ValueError(f"hafnian needs a square matrix, got shape {m.shape}")
     if n % 2 != 0:
         raise ValueError(f"hafnian is defined for even dimension, got {n}")
+    rows = m.tolist()
 
-    def rec(idx: tuple[int, ...]) -> complex:
+    def rec(idx: tuple[int, ...]):
         if not idx:
-            return 1.0 + 0.0j
-        i0 = idx[0]
-        total = 0.0 + 0.0j
+            return 1.0
+        row = rows[idx[0]]
+        total = 0.0
         for pos in range(1, len(idx)):
-            rest = idx[1:pos] + idx[pos + 1 :]
-            total += m[i0, idx[pos]] * rec(rest)
+            total += row[idx[pos]] * rec(idx[1:pos] + idx[pos + 1 :])
         return total
 
     return complex(rec(tuple(range(n))))
@@ -181,16 +135,16 @@ def hafnian_repeated(m: np.ndarray, reps) -> complex:
     memoises remainders by their repetition counts, so each distinct
     remainder is summed once, not once per matching that reaches it.
     """
-    m, reps = np.asarray(m, dtype=complex), tuple(int(r) for r in reps)
+    m, reps = np.asarray(m), tuple(int(r) for r in reps)
     if m.shape != (len(reps), len(reps)) or min(reps, default=0) < 0 or sum(reps) % 2:
         raise ValueError(f"need a square matrix of side {len(reps)} and counts >= 0 of even sum, got {m.shape}, {reps}")
     rows = m.tolist()
 
     @functools.cache
-    def rec(r: tuple[int, ...]) -> complex:
+    def rec(r: tuple[int, ...]):
         i = next((i for i, c in enumerate(r) if c), None)
         if i is None:
-            return 1.0 + 0.0j
+            return 1.0
         r = r[:i] + (r[i] - 1,) + r[i + 1 :]
         return sum(r[j] * rows[i][j] * rec(r[:j] + (r[j] - 1,) + r[j + 1 :]) for j in range(i, len(r)) if r[j])
 
@@ -198,35 +152,23 @@ def hafnian_repeated(m: np.ndarray, reps) -> complex:
 
 
 def wick_moment(a: AMatrix, req: MomentRequest) -> complex:
-    """Gaussian moment of the request's forms under exp(-x^T A x / 2).
+    """Wick moment of the request's amplitudes: the hafnian of B at their indices.
 
-    Stacks the forms into L and evaluates haf(L A^{-1} L^T); no forms give 1
-    and odd cardinality vanishes identically.  Repeated forms in
-    requests of REPEATED_MIN_FORMS or more go through hafnian_repeated.
+    No forms give 1 and odd cardinality vanishes identically.  Requests of
+    REPEATED_MIN_FORMS or more with repeated indices go through
+    hafnian_repeated.
     """
-    n_forms = len(req.forms)
+    forms = req.forms
+    n_forms = len(forms)
     if n_forms == 0:
         return 1.0 + 0.0j
     if n_forms % 2 == 1:
         return 0.0 + 0.0j
-    groups: dict[bytes, list[np.ndarray]] = {}
-    for f in req.forms if n_forms >= REPEATED_MIN_FORMS else ():
-        groups.setdefault(f.coeffs.tobytes(), []).append(f.coeffs)
-    repeated = 0 < len(groups) < n_forms
-    l = np.vstack([g[0] for g in groups.values()] if repeated else [f.coeffs for f in req.forms])
-    if l.shape[1] != a.entries.shape[0]:
-        raise ValueError(f"form dimension {l.shape[1]} does not match A dimension {a.entries.shape[0]}")
-    pair = l @ a.inverse @ l.T
-    pair = (pair + pair.T) / 2.0
-    return hafnian_repeated(pair, [len(g) for g in groups.values()]) if repeated else hafnian(pair)
-
-
-def gaussian_prefactor(a: AMatrix, k: KFunctionData) -> complex:
-    """Normalization 1 / (det(Gamma)^(1/4) det(Gamma*)^(1/4) sqrt(det A)) = 1 / sqrt(det(Gamma) det A).
-
-    Gamma is real, so the ket and bra kernels give one det(Gamma)^(1/2).
-    Computed in log space; the 2 pi powers of the kernel normalization and the
-    Gaussian integral cancel exactly at this dimension.
-    """
-    log_total = -0.5 * k.log_det_gamma - 0.5 * a.log_det
-    return complex(np.exp(log_total))
+    if max(forms) >= a.entries.shape[0]:
+        raise ValueError(f"amplitude index {max(forms)} out of range for a {a.entries.shape[0]}-dimensional B")
+    if n_forms >= REPEATED_MIN_FORMS:
+        counts = Counter(forms)
+        if len(counts) < n_forms:
+            idx = list(counts)
+            return hafnian_repeated(a.entries[np.ix_(idx, idx)], list(counts.values()))
+    return hafnian(a.entries[np.ix_(forms, forms)])

@@ -4,7 +4,7 @@ Everything here works directly with Fock amplitudes of the cascaded source:
 four truncated TMSV ladders, idler swaps, 50:50 beam splitters applied per
 photon-number sector (the exponential of the sector's generator, taken in the
 eigenbasis of a numpy Hermitian eigensolve), Kraus loss, and explicit
-detection kernels.  Independent of the covariance/K-function
+detection kernels.  Independent of the engine's amplitude-basis K-function
 machinery by construction; agreement between the two is the package's core
 correctness argument.  Every scalar quantity is one lossy-state element
 <d| rho |g> from ``_element``: each chain contracted with a detection kernel
@@ -162,16 +162,18 @@ HERALD_MODES = (3, 4, 5, 6)
 OUTER_MODES = (1, 2, 7, 8)
 
 
-def _element(mu: float, etas, d, g, traced, cutoff: int) -> float:
+def _element(mu: float, etas, d, g, traced, cutoff: int, kernel=_kernel_vec) -> float:
     """<d| rho_lossy |g> at one cutoff: the product of the two chains' contractions.
 
     Each detected mode m gets the kernel of its own efficiency etas[m - 1];
     each mode in traced is summed over, so d and g are ignored there.
+    kernel builds the detection kernels; callers that take many elements
+    at one cutoff pass a per-cutoff table of _kernel_vec.
     """
     ker = {}
     for m in range(1, 9):
         nmax = 2 * cutoff if m in HERALD_MODES else cutoff
-        ker[m] = _trace_vec(nmax) if m in traced else _kernel_vec(nmax, d[m - 1], g[m - 1], etas[m - 1])
+        ker[m] = _trace_vec(nmax) if m in traced else kernel(nmax, d[m - 1], g[m - 1], etas[m - 1])
     chain_b = _chain_value(mu, cutoff, ker[2], ker[8], ker[3], ker[5])
     chain_a = _chain_value(mu, cutoff, ker[1], ker[7], ker[4], ker[6])
     return chain_a * chain_b
@@ -239,8 +241,11 @@ def oracle_fidelity(
     e2 = (0, 1) + pattern + (1, 0)
 
     def at(c: int) -> float:
-        t11, t22, t12, t21 = (_element(mu, etas, d, g, (), c) for d, g in ((e1, e1), (e2, e2), (e1, e2), (e2, e1)))
-        den = _element(mu, etas, herald, herald, OUTER_MODES, c)
+        kernel = functools.cache(_kernel_vec)
+        t11, t22, t12, t21 = (
+            _element(mu, etas, d, g, (), c, kernel) for d, g in ((e1, e1), (e2, e2), (e1, e2), (e2, e1))
+        )
+        den = _element(mu, etas, herald, herald, OUTER_MODES, c, kernel)
         return 0.5 * (t11 + t22 + cross_sign * (t12 + t21)) / den
 
     if cutoff is not None:
@@ -293,12 +298,13 @@ def oracle_spin_spin(
 
         out = np.zeros((4, 4), dtype=complex)
         basis = tuple((a, b) for a in branches for b in branches)
+        kernel = functools.cache(_kernel_vec)
         for (rk12, ak12), (rb12, ab12), (rk78, ak78), (rb78, ab78) in itertools.product(
             opts12, opts12, opts78, opts78
         ):
             d = rk12 + herald + rk78
             g = rb12 + herald + rb78
-            weight = 0.25 * ak12 * ab12 * ak78 * ab78 * _element(mu, etas, d, g, (), c)
+            weight = 0.25 * ak12 * ab12 * ak78 * ab78 * _element(mu, etas, d, g, (), c, kernel)
             if weight == 0.0:
                 continue
             for r, (ket_a, ket_b) in enumerate(basis):

@@ -3,8 +3,10 @@
 The cascaded source is two SPDC sources whose inner modes meet on two 50:50
 Bell-measurement splitters, (3, 5) and (4, 6).  Its 8-mode state is exactly
 a product of two identical 4-mode chains, modes (1, 4, 6, 7) and (2, 3, 5, 8):
-in each, two squeezed-vacuum pairs meet on one heralding splitter.  Only one
-chain's covariance is ever built.
+in each, two squeezed-vacuum pairs meet on one heralding splitter, whose
+pairing PAIRING carries the chain's correlations.  The engine reads one
+chain's moments off PAIRING in the amplitude basis (``kfunction``);
+build_cascaded_cov gives the same chain's quadrature covariance.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ from math import sqrt
 import numpy as np
 
 DEFAULT_HERALD_PATTERN = (1, 1, 0, 0)
-# The largest power of ten at which the engine's measured |trace - 1| (1.5e-10)
-# stays within metrics.REAL_TOLERANCE = 1e-9; at 1e7 it is 5.4e-9.
-MAX_MEAN_PHOTON = 1e6
+# The largest power of ten at which the precision scan (tests/test_precision.py)
+# passes: pgen within 1e-12 relative of its closed form, the trace within 1e-15
+# of 1, the lossless fidelity within 1e-12 of 1/2.  At 1e78 the 8-mode
+# prefactor (1 + mu)^-4 leaves the normal floats and pgen is 1.5e-12 off.
+MAX_MEAN_PHOTON = 1e77
 
 # External names (service fields, CLI flags, sweep parameters) of the numeric
 # SourceParams fields; herald_pattern keeps its name.
@@ -35,8 +39,8 @@ class SourceParams:
     """Physical parameters of one cascaded-source trial.
 
     mean_photon is the mean photon number per mode of each constituent TMSV,
-    at most MAX_MEAN_PHOTON: above it double precision no longer keeps the
-    trace within 1e-9 of 1.
+    at most MAX_MEAN_PHOTON: above it the heralding probability underflows
+    out of the normal floats.
     eta_b is the heralding (BSM) path efficiency applied to modes 3-6,
     eta_t the transmission and eta_d the detector efficiency applied to the
     outer modes 1, 2, 7, 8.  dark_click_prob is the per-detector dark click
@@ -81,6 +85,13 @@ def params_from_external(values: dict) -> SourceParams:
     return SourceParams(**fields)
 
 
+# The pairing P = U M0 U^T of one chain's squeezed pairs (1, 2) and (3, 4)
+# after the 50:50 heralding splitter U on its herald modes (2, 3).
+_C = sqrt(0.5)
+PAIRING = np.array([[0.0, _C, -_C, 0.0], [_C, 0.0, 0.0, _C], [-_C, 0.0, 0.0, _C], [0.0, _C, _C, 0.0]])
+PAIRING.flags.writeable = False
+
+
 def build_cascaded_cov(mu: float) -> np.ndarray:
     """One chain of the cascaded/ZALM source: its 8x8 covariance, in closed form.
 
@@ -88,16 +99,14 @@ def build_cascaded_cov(mu: float) -> np.ndarray:
     (q_1..q_4, p_1..p_4), with unit vacuum variance.  The squeezed pairs
     (1, 2) and (3, 4) give N = <a^dag a> = mu I and M = <a a> =
     sqrt(mu (1 + mu)) M0; the 50:50 splitter on the herald modes (2, 3)
-    keeps N and turns M0 into the pairing P = U M0 U^T below, so
+    keeps N and turns M0 into the pairing P = PAIRING, so
 
         V = (1 + 2 mu) I + 2 sqrt(mu (1 + mu)) diag(P, -P).
     """
     if not np.isfinite(mu) or mu < 0:
         raise ValueError(f"mean photon number must be finite and >= 0, got {mu}")
-    c = sqrt(0.5)
-    pairing = np.array([[0.0, c, -c, 0.0], [c, 0.0, 0.0, c], [-c, 0.0, 0.0, c], [0.0, c, c, 0.0]])
     squeeze = 2.0 * sqrt(mu * (1.0 + mu))
     cov = (1.0 + 2.0 * mu) * np.eye(8)
-    cov[:4, :4] += squeeze * pairing
-    cov[4:, 4:] -= squeeze * pairing
+    cov[:4, :4] += squeeze * PAIRING
+    cov[4:, 4:] -= squeeze * PAIRING
     return cov

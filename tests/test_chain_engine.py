@@ -1,9 +1,10 @@
-"""The 4-mode chain engine against the public 8-mode Wick path.
+"""The amplitude-basis chain engine against the 8-mode quadrature path.
 
 The reference builds the full 8-mode cascaded covariance (cascade_reference,
-which does not assume the chain split), its 8-mode kernel and a 32x32
-exponent matrix, and Wick-integrates 8-mode linear forms directly, as the
-engine did before it was factored into two chains.
+which does not assume the chain split), its 8-mode quadrature kernel and a
+32x32 exponent matrix (quadrature_reference), and Wick-integrates 8-mode
+linear forms directly, as the engine did before it moved to one chain's
+amplitude basis.
 """
 
 from math import factorial
@@ -11,24 +12,18 @@ from math import factorial
 import numpy as np
 import pytest
 from cascade_reference import eight_mode_cov
-
-from zalmsim import (
-    BASIS,
-    SourceParams,
+from quadrature_reference import (
+    MomentRequest,
     alpha_form,
     assemble_a,
     beta_conj_form,
-    build_cascaded_cov,
-    fidelity,
-    fock_element,
     gaussian_prefactor,
     k_data,
-    pgen,
-    spin_spin_dm,
     wick_moment,
 )
+
+from zalmsim import BASIS, SourceParams, build_cascaded_cov, fidelity, fock_element, pgen, spin_spin_dm
 from zalmsim import metrics
-from zalmsim.moments import MomentRequest
 from zalmsim.oracle import oracle_pgen
 
 RTOL = 1e-11
@@ -126,7 +121,8 @@ def test_cascaded_covariance_is_two_equal_chains(mu):
 
 
 def test_engine_kernel_is_one_chain():
-    assert metrics._kernel_for(0.2).n_modes == 4
+    # one chain's 4 modes, a_1..a_4 and a_1^dag..a_4^dag
+    assert metrics._a_variant(0.2, 0.72, 0.6).entries.shape == (8, 8)
 
 
 @pytest.mark.parametrize("pattern", [(1, 1, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1), (2, 0, 0, 0), (1, 0, 1, 0), (2, 1, 1, 0)])

@@ -154,7 +154,7 @@ class TestCliProcess:
         [
             (["metrics", "--herald-pattern", "1,2"], "herald_pattern"),
             (["spin-dm", "--herald-pattern", "5,5,0,0"], "herald_pattern"),
-            (["metrics", "--mean-photon", "1e17"], "mean_photon"),
+            (["metrics", "--mean-photon", "1e78"], "mean_photon"),
         ],
         ids=["metrics-short-pattern", "spin-dm-over-cap", "metrics-mean-photon-over-bound"],
     )

@@ -1,8 +1,9 @@
 """Byte-exact regression against a committed sweep output.
 
-Pins the numeric pipeline end to end (covariance -> kernel -> Wick -> CSV
-formatting).  The file was produced by the `sweep` subcommand on the reference
-build; regenerate it deliberately when the engine's numerics change:
+Pins the numeric pipeline end to end (chain moments -> exponent matrix ->
+hafnians -> CSV formatting).  The file was produced by the `sweep` subcommand
+on the reference build; regenerate it deliberately when the engine's numerics
+change:
 
     zalmsim sweep --param mean_photon --from 0.01 --to 2.0 --steps 8 \
         --scale log --metrics pgen,fidelity,trace \

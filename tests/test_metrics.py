@@ -197,18 +197,13 @@ class TestFidelity:
 
     def test_coherence_terms_conjugate_pair(self):
         # W(a1 a3 a4 a8; b2* b3* b4* b7*) and W(a2 a3 a4 a7; b1* b3* b4* b8*)
-        from cascade_reference import eight_mode_cov
-
-        from zalmsim import assemble_a, k_data
-        from zalmsim.moments import MomentRequest, alpha_form, beta_conj_form, wick_moment
+        from zalmsim.metrics import _detected, _moment, _variants
 
         p = SourceParams(mean_photon=0.2, eta_b=0.6, eta_t=0.9, eta_d=0.8)
-        kd = k_data(eight_mode_cov(p.mean_photon))
-        a = assemble_a(kd, p.eta_vector)
+        _, a = _variants(p, _detected(p))
 
         def w(alphas, betas):
-            forms = [alpha_form(m) for m in alphas] + [beta_conj_form(m) for m in betas]
-            return wick_moment(a, MomentRequest(tuple(forms)))
+            return _moment(a, alphas, betas)
 
         t12 = w((1, 3, 4, 8), (2, 3, 4, 7))
         t21 = w((2, 3, 4, 7), (1, 3, 4, 8))

@@ -1,23 +1,31 @@
+"""Hafnians, the engine's amplitude-basis chain stage, and the quadrature reference path it replaced.
+
+TestChainExponent and TestChainWickMoment check the engine (zalmsim.moments);
+TestWickMoment, TestWickAgainstQuadrature, TestAssembleA and
+TestGaussianPrefactor check quadrature_reference, the path the chain engine
+is compared with in test_chain_engine.
+"""
+
 import itertools
 
 import numpy as np
 import pytest
 from cascade_reference import eight_mode_cov
-
-from zalmsim import (
+from quadrature_reference import (
     AMatrix,
     LinearForm,
     MomentRequest,
-    SourceParams,
     alpha_form,
     assemble_a,
     beta_conj_form,
     gaussian_prefactor,
-    hafnian,
-    hafnian_repeated,
     k_data,
     wick_moment,
 )
+
+import zalmsim
+from zalmsim import SourceParams, hafnian, hafnian_repeated
+from zalmsim.sources import PAIRING
 
 
 def enumerate_pairings(items):
@@ -150,7 +158,6 @@ class TestWickMoment:
         np.testing.assert_allclose(got, 3.0 / 1.7**2, rtol=1e-12)
 
     def test_repeated_forms_match_expanded_hafnian(self):
-        # Ten forms with repeats take the hafnian_repeated path.
         a = toy_amatrix(4, imag=0.05)
         forms = [unit_form(i, 4) for i in (0, 0, 1, 2, 2, 2, 3, 3, 1, 0)]
         l = np.vstack([f.coeffs for f in forms])
@@ -300,3 +307,94 @@ def test_canonical_forms_are_unit_amplitude_pairs():
     np.testing.assert_array_equal(nz, [18, 26])
     np.testing.assert_allclose(g.coeffs[26], -1j / np.sqrt(2))
 
+
+
+def excess_moments(mu: float) -> np.ndarray:
+    k = zalmsim.k_data(mu)
+    n, m = k.mean_photon * np.eye(4), k.pair * PAIRING
+    return np.block([[n, m], [m, n]])
+
+
+def swap_blocks(m: np.ndarray) -> np.ndarray:
+    return np.vstack([m[4:], m[:4]])
+
+
+EFFICIENCY_PAIRS = [(1.0, 1.0), (0.72, 0.6), (0.0, 0.6), (0.3, 0.0), (0.0, 0.0), (1e-6, 1.0)]
+
+
+class TestChainExponent:
+    @pytest.mark.parametrize("mu", [1e-3, 0.2, 5.0])
+    @pytest.mark.parametrize("eta_outer, eta_herald", EFFICIENCY_PAIRS)
+    def test_is_the_solve_form(self, mu, eta_outer, eta_herald):
+        # B = X (I + S E)^-1 S and prefactor 1 / det(I + S E), E = diag(eta, eta)
+        s = excess_moments(mu)
+        e = np.diag([eta_outer, eta_herald, eta_herald, eta_outer] * 2)
+        a = zalmsim.assemble_a(zalmsim.k_data(mu), eta_outer, eta_herald)
+        np.testing.assert_allclose(a.entries, swap_blocks(np.linalg.solve(np.eye(8) + s @ e, s)), rtol=0, atol=1e-13)
+        assert a.prefactor == pytest.approx(1.0 / np.linalg.det(np.eye(8) + s @ e), rel=1e-13)
+
+    @pytest.mark.parametrize("eta_outer, eta_herald", EFFICIENCY_PAIRS)
+    def test_prefactor_is_the_quadrature_prefactor(self, eta_outer, eta_herald):
+        kd = k_data(eight_mode_cov(0.2))
+        eta = [eta_outer, eta_outer, eta_herald, eta_herald, eta_herald, eta_herald, eta_outer, eta_outer]
+        ref = gaussian_prefactor(assemble_a(kd, eta), kd)
+        got = zalmsim.assemble_a(zalmsim.k_data(0.2), eta_outer, eta_herald).prefactor
+        assert got == pytest.approx(ref.real, rel=1e-12)
+        assert abs(ref.imag) < 1e-12
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-20, 0.3, 1e40])
+    def test_tracing_every_mode_is_exactly_the_vacuum(self, mu):
+        a = zalmsim.assemble_a(zalmsim.k_data(mu), 0.0, 0.0)
+        assert a.prefactor == 1.0
+        assert np.all(np.diag(a.entries[:4, 4:]) == mu)
+
+    def test_symmetric_and_read_only(self):
+        a = zalmsim.assemble_a(zalmsim.k_data(0.4), 0.7, 0.3)
+        assert np.array_equal(a.entries, a.entries.T)
+        assert not a.entries.flags.writeable
+
+    def test_rejects_bad_eta(self):
+        k = zalmsim.k_data(0.2)
+        with pytest.raises(ValueError):
+            zalmsim.assemble_a(k, 1.2, 0.5)
+        with pytest.raises(ValueError):
+            zalmsim.assemble_a(k, 0.5, -0.1)
+
+
+class TestChainWickMoment:
+    def setup_method(self):
+        self.a = zalmsim.assemble_a(zalmsim.k_data(0.3), 0.8, 0.6)
+
+    def test_empty_and_odd_requests(self):
+        assert zalmsim.wick_moment(self.a, zalmsim.MomentRequest(())) == 1.0
+        assert zalmsim.wick_moment(self.a, zalmsim.MomentRequest((1, 2, 5))) == 0.0
+
+    def test_pair_moment_is_the_exponent_entry(self):
+        for i, j in itertools.product(range(8), repeat=2):
+            assert zalmsim.wick_moment(self.a, zalmsim.MomentRequest((i, j))) == self.a.entries[i, j]
+
+    def test_four_forms_are_three_matchings(self):
+        b = self.a.entries
+        got = zalmsim.wick_moment(self.a, zalmsim.MomentRequest((0, 1, 5, 6)))
+        ref = b[0, 1] * b[5, 6] + b[0, 5] * b[1, 6] + b[0, 6] * b[1, 5]
+        assert got == pytest.approx(ref, rel=1e-15)
+
+    def test_repeated_indices_match_expanded_hafnian(self):
+        # Ten forms with repeats take the hafnian_repeated path.
+        forms = (0, 0, 1, 5, 5, 5, 2, 6, 1, 0)
+        ref = hafnian(self.a.entries[np.ix_(forms, forms)])
+        got = zalmsim.wick_moment(self.a, zalmsim.MomentRequest(forms))
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_symmetric_under_form_permutation(self):
+        base = zalmsim.wick_moment(self.a, zalmsim.MomentRequest((0, 2, 5, 7)))
+        for perm in itertools.permutations((0, 2, 5, 7)):
+            assert zalmsim.wick_moment(self.a, zalmsim.MomentRequest(perm)) == pytest.approx(base, rel=1e-14)
+
+    def test_rejects_bad_requests(self):
+        with pytest.raises(ValueError):
+            zalmsim.MomentRequest((0,) * 18)
+        with pytest.raises(ValueError):
+            zalmsim.MomentRequest((-1, 0))
+        with pytest.raises(ValueError):
+            zalmsim.wick_moment(self.a, zalmsim.MomentRequest((0, 8)))

@@ -3,13 +3,7 @@
 The domain is mean_photon in [0, 3] and every efficiency in [0, 1].  The
 examples are derandomized, no example database is written and failing
 examples are not shrunk, so every run checks the same points in bounded time.
-
-Below mean_photon ~ 1e-8 with heralding loss (eta_b < 1) the engine's
-heralded quantities lose relative precision, about 1e-16 / mean_photon
-(pgen is 1e-4 off the oracle at 1e-12, fidelity leaves [0, 1] near 1e-16
-and its heralding probability is 0.0 by 1e-20).  Fidelity and the oracle
-comparison are therefore checked from 1e-8 (and at 0), and
-test_small_mean_photon_precision pins the loss until it is mended.
+tests/test_precision.py scans the accepted domain beyond mean_photon = 3.
 """
 
 from dataclasses import replace
@@ -38,11 +32,12 @@ PROPERTY = settings(
 )
 # Relative accuracy ends at the smallest normal float.
 TINY = np.finfo(float).tiny
+# The heralding moments (~ mean_photon^2) leave the normal floats a little below this.
+UNDERFLOW_MEAN_PHOTON = 1e-150
 # At mean_photon <= 0.2 the Fock tail past this cutoff is below 6^-21 ~ 5e-17 per mode.
 ORACLE_CUTOFF = 20
 
 efficiency = st.floats(0.0, 1.0)
-precise_mean_photon = st.floats(1e-8, 3.0)
 herald_patterns = st.sampled_from([(1, 1, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 0), (2, 0, 1, 0), (0, 0, 0, 0)])
 # Memory pairs (1, 2) and (7, 8) click (0, 0), (1, 0) or (0, 1); up to two herald clicks per mode.
 memory_pair = st.sampled_from([(0, 0), (1, 0), (0, 1)])
@@ -71,11 +66,17 @@ def test_pgen_is_a_probability(params):
 
 
 @PROPERTY
-@given(source_params(mean_photon=precise_mean_photon, herald_pattern=st.sampled_from([(1, 1, 0, 0), (0, 0, 1, 1)])))
+@given(source_params(herald_pattern=st.sampled_from([(1, 1, 0, 0), (0, 0, 1, 1)])))
 def test_fidelity_is_a_probability(params):
-    # out_of_range flags a value outside [-REAL_TOLERANCE, 1 + REAL_TOLERANCE]
+    # out_of_range flags a value outside [-REAL_TOLERANCE, 1 + REAL_TOLERANCE].
+    # The heralding moments scale as mean_photon^2, so they underflow below
+    # about 1e-160 (and vanish at 0): then the fidelity is undefined.
     for target in ("psi_minus", "psi_plus"):
-        result = fidelity(params, target)
+        try:
+            result = fidelity(params, target)
+        except UndefinedFidelityError:
+            assert params.mean_photon < UNDERFLOW_MEAN_PHOTON
+            continue
         assert result.ok, result.flags
 
 
@@ -97,7 +98,7 @@ def test_heralding_factorizes_over_the_two_chains(params):
 
 
 @settings(PROPERTY, max_examples=15)
-@given(source_params(mean_photon=st.one_of(st.just(0.0), st.floats(1e-8, 0.2))))
+@given(source_params(mean_photon=st.floats(0.0, 0.2)))
 def test_engine_matches_oracle(params):
     # The tolerances of `zalmsim validate`.  The oracle runs at a fixed cutoff:
     # its converging stopping rule has a 1e-11 absolute term, so it stops
@@ -112,11 +113,6 @@ def test_engine_matches_oracle(params):
     assert np.max(np.abs(spin_spin_dm(params).entries - om)) < 1e-6
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=(AssertionError, UndefinedFidelityError),
-    reason="A^-1 loses the O(mean_photon) herald pair entry below mean_photon ~ 1e-8 with heralding loss",
-)
 @pytest.mark.parametrize("mu", [1e-12, 1e-16, 1e-20])
 def test_small_mean_photon_precision(mu):
     params = SourceParams(mean_photon=mu, eta_b=0.5)

@@ -125,9 +125,9 @@ class TestMetricsEndpoint:
         assert status == 422
         assert payload["code"] == "out_of_range"
 
-    @pytest.mark.parametrize("mean_photon, status", [(1e6, 200), (1e10, 422), (1e17, 422)])
+    @pytest.mark.parametrize("mean_photon, status", [(1e6, 200), (1e77, 200), (1e78, 422)])
     def test_mean_photon_bound(self, server_url, mean_photon, status):
-        # above MAX_MEAN_PHOTON = 1e6 double precision no longer keeps the trace within 1e-9
+        # above MAX_MEAN_PHOTON = 1e77 the heralding probability leaves the normal floats
         got, payload = post(f"{server_url}/v1/metrics", {"mean_photon": mean_photon})
         assert got == status
         if status == 422:

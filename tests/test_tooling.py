@@ -59,3 +59,36 @@ def test_import_leaves_scipy_unloaded():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_import_leaves_the_http_stack_unloaded():
+    # only `zalmsim serve` and /v1/health need http.server (with ssl) and hashlib
+    code = (
+        "import sys, zalmsim.cli, zalmsim.server; "
+        "print(sorted(m for m in ('http.server', 'ssl', 'hashlib') if m in sys.modules))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_tracer_sees_every_engine_stage():
+    # A name the tracer patches but the engine no longer calls would read as a
+    # per-layer zero in a benchmark run; here it fails.
+    from zalmsim import SourceParams, fidelity, memory, metrics, pgen
+
+    metrics._kernel_for.cache_clear()
+    metrics._a_variant.cache_clear()
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        params = SourceParams(mean_photon=0.123, eta_b=0.7)
+        pgen(params)
+        fidelity(params)
+        memory.spin_spin_dm(params)
+    finally:
+        tracer.restore()
+    calls = tracer.calls()
+    for name in ("kfunction.k_data", "moments.assemble_a", "moments.wick_moment", "moments.hafnian"):
+        assert calls[name] >= 1, name
