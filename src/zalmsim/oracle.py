@@ -8,12 +8,16 @@ detection kernels.  Independent of the engine's amplitude-basis K-function
 machinery by construction; agreement between the two is the package's core
 correctness argument.  Every scalar quantity is one lossy-state element
 <d| rho |g> from ``_element``: each chain contracted with a detection kernel
-at every detected mode's own efficiency and summed over the traced modes.
-The full truncated state, which the Kraus-branch heralding path needs, has
-one builder: ``build_pre_bsm_state``, then the (3, 5) and (4, 6) splitters.
-``oracle_covariance`` reports one chain's second moments from that chain's
-Fock amplitudes, the quantity the engine's closed-form chain covariance is
-checked against.
+at every detected mode's own efficiency and summed over the traced modes,
+one array contraction per chain over a per-cutoff table of the sector
+unitaries (``_bs_table``).  The full truncated state, which the Kraus-branch
+heralding path needs, has one builder: ``build_pre_bsm_state``, then the
+(3, 5) and (4, 6) splitters.  ``oracle_pgen_filtered`` projects each of its
+entries onto the herald pattern through the one Kraus index per mode that
+reaches it, with the coefficients ``oracle_apply_loss`` uses
+(``_kraus_coeffs``).  ``oracle_covariance`` reports one chain's second
+moments from that chain's Fock amplitudes, the quantity the engine's
+closed-form chain covariance is checked against.
 
 Mode bookkeeping: TMSV ladder indices (n, m, k, l) populate modes
 (1,4) = n, (2,3) = m, (5,8) = k, (6,7) = l before the splitters mix
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from math import comb, factorial, sqrt
 
@@ -89,6 +94,23 @@ def _trace_vec(nmax: int) -> tuple[int, np.ndarray]:
     return 0, np.ones(nmax + 1)
 
 
+@functools.lru_cache(maxsize=16)
+def _bs_table(cutoff: int) -> np.ndarray:
+    """Every 50:50 sector unitary a chain at this cutoff meets, as table[t, a, u].
+
+    table[t, a, u] = _bs_sector(t)[a, u] for totals t = 0..2 cutoff, output
+    counts a = 0..2 cutoff and ladder indices u = 0..cutoff; entries with a or
+    u above t are 0, so a contraction may index the whole box.
+    """
+    size = 2 * cutoff + 1
+    table = np.zeros((size, size, cutoff + 1))
+    for t in range(size):
+        cols = min(t, cutoff) + 1
+        table[t, : t + 1, :cols] = _bs_sector(t, BS_THETA)[:, :cols]
+    table.flags.writeable = False
+    return table
+
+
 def _chain_value(
     mu: float,
     cutoff: int,
@@ -97,11 +119,19 @@ def _chain_value(
     bs1: tuple[int, np.ndarray],
     bs2: tuple[int, np.ndarray],
 ) -> float:
-    """One chain's contribution: sum over its TMSV indices (u, v).
+    """One chain's contribution: sum over its TMSV indices (u, v) and splitter output a.
 
     outer1/outer2 are the kernels of the chain's undisturbed modes (occupancy
-    u and v); bs1/bs2 the kernels of the two splitter outputs.  Photon-number
-    conservation of the splitter forces the shifts to balance.
+    u and v on the ket, u + du and v + dv on the bra); bs1/bs2 the kernels of
+    the two splitter outputs (a and t - a photons on the ket, t = u + v).
+    Photon-number conservation of the splitter forces the shifts to balance.
+    The sum is one contraction over a (u, v, a) box of table gathers:
+
+        sum  c_u c_v U_t[a, u] U_tb[a + s1, u + du] w1[a] w2[t - a]
+
+    with c_u = amps[u] amps[u + du] vec_u[u] and tb = t + du + dv.  Indices
+    that leave the ladder or the table are clamped into it and their terms
+    masked to 0; U_t[a, u] = 0 for a > t masks the rest.
     """
     du, vec_u = outer1
     dv, vec_v = outer2
@@ -109,34 +139,29 @@ def _chain_value(
     s2, w2 = bs2
     if du + dv != s1 + s2:
         return 0.0
-    amps = _tmsv_amps(mu, cutoff + max(abs(du), abs(dv)))
-    total = 0.0
-    for u in range(cutoff + 1):
-        ub = u + du
-        if not 0 <= ub <= cutoff:
-            continue
-        cu = amps[u] * amps[ub] * vec_u[u]
-        if cu == 0.0:
-            continue
-        for v in range(cutoff + 1):
-            vb = v + dv
-            if not 0 <= vb <= cutoff:
-                continue
-            cv = amps[v] * amps[vb] * vec_v[v]
-            if cv == 0.0:
-                continue
-            t = u + v
-            tb = ub + vb
-            uk = _bs_sector(t, BS_THETA)
-            ukb = _bs_sector(tb, BS_THETA)
-            acc = 0.0
-            for a in range(t + 1):
-                ab = a + s1
-                if not 0 <= ab <= tb:
-                    continue
-                acc += uk[a, u] * ukb[ab, ub] * w1[a] * w2[t - a]
-            total += cu * cv * acc
-    return total
+    amps = _tmsv_amps(mu, cutoff)
+    ladder = np.arange(cutoff + 1)
+
+    def bra_side(shift: int, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        shifted = ladder + shift
+        inside = (shifted >= 0) & (shifted <= cutoff)
+        shifted = np.where(inside, shifted, 0)
+        return shifted, np.where(inside, amps * amps[shifted] * vec, 0.0)
+
+    ub, cu = bra_side(du, vec_u)
+    vb, cv = bra_side(dv, vec_v)
+    out = np.arange(2 * cutoff + 1)
+    ab = out + s1
+    ab_inside = (ab >= 0) & (ab <= 2 * cutoff)
+    ab = np.where(ab_inside, ab, 0)
+    t = (ladder[:, None] + ladder)[:, :, None]
+    tb = (ub[:, None] + vb)[:, :, None]
+    rest = np.maximum(t - out, 0)
+    table = _bs_table(cutoff)
+    ket = table[t, out, ladder[:, None, None]]
+    bra = table[tb, ab, ub[:, None, None]]
+    inner = np.sum(ket * bra * np.where(ab_inside, w1, 0.0) * w2[rest], axis=2)
+    return float(cu @ inner @ cv)
 
 
 def _converge(evaluate, start: int = CUTOFF_START) -> tuple[np.ndarray, int]:
@@ -158,8 +183,24 @@ def _converge(evaluate, start: int = CUTOFF_START) -> tuple[np.ndarray, int]:
     raise ConvergenceError(f"no convergence by cutoff {CUTOFF_CAP}")
 
 
+def _evaluate(at, cutoff: int | None):
+    """at(cutoff) at a fixed cutoff, else the converged value."""
+    return at(cutoff) if cutoff is not None else _converge(at)[0]
+
+
 HERALD_MODES = (3, 4, 5, 6)
 OUTER_MODES = (1, 2, 7, 8)
+
+
+def _herald_pattern(pattern) -> tuple[int, ...]:
+    """The photon counts on herald modes 3-6 as four nonnegative ints."""
+    try:
+        counts = tuple(operator.index(n) for n in pattern)
+    except TypeError:
+        counts = ()
+    if len(counts) != 4 or min(counts) < 0:
+        raise ValueError(f"herald pattern must be 4 nonnegative ints, got {pattern!r}")
+    return counts
 
 
 def _element(mu: float, etas, d, g, traced, cutoff: int, kernel=_kernel_vec) -> float:
@@ -186,16 +227,13 @@ def oracle_pgen(
     cutoff: int | None = None,
 ) -> float:
     """Heralding-pattern probability by direct Fock-space contraction, eta_b on every herald mode."""
-    herald = (0, 0) + tuple(int(n) for n in pattern) + (0, 0)
+    herald = (0, 0) + _herald_pattern(pattern) + (0, 0)
     etas = (1.0, 1.0, eta_b, eta_b, eta_b, eta_b, 1.0, 1.0)
 
     def at(c: int) -> float:
         return _element(mu, etas, herald, herald, OUTER_MODES, c)
 
-    if cutoff is not None:
-        return at(cutoff)
-    value, _ = _converge(at)
-    return float(value)
+    return float(_evaluate(at, cutoff))
 
 
 def oracle_fock_element(
@@ -213,10 +251,7 @@ def oracle_fock_element(
     def at(c: int) -> float:
         return _element(mu, etas, d, g, (), c)
 
-    if cutoff is not None:
-        return complex(at(cutoff))
-    value, _ = _converge(at)
-    return complex(value)
+    return complex(_evaluate(at, cutoff))
 
 
 def oracle_fidelity(
@@ -231,7 +266,7 @@ def oracle_fidelity(
     Undefined where nothing heralds (mean photon number 0 or a clicked
     herald mode at efficiency 0): every term and pgen vanish at every cutoff.
     """
-    pattern = tuple(int(n) for n in pattern)
+    pattern = _herald_pattern(pattern)
     etas = np.asarray(etas, dtype=float)
     blind = [m for m, n in zip(HERALD_MODES, pattern) if n and etas[m - 1] == 0.0]
     if mu == 0.0 or blind:
@@ -248,10 +283,7 @@ def oracle_fidelity(
         den = _element(mu, etas, herald, herald, OUTER_MODES, c, kernel)
         return 0.5 * (t11 + t22 + cross_sign * (t12 + t21)) / den
 
-    if cutoff is not None:
-        return at(cutoff)
-    value, _ = _converge(at)
-    return float(value)
+    return float(_evaluate(at, cutoff))
 
 
 _PBS_AMP = {
@@ -314,10 +346,7 @@ def oracle_spin_spin(
                     out[r, col] += weight * pk * pb
         return out
 
-    if cutoff is not None:
-        return at(cutoff)
-    value, _ = _converge(at)
-    return value
+    return _evaluate(at, cutoff)
 
 
 def oracle_pgen_dark(
@@ -335,6 +364,7 @@ def oracle_pgen_dark(
     the resulting ratio.
     """
     pd = dark_click_prob
+    pattern = _herald_pattern(pattern)
     clicked = [i for i, n in enumerate(pattern) if n == 1]
     if len(clicked) != 2 or sum(pattern) != 2:
         raise ValueError(f"dark-count heralding needs two single clicks, got {pattern}")
@@ -346,7 +376,7 @@ def oracle_pgen_dark(
                 photon_pattern[idx] = 0
             weight = pd**dark * (1.0 - pd) ** (4 - dark)
             total += weight * oracle_pgen(mu, eta_b, tuple(photon_pattern), cutoff=cutoff)
-    return total
+    return float(total)
 
 
 @dataclass
@@ -377,6 +407,22 @@ def oracle_build_cascaded(mu: float, cutoff: int) -> TruncatedState:
     return state
 
 
+def _check_efficiency(eta: float) -> None:
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+
+
+def _kraus_coeffs(max_occ: int, eta: float) -> list[list[float]]:
+    """coeffs[o][kk] = <o - kk| E_kk |o>: the loss Kraus operator E_kk that removes kk of o photons."""
+    return [
+        [
+            sqrt((1.0 - eta) ** kk / factorial(kk)) * eta ** ((o - kk) / 2.0) * sqrt(factorial(o) / factorial(o - kk))
+            for kk in range(o + 1)
+        ]
+        for o in range(max_occ + 1)
+    ]
+
+
 def oracle_apply_loss(state: TruncatedState, mode: int, eta: float) -> TruncatedState:
     """Expand the Kraus-operator loss channel on one mode into branches.
 
@@ -384,17 +430,10 @@ def oracle_apply_loss(state: TruncatedState, mode: int, eta: float) -> Truncated
     lost), in increasing kk; an entry with o photons on the mode feeds
     branches kk = 0..o, and empty branches are dropped.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    _check_efficiency(eta)
     i = mode - 1
     max_occ = max((occ[i] for branch in state.branches for occ in branch), default=0)
-    coeffs = [
-        [
-            sqrt((1.0 - eta) ** kk / factorial(kk)) * eta ** ((o - kk) / 2.0) * sqrt(factorial(o) / factorial(o - kk))
-            for kk in range(o + 1)
-        ]
-        for o in range(max_occ + 1)
-    ]
+    coeffs = _kraus_coeffs(max_occ, eta)
     new_branches = []
     for branch in state.branches:
         by_kk: list[dict[tuple[int, ...], complex]] = [{} for _ in range(max_occ + 1)]
@@ -458,23 +497,40 @@ def pattern_probability(state: TruncatedState, modes: tuple[int, ...], pattern: 
 def oracle_pgen_filtered(
     mu: float, eta_b: float, pattern=(1, 1, 0, 0), cutoff: int = 4
 ) -> float:
-    """Second, independent heralding-probability path: Kraus branches + amplitude filtering.
+    """Second, independent heralding-probability path: Kraus loss on the full truncated state.
 
-    Right after each heralding mode's loss, only the entries whose count on
-    that mode equals the pattern's are kept.  Loss on the other modes never
-    changes that count, so this projection commutes with the later losses
-    and drops exactly the entries the final pattern filter would drop: the
-    result equals loss on all four modes followed by ``pattern_probability``,
-    while the branches stay bounded by the support instead of growing as
-    (max occupation + 1)^4.
+    Defined as loss on the four herald modes by ``oracle_apply_loss``, then
+    ``pattern_probability``: the sum of |amplitude|^2 over the Kraus branches,
+    ordered by (kk3, kk4, kk5, kk6), of the entries that show the pattern.
+    Loss on one mode never changes another mode's count, so an entry of the
+    lossless state with o photons on herald mode m reaches the pattern's
+    count c_m through exactly one Kraus index, kk_m = o - c_m.  Each full-state
+    entry therefore lands in one branch with amplitude
+    amp * E(o3, kk3) * E(o4, kk4) * E(o5, kk5) * E(o6, kk6), and none of the
+    (max occupation + 1)^4 branches is built.  The factors are multiplied in
+    mode order and the squares summed branch by branch in that order, so the
+    result is bit-identical to the branch expansion.
     """
-    pattern = tuple(int(n) for n in pattern)
-    state = oracle_build_cascaded(mu, cutoff)
-    for mode, count in zip((3, 4, 5, 6), pattern):
-        state = oracle_apply_loss(state, mode, eta_b)
-        kept = ({occ: amp for occ, amp in branch.items() if occ[mode - 1] == count} for branch in state.branches)
-        state.branches = [branch for branch in kept if branch]
-    return pattern_probability(state, (3, 4, 5, 6), pattern)
+    pattern = _herald_pattern(pattern)
+    _check_efficiency(eta_b)
+    (state,) = oracle_build_cascaded(mu, cutoff).branches
+    coeffs = _kraus_coeffs(2 * cutoff, eta_b)
+    herald = [(m - 1, count) for m, count in zip(HERALD_MODES, pattern)]
+    branches: dict[tuple[int, ...], list[float]] = {}
+    for occ, amp in state.items():
+        kks = []
+        for i, count in herald:
+            kk = occ[i] - count
+            if kk < 0:
+                break
+            coeff = coeffs[occ[i]][kk]
+            if coeff == 0.0:
+                break
+            amp = amp * coeff
+            kks.append(kk)
+        else:
+            branches.setdefault(tuple(kks), []).append(amp)
+    return float(sum(abs(amp) ** 2 for kks in sorted(branches) for amp in branches[kks]))
 
 
 def oracle_covariance(mu: float, cutoff: int) -> np.ndarray:

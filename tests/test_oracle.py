@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from math import factorial, sqrt
 
@@ -13,17 +14,25 @@ from zalmsim import (
     oracle_fidelity,
     oracle_fock_element,
     oracle_pgen,
+    oracle_pgen_dark,
     oracle_pgen_filtered,
     oracle_spin_spin,
 )
+from zalmsim import oracle
 from zalmsim.oracle import (
     _bs_sector,
+    _bs_table,
+    _chain_value,
     _element,
+    _kernel_vec,
     _tmsv_amps,
+    _trace_vec,
     apply_beamsplitter,
     build_pre_bsm_state,
     pattern_probability,
 )
+
+from oracle_reference import chain_value_loop
 
 
 class TestBuildCascaded:
@@ -285,3 +294,91 @@ class TestBeamsplitterSectors:
         engine = build_cascaded_cov(0.05)
         oracle = oracle_covariance(0.05, cutoff=10)
         assert np.max(np.abs(engine - oracle)) < 1e-9
+
+
+# Kernel shifts (du, dv, s1, s2) of one chain's four modes in -2..2 that the splitter can balance.
+CHAIN_SHIFTS = [
+    (du, dv, s1, du + dv - s1) for du, dv, s1 in itertools.product(range(-2, 3), repeat=3) if abs(du + dv - s1) <= 2
+]
+
+
+class TestChainContraction:
+    """The array contraction against the explicit (u, v, a) loop it replaced."""
+
+    def test_table_holds_the_sector_unitaries(self):
+        cutoff = 5
+        table = _bs_table(cutoff)
+        assert table.shape == (2 * cutoff + 1, 2 * cutoff + 1, cutoff + 1)
+        for t in range(2 * cutoff + 1):
+            cols = min(t, cutoff) + 1
+            assert np.array_equal(table[t, : t + 1, :cols], _bs_sector(t, np.pi / 4)[:, :cols])
+            assert not table[t, t + 1 :].any() and not table[t, :, cols:].any()
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["kernels", "traced"])
+    @pytest.mark.parametrize("mu", [0.0, 1e-3, 0.1, 0.5])
+    @pytest.mark.parametrize("cutoff", range(2, 13))
+    def test_matches_loop(self, cutoff, mu, traced):
+        amps = _tmsv_amps(mu, cutoff)
+        sizes = (cutoff, cutoff, 2 * cutoff, 2 * cutoff)
+        for shifts in CHAIN_SHIFTS:
+            kernels = []
+            for nmax, shift, eta, lowest in zip(sizes, shifts, (0.9, 0.8, 0.7, 0.6), (0, 1, 1, 0)):
+                if traced and shift == 0:
+                    kernels.append(_trace_vec(nmax))
+                else:
+                    d = lowest + max(0, -shift)
+                    kernels.append(_kernel_vec(nmax, d, d + shift, eta))
+            got = _chain_value(mu, cutoff, *kernels)
+            ref = chain_value_loop(mu, cutoff, *kernels)
+            # Some shift combinations vanish by symmetry and then hold only
+            # rounding, so the tolerance also scales with a bound on the sum
+            # of the terms' magnitudes (a sector unitary's columns are unit vectors).
+            (_, vec_u), (_, vec_v), (_, w1), (_, w2) = kernels
+            bound = np.sum(amps * amps[0] * np.abs(vec_u)) * np.sum(amps * amps[0] * np.abs(vec_v))
+            bound *= np.max(np.abs(w1)) * np.max(np.abs(w2))
+            assert abs(got - ref) <= 1e-13 * (abs(ref) + bound), (shifts, got, ref)
+
+
+class TestReturnTypes:
+    ETAS = (0.9, 0.9, 0.8, 0.8, 0.8, 0.8, 0.9, 0.9)
+
+    @pytest.mark.parametrize("cutoff", [4, None], ids=["fixed", "converged"])
+    def test_python_scalars_on_every_path(self, cutoff):
+        assert type(oracle_pgen(0.1, 0.8, cutoff=cutoff)) is float
+        assert type(oracle_fidelity(0.1, self.ETAS, cutoff=cutoff)) is float
+        assert type(oracle_pgen_dark(0.1, 0.8, 1e-2, cutoff=cutoff)) is float
+        element = oracle_fock_element(0.1, self.ETAS, (1, 0, 1, 1, 0, 0, 0, 1), (0, 1, 1, 1, 0, 0, 1, 0), cutoff=cutoff)
+        assert type(element) is complex
+
+    @pytest.mark.parametrize("pattern", [(1, 1, 0, 0), (5, 0, 0, 0)], ids=["inside", "outside-support"])
+    def test_filtered_path_is_float(self, pattern):
+        assert type(oracle_pgen_filtered(0.1, 0.8, pattern, cutoff=2)) is float
+
+
+class TestHeraldPatternValidation:
+    ENTRY_POINTS = {
+        "pgen": lambda p: oracle_pgen(0.1, 0.8, p, cutoff=2),
+        "pgen_dark": lambda p: oracle_pgen_dark(0.1, 0.8, 1e-2, p, cutoff=2),
+        "pgen_filtered": lambda p: oracle_pgen_filtered(0.1, 0.8, p, cutoff=2),
+    }
+
+    @pytest.mark.parametrize("pattern", [(-1, 1, 0, 0), (1, 1, 0), (1, 1, 0, 0, 0), (1.0, 1, 0, 0), "1100", 7, None])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejects_bad_pattern_in_one_line(self, entry, pattern):
+        with pytest.raises(ValueError, match="^herald pattern must be 4 nonnegative ints") as info:
+            self.ENTRY_POINTS[entry](pattern)
+        assert "\n" not in str(info.value)
+
+    def test_accepts_numpy_ints(self):
+        pattern = np.array([1, 1, 0, 0])
+        assert oracle_pgen(0.1, 0.8, pattern, cutoff=2) == oracle_pgen(0.1, 0.8, (1, 1, 0, 0), cutoff=2)
+        assert oracle_pgen_filtered(0.1, 0.8, pattern, cutoff=2) == oracle_pgen_filtered(0.1, 0.8, cutoff=2)
+
+    @pytest.mark.parametrize("eta_b", [-0.1, 1.5, float("nan")])
+    def test_filtered_checks_efficiency_before_building(self, eta_b, monkeypatch):
+        def build(*args):
+            raise AssertionError("the 8-mode state was built")
+
+        monkeypatch.setattr(oracle, "oracle_build_cascaded", build)
+        with pytest.raises(ValueError, match="eta must lie in"):
+            oracle_pgen_filtered(0.1, eta_b, cutoff=2)
