@@ -10,12 +10,17 @@ correctness argument.  Every scalar quantity is one lossy-state element
 <d| rho |g> from ``_element``: each chain contracted with a detection kernel
 at every detected mode's own efficiency and summed over the traced modes,
 one array contraction per chain over a per-cutoff table of the sector
-unitaries (``_bs_table``).  The full truncated state, which the Kraus-branch
-heralding path needs, has one builder: ``build_pre_bsm_state``, then the
-(3, 5) and (4, 6) splitters.  ``oracle_pgen_filtered`` projects each of its
-entries onto the herald pattern through the one Kraus index per mode that
-reaches it, with the coefficients ``oracle_apply_loss`` uses
-(``_kraus_coeffs``).  ``oracle_covariance`` reports one chain's second
+unitaries (``_bs_table``), with the gathers cached per cutoff and kernel
+shifts (``_chain_gathers``).  The full truncated state, which the
+Kraus-branch heralding path needs, has one builder: ``build_pre_bsm_state``,
+then the (3, 5) and (4, 6) splitters.  A ``TruncatedState`` holds it as
+arrays, one (occupations, amplitudes) pair per Kraus branch, in an entry
+order every function keeps, so each sum over it runs in one fixed order.
+``oracle_pgen_filtered`` projects each of its entries onto the herald
+pattern through the one Kraus index per mode that reaches it, with the
+coefficients ``oracle_apply_loss`` uses (``_kraus_coeffs``).  Public entry
+points check their physical inputs once and raise a one-line ``ValueError``.
+``oracle_covariance`` reports one chain's second
 moments from that chain's Fock amplitudes, the quantity the engine's
 closed-form chain covariance is checked against.
 
@@ -32,7 +37,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from math import comb, factorial, sqrt
+from math import factorial, sqrt
 
 import numpy as np
 
@@ -111,6 +116,40 @@ def _bs_table(cutoff: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=32)
+def _chain_gathers(cutoff: int, du: int, dv: int, s1: int) -> tuple[np.ndarray, ...]:
+    """The index work of _chain_value for one set of kernel shifts, done once.
+
+    Returns (ub, u_inside, vb, v_inside, ab_inside, rest, sectors): the bra
+    ladder indices u + du and v + dv clamped into the ladder with their
+    masks, the mask of splitter outputs a + s1 inside the table, the second
+    output's count t - a clamped at 0, and the product of the ket and bra
+    table gathers U_t[a, u] U_tb[a + s1, u + du] over the (u, v, a) box.
+    """
+    ladder = np.arange(cutoff + 1)
+
+    def bra_index(shift: int) -> tuple[np.ndarray, np.ndarray]:
+        shifted = ladder + shift
+        inside = (shifted >= 0) & (shifted <= cutoff)
+        return np.where(inside, shifted, 0), inside
+
+    ub, u_inside = bra_index(du)
+    vb, v_inside = bra_index(dv)
+    out = np.arange(2 * cutoff + 1)
+    ab = out + s1
+    ab_inside = (ab >= 0) & (ab <= 2 * cutoff)
+    ab = np.where(ab_inside, ab, 0)
+    t = (ladder[:, None] + ladder)[:, :, None]
+    tb = (ub[:, None] + vb)[:, :, None]
+    rest = np.maximum(t - out, 0)
+    table = _bs_table(cutoff)
+    sectors = table[t, out, ladder[:, None, None]] * table[tb, ab, ub[:, None, None]]
+    gathers = (ub, u_inside, vb, v_inside, ab_inside, rest, sectors)
+    for array in gathers:
+        array.flags.writeable = False
+    return gathers
+
+
 def _chain_value(
     mu: float,
     cutoff: int,
@@ -131,7 +170,8 @@ def _chain_value(
 
     with c_u = amps[u] amps[u + du] vec_u[u] and tb = t + du + dv.  Indices
     that leave the ladder or the table are clamped into it and their terms
-    masked to 0; U_t[a, u] = 0 for a > t masks the rest.
+    masked to 0; U_t[a, u] = 0 for a > t masks the rest.  The gathers depend
+    only on the cutoff and the shifts (_chain_gathers).
     """
     du, vec_u = outer1
     dv, vec_v = outer2
@@ -140,27 +180,10 @@ def _chain_value(
     if du + dv != s1 + s2:
         return 0.0
     amps = _tmsv_amps(mu, cutoff)
-    ladder = np.arange(cutoff + 1)
-
-    def bra_side(shift: int, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        shifted = ladder + shift
-        inside = (shifted >= 0) & (shifted <= cutoff)
-        shifted = np.where(inside, shifted, 0)
-        return shifted, np.where(inside, amps * amps[shifted] * vec, 0.0)
-
-    ub, cu = bra_side(du, vec_u)
-    vb, cv = bra_side(dv, vec_v)
-    out = np.arange(2 * cutoff + 1)
-    ab = out + s1
-    ab_inside = (ab >= 0) & (ab <= 2 * cutoff)
-    ab = np.where(ab_inside, ab, 0)
-    t = (ladder[:, None] + ladder)[:, :, None]
-    tb = (ub[:, None] + vb)[:, :, None]
-    rest = np.maximum(t - out, 0)
-    table = _bs_table(cutoff)
-    ket = table[t, out, ladder[:, None, None]]
-    bra = table[tb, ab, ub[:, None, None]]
-    inner = np.sum(ket * bra * np.where(ab_inside, w1, 0.0) * w2[rest], axis=2)
+    ub, u_inside, vb, v_inside, ab_inside, rest, sectors = _chain_gathers(cutoff, du, dv, s1)
+    cu = np.where(u_inside, amps * amps[ub] * vec_u, 0.0)
+    cv = np.where(v_inside, amps * amps[vb] * vec_v, 0.0)
+    inner = np.sum(sectors * np.where(ab_inside, w1, 0.0) * w2[rest], axis=2)
     return float(cu @ inner @ cv)
 
 
@@ -192,15 +215,38 @@ HERALD_MODES = (3, 4, 5, 6)
 OUTER_MODES = (1, 2, 7, 8)
 
 
-def _herald_pattern(pattern) -> tuple[int, ...]:
-    """The photon counts on herald modes 3-6 as four nonnegative ints."""
+def _counts(pattern, size: int, what: str) -> tuple[int, ...]:
+    """pattern as size nonnegative ints (numpy ints pass, floats do not), else a one-line ValueError."""
     try:
         counts = tuple(operator.index(n) for n in pattern)
     except TypeError:
         counts = ()
-    if len(counts) != 4 or min(counts) < 0:
-        raise ValueError(f"herald pattern must be 4 nonnegative ints, got {pattern!r}")
+    if len(counts) != size or min(counts) < 0:
+        raise ValueError(f"{what} must be {size} nonnegative ints, got {pattern!r}")
     return counts
+
+
+def _herald_pattern(pattern) -> tuple[int, ...]:
+    """The photon counts on herald modes 3-6 as four nonnegative ints."""
+    return _counts(pattern, 4, "herald pattern")
+
+
+def _check_mean_photon(mu: float) -> None:
+    if not (np.isfinite(mu) and mu >= 0):
+        raise ValueError(f"mean photon number must be finite and >= 0, got {mu}")
+
+
+def _check_efficiency(eta: float) -> None:
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+
+
+def _efficiencies(etas) -> np.ndarray:
+    """The eight per-mode efficiencies as a float array, each in [0, 1]."""
+    values = np.asarray(etas, dtype=float)
+    if values.shape != (8,) or not np.all((values >= 0.0) & (values <= 1.0)):
+        raise ValueError(f"etas must be 8 efficiencies in [0, 1], got {values.tolist()}")
+    return values
 
 
 def _element(mu: float, etas, d, g, traced, cutoff: int, kernel=_kernel_vec) -> float:
@@ -227,6 +273,8 @@ def oracle_pgen(
     cutoff: int | None = None,
 ) -> float:
     """Heralding-pattern probability by direct Fock-space contraction, eta_b on every herald mode."""
+    _check_mean_photon(mu)
+    _check_efficiency(eta_b)
     herald = (0, 0) + _herald_pattern(pattern) + (0, 0)
     etas = (1.0, 1.0, eta_b, eta_b, eta_b, eta_b, 1.0, 1.0)
 
@@ -244,9 +292,10 @@ def oracle_fock_element(
     cutoff: int | None = None,
 ) -> complex:
     """<d| rho_lossy |g> for 8-mode Fock indices by chain contraction."""
-    etas = np.asarray(etas, dtype=float)
-    d = tuple(int(x) for x in d)
-    g = tuple(int(x) for x in g)
+    _check_mean_photon(mu)
+    etas = _efficiencies(etas)
+    d = _counts(d, 8, "Fock index d")
+    g = _counts(g, 8, "Fock index g")
 
     def at(c: int) -> float:
         return _element(mu, etas, d, g, (), c)
@@ -266,8 +315,9 @@ def oracle_fidelity(
     Undefined where nothing heralds (mean photon number 0 or a clicked
     herald mode at efficiency 0): every term and pgen vanish at every cutoff.
     """
+    _check_mean_photon(mu)
     pattern = _herald_pattern(pattern)
-    etas = np.asarray(etas, dtype=float)
+    etas = _efficiencies(etas)
     blind = [m for m, n in zip(HERALD_MODES, pattern) if n and etas[m - 1] == 0.0]
     if mu == 0.0 or blind:
         raise UndefinedFidelityError(f"zero heralding probability at mu={mu}, efficiency 0 on clicked modes {blind}")
@@ -317,8 +367,9 @@ def oracle_spin_spin(
     memory pair, so the per-mode Kraus decomposition collapses to small
     kernel sums threaded through the two chains.
     """
-    etas = np.asarray(etas, dtype=float)
-    click = tuple(int(n) for n in click_pattern)
+    _check_mean_photon(mu)
+    etas = _efficiencies(etas)
+    click = _counts(click_pattern, 8, "click pattern")
     herald = click[2:6]
     opts12 = _pair_detection_amps((click[0], click[1]))
     opts78 = _pair_detection_amps((click[6], click[7]))
@@ -364,6 +415,8 @@ def oracle_pgen_dark(
     the resulting ratio.
     """
     pd = dark_click_prob
+    if not 0.0 <= pd <= 1.0:
+        raise ValueError(f"dark click probability must lie in [0, 1], got {pd}")
     pattern = _herald_pattern(pattern)
     clicked = [i for i, n in enumerate(pattern) if n == 1]
     if len(clicked) != 2 or sum(pattern) != 2:
@@ -381,46 +434,48 @@ def oracle_pgen_dark(
 
 @dataclass
 class TruncatedState:
-    """Sparse Fock representation with Kraus-loss branch decomposition.
+    """Truncated Fock state of the cascaded source as Kraus-loss branches of arrays.
 
-    branches maps occupation tuples to amplitudes; before any loss there is a
-    single branch.  norm_deficit bounds the weight lost to truncation.
+    Each branch is an (occ, amp) pair: occ an (N, n_modes) int array with one
+    row of occupation numbers per entry, amp the (N,) real amplitudes.  Rows
+    are distinct within a branch and stay in the order their builder made
+    them, which fixes the order of every product and sum over them.  Before
+    any loss there is a single branch.  norm_deficit bounds the weight lost
+    to truncation.
     """
 
     n_modes: int
     cutoff: int
-    branches: list[dict[tuple[int, ...], complex]]
+    branches: list[tuple[np.ndarray, np.ndarray]]
     norm_deficit: float
     warning: str | None = None
 
     def total_weight(self) -> float:
-        return sum(sum(abs(a) ** 2 for a in b.values()) for b in self.branches)
+        return sum(sum(_squares(amp)) for _, amp in self.branches)
+
+
+def _squares(amps: np.ndarray) -> list[float]:
+    """|amp|^2 of each entry, in entry order, as float pow takes it (not always amp * amp)."""
+    return list(map(pow, np.abs(amps).tolist(), itertools.repeat(2)))
 
 
 def oracle_build_cascaded(mu: float, cutoff: int) -> TruncatedState:
     """Cascaded-source state: four truncated TMSV ladders, then the BSM splitters (3, 5) and (4, 6)."""
-    if not np.isfinite(mu) or mu < 0:
-        raise ValueError(f"mean photon number must be finite and >= 0, got {mu}")
     state = apply_beamsplitter(apply_beamsplitter(build_pre_bsm_state(mu, cutoff), 3, 5), 4, 6)
     if state.norm_deficit > 1e-3:
         state.warning = f"norm deficit {state.norm_deficit:.2e} exceeds 1e-3 at mu={mu}"
     return state
 
 
-def _check_efficiency(eta: float) -> None:
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-
-
-def _kraus_coeffs(max_occ: int, eta: float) -> list[list[float]]:
-    """coeffs[o][kk] = <o - kk| E_kk |o>: the loss Kraus operator E_kk that removes kk of o photons."""
-    return [
-        [
+def _kraus_coeffs(max_occ: int, eta: float) -> np.ndarray:
+    """coeffs[o, kk] = <o - kk| E_kk |o>: the loss Kraus operator E_kk that removes kk of o photons; 0 for kk > o."""
+    coeffs = np.zeros((max_occ + 1, max_occ + 1))
+    for o in range(max_occ + 1):
+        coeffs[o, : o + 1] = [
             sqrt((1.0 - eta) ** kk / factorial(kk)) * eta ** ((o - kk) / 2.0) * sqrt(factorial(o) / factorial(o - kk))
             for kk in range(o + 1)
         ]
-        for o in range(max_occ + 1)
-    ]
+    return coeffs
 
 
 def oracle_apply_loss(state: TruncatedState, mode: int, eta: float) -> TruncatedState:
@@ -428,69 +483,91 @@ def oracle_apply_loss(state: TruncatedState, mode: int, eta: float) -> Truncated
 
     Each input branch gives one output branch per Kraus index kk (photons
     lost), in increasing kk; an entry with o photons on the mode feeds
-    branches kk = 0..o, and empty branches are dropped.
+    branches kk = 0..o in entry order, and empty branches are dropped.
     """
     _check_efficiency(eta)
     i = mode - 1
-    max_occ = max((occ[i] for branch in state.branches for occ in branch), default=0)
+    max_occ = max((int(occ[:, i].max(initial=0)) for occ, _ in state.branches), default=0)
     coeffs = _kraus_coeffs(max_occ, eta)
     new_branches = []
-    for branch in state.branches:
-        by_kk: list[dict[tuple[int, ...], complex]] = [{} for _ in range(max_occ + 1)]
-        for occ, amp in branch.items():
-            o = occ[i]
-            head, tail = occ[:i], occ[i + 1 :]
-            for kk, coeff in enumerate(coeffs[o]):
-                if coeff != 0.0:
-                    by_kk[kk][head + (o - kk,) + tail] = amp * coeff
-        new_branches.extend(nb for nb in by_kk if nb)
+    for occ, amp in state.branches:
+        for kk in range(max_occ + 1):
+            coeff = coeffs[occ[:, i], kk]
+            keep = coeff != 0.0
+            if keep.any():
+                lost = occ[keep]
+                lost[:, i] -= kk
+                new_branches.append((lost, amp[keep] * coeff[keep]))
     return TruncatedState(state.n_modes, state.cutoff, new_branches, state.norm_deficit)
 
 
 def build_pre_bsm_state(mu: float, cutoff: int) -> TruncatedState:
-    """Two SPDC sources side by side, before the BSM splitters mix (3,5) and (4,6)."""
+    """Two SPDC sources side by side, before the BSM splitters mix (3,5) and (4,6).
+
+    Entries run over the ladder indices (n, m, k, l) with l fastest; each
+    amplitude is amps[n] * amps[m] * amps[k] * amps[l], multiplied in that order.
+    """
+    _check_mean_photon(mu)
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    amps = _tmsv_amps(mu, cutoff).tolist()
-    state: dict[tuple[int, ...], complex] = {}
-    rng = range(cutoff + 1)
-    for n, m, k, l in itertools.product(rng, rng, rng, rng):
-        amp = amps[n] * amps[m] * amps[k] * amps[l]
-        if amp != 0.0:
-            state[(n, m, m, n, k, l, l, k)] = amp
+    amps = _tmsv_amps(mu, cutoff)
+    n, m, k, l = (g.ravel() for g in np.meshgrid(*[np.arange(cutoff + 1)] * 4, indexing="ij"))
+    amp = amps[n] * amps[m] * amps[k] * amps[l]
+    keep = amp != 0.0
+    occ = np.stack((n, m, m, n, k, l, l, k), axis=1)[keep]
     ratio = mu / (1.0 + mu)
     deficit = 1.0 - (1.0 - ratio ** (cutoff + 1)) ** 4
-    return TruncatedState(8, cutoff, [state], deficit)
+    return TruncatedState(8, cutoff, [(occ, amp[keep])], deficit)
 
 
 def apply_beamsplitter(state: TruncatedState, i: int, j: int) -> TruncatedState:
-    """Apply the 50:50 (i, j) beam splitter to every branch, sector by sector."""
+    """Apply the 50:50 (i, j) beam splitter to every branch, sector by sector.
+
+    An entry with (oi, oj) photons on the pair feeds the outputs (a, oi + oj - a)
+    through the column oi of _bs_sector(oi + oj), in increasing a, skipping
+    zero coefficients.  Equal output occupations merge in order of first
+    appearance, their terms amp * f added from 0.0 in entry order.
+    """
     new_branches = []
-    for branch in state.branches:
-        nb: dict[tuple[int, ...], complex] = {}
-        for occ, amp in branch.items():
-            oi, oj = occ[i - 1], occ[j - 1]
-            for a, f in enumerate(_bs_sector(oi + oj, BS_THETA)[:, oi].tolist()):
-                if f == 0.0:
-                    continue
-                new_occ = list(occ)
-                new_occ[i - 1] = a
-                new_occ[j - 1] = oi + oj - a
-                key = tuple(new_occ)
-                nb[key] = nb.get(key, 0.0) + amp * f
-        new_branches.append(nb)
+    for occ, amp in state.branches:
+        oi, oj = occ[:, i - 1], occ[:, j - 1]
+        total = oi + oj
+        tmax = int(total.max(initial=0))
+        sectors = np.zeros((tmax + 1, tmax + 1, tmax + 1))
+        for t in range(tmax + 1):
+            sectors[t, : t + 1, : t + 1] = _bs_sector(t, BS_THETA)
+        # One row per (entry, a), entry-major.
+        width = total + 1
+        src = np.repeat(np.arange(len(amp)), width)
+        a = np.arange(len(src)) - np.repeat(np.cumsum(width) - width, width)
+        f = sectors[total[src], a, oi[src]]
+        keep = f != 0.0
+        src, a, f = src[keep], a[keep], f[keep]
+        out = occ[src]
+        out[:, i - 1] = a
+        out[:, j - 1] = total[src] - a
+        base = max(int(occ.max(initial=0)), tmax) + 1
+        _, first, slot = np.unique(out @ base ** np.arange(occ.shape[1]), return_index=True, return_inverse=True)
+        # Renumber the distinct outputs by first appearance; bincount adds in input order.
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        merged = np.bincount(rank[slot], weights=amp[src] * f, minlength=len(order))
+        new_branches.append((out[first[order]], merged))
     return TruncatedState(state.n_modes, state.cutoff, new_branches, state.norm_deficit)
 
 
 def pattern_probability(state: TruncatedState, modes: tuple[int, ...], pattern: tuple[int, ...]) -> float:
-    """Probability of an exact click pattern on a mode subset, tracing the rest."""
-    idx = tuple(m - 1 for m in modes)
-    pattern = tuple(pattern)
+    """Probability of an exact click pattern on a mode subset, tracing the rest.
+
+    The |amp|^2 of the matching entries are summed branch by branch, in entry order.
+    """
+    idx = [m - 1 for m in modes]
+    pattern = np.asarray(tuple(pattern))
     return sum(
-        abs(amp) ** 2
-        for branch in state.branches
-        for occ, amp in branch.items()
-        if tuple(occ[i] for i in idx) == pattern
+        itertools.chain.from_iterable(
+            _squares(amp[np.all(occ[:, idx] == pattern, axis=1)]) for occ, amp in state.branches
+        )
     )
 
 
@@ -508,29 +585,22 @@ def oracle_pgen_filtered(
     entry therefore lands in one branch with amplitude
     amp * E(o3, kk3) * E(o4, kk4) * E(o5, kk5) * E(o6, kk6), and none of the
     (max occupation + 1)^4 branches is built.  The factors are multiplied in
-    mode order and the squares summed branch by branch in that order, so the
-    result is bit-identical to the branch expansion.
+    mode order and the squares summed branch by branch in that order (a
+    stable sort keeps entry order within a branch), so the result is
+    bit-identical to the branch expansion.
     """
     pattern = _herald_pattern(pattern)
     _check_efficiency(eta_b)
-    (state,) = oracle_build_cascaded(mu, cutoff).branches
-    coeffs = _kraus_coeffs(2 * cutoff, eta_b)
-    herald = [(m - 1, count) for m, count in zip(HERALD_MODES, pattern)]
-    branches: dict[tuple[int, ...], list[float]] = {}
-    for occ, amp in state.items():
-        kks = []
-        for i, count in herald:
-            kk = occ[i] - count
-            if kk < 0:
-                break
-            coeff = coeffs[occ[i]][kk]
-            if coeff == 0.0:
-                break
-            amp = amp * coeff
-            kks.append(kk)
-        else:
-            branches.setdefault(tuple(kks), []).append(amp)
-    return float(sum(abs(amp) ** 2 for kks in sorted(branches) for amp in branches[kks]))
+    ((occ, amp),) = oracle_build_cascaded(mu, cutoff).branches
+    herald = occ[:, [m - 1 for m in HERALD_MODES]]
+    kk = herald - pattern
+    factors = np.where(kk >= 0, _kraus_coeffs(2 * cutoff, eta_b)[herald, np.maximum(kk, 0)], 0.0)
+    keep = np.all(factors != 0.0, axis=1)
+    kk, c = kk[keep], factors[keep]
+    projected = amp[keep] * c[:, 0] * c[:, 1] * c[:, 2] * c[:, 3]
+    # lexsort's last key is the primary one
+    order = np.lexsort(kk.T[::-1])
+    return float(sum(_squares(projected[order])))
 
 
 def oracle_covariance(mu: float, cutoff: int) -> np.ndarray:
@@ -541,6 +611,7 @@ def oracle_covariance(mu: float, cutoff: int) -> np.ndarray:
     then the splitter on (2, 3).  Uses q = a + a^dag, p = i(a^dag - a) so the
     vacuum diagonal is 1, matching the covariance stage's normalization.
     """
+    _check_mean_photon(mu)
     amps1 = _tmsv_amps(mu, cutoff)
     occ_rows = []
     amp_rows = []

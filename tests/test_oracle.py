@@ -1,6 +1,6 @@
 import itertools
 import warnings
-from math import factorial, sqrt
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -32,13 +32,23 @@ from zalmsim.oracle import (
     pattern_probability,
 )
 
-from oracle_reference import chain_value_loop
+from oracle_reference import (
+    apply_beamsplitter_dict,
+    apply_loss_dict,
+    as_dicts,
+    build_pre_bsm_state_dict,
+    chain_value_loop,
+    pattern_probability_dict,
+    per_kraus_index_loss,
+)
 
 
 class TestBuildCascaded:
     def test_vacuum_is_single_amplitude(self):
         state = oracle_build_cascaded(0.0, 3)
-        assert state.branches[0] == {(0,) * 8: 1.0}
+        ((occ, amp),) = state.branches
+        assert occ.tolist() == [[0] * 8]
+        assert amp.tolist() == [1.0]
         assert state.norm_deficit == 0.0
 
     def test_tmsv_amplitudes_closed_form(self):
@@ -75,16 +85,16 @@ class TestApplyLoss:
         state = oracle_build_cascaded(0.1, 2)
         out = oracle_apply_loss(state, 3, 1.0)
         assert len(out.branches) == 1
-        before = state.branches[0]
-        after = out.branches[0]
-        assert set(before) == set(after)
-        worst = max(abs(before[k] - after[k]) for k in before)
+        ((occ_before, before),) = state.branches
+        ((occ_after, after),) = out.branches
+        assert occ_after.tolist() == occ_before.tolist()
+        worst = np.max(np.abs(before - after))
         assert worst < 1e-15
 
     def test_full_loss_empties_the_mode(self):
         state = oracle_build_cascaded(0.2, 2)
         out = oracle_apply_loss(state, 1, 0.0)
-        assert all(occ[0] == 0 for branch in out.branches for occ in branch)
+        assert all(not occ[:, 0].any() for occ, _ in out.branches)
         np.testing.assert_allclose(out.total_weight(), state.total_weight(), rtol=1e-12)
 
     def test_trace_preserved_at_half_loss(self):
@@ -222,27 +232,6 @@ class TestLossCommutation:
             assert abs(p1 - p2) < 1e-10
 
 
-def per_kraus_index_loss(state, mode, eta):
-    """Reference loss channel: one pass over every branch per Kraus index kk."""
-    max_occ = max(occ[mode - 1] for branch in state.branches for occ in branch)
-    out = []
-    for branch in state.branches:
-        for kk in range(max_occ + 1):
-            nb = {}
-            for occ, amp in branch.items():
-                o = occ[mode - 1]
-                if o < kk:
-                    continue
-                coeff = sqrt((1.0 - eta) ** kk / factorial(kk)) * eta ** ((o - kk) / 2.0) * sqrt(
-                    factorial(o) / factorial(o - kk)
-                )
-                if coeff != 0.0:
-                    nb[occ[: mode - 1] + (o - kk,) + occ[mode:]] = amp * coeff
-            if nb:
-                out.append(nb)
-    return out
-
-
 class TestProjectedFilter:
     @pytest.mark.parametrize("eta_b", [0.0, 0.6, 1.0])
     @pytest.mark.parametrize("pattern", [(1, 1, 0, 0), (2, 0, 1, 0), (0, 0, 0, 0)])
@@ -255,9 +244,57 @@ class TestProjectedFilter:
 
     def test_loss_branches_keep_order_and_amplitudes(self):
         state = oracle_apply_loss(oracle_build_cascaded(0.1, 3), 3, 0.6)
-        got = oracle_apply_loss(state, 4, 0.6).branches
-        expected = per_kraus_index_loss(state, 4, 0.6)
+        got = as_dicts(oracle_apply_loss(state, 4, 0.6))
+        expected = per_kraus_index_loss(as_dicts(state), 4, 0.6)
         assert [list(b.items()) for b in got] == [list(b.items()) for b in expected]
+
+
+def items(branches):
+    """Every branch's (occupation, amplitude) pairs in order; == compares the amplitudes bit for bit."""
+    return [list(b.items()) for b in branches]
+
+
+class TestArrayStateMatchesDictPath:
+    """The array TruncatedState against the dict-of-occupations path it replaced: same entries, same order, same bits."""
+
+    @pytest.mark.parametrize("mu", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("cutoff", [2, 3, 4])
+    def test_build_and_each_splitter(self, cutoff, mu):
+        pre = build_pre_bsm_state(mu, cutoff)
+        ref = build_pre_bsm_state_dict(mu, cutoff)
+        assert items(as_dicts(pre)) == items(ref)
+        first = apply_beamsplitter(pre, 3, 5)
+        ref = apply_beamsplitter_dict(ref, 3, 5)
+        assert items(as_dicts(first)) == items(ref)
+        assert items(as_dicts(apply_beamsplitter(first, 4, 6))) == items(apply_beamsplitter_dict(ref, 4, 6))
+        # the other order, and a splitter on a pair the cascade's first splitter filled
+        assert items(as_dicts(apply_beamsplitter(pre, 4, 6))) == items(apply_beamsplitter_dict(as_dicts(pre), 4, 6))
+        assert items(as_dicts(apply_beamsplitter(first, 3, 4))) == items(apply_beamsplitter_dict(ref, 3, 4))
+
+    @pytest.mark.parametrize("eta", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("cutoff", [2, 3, 4])
+    def test_loss_on_each_mode(self, cutoff, eta):
+        state = oracle_build_cascaded(0.1, cutoff)
+        ref = as_dicts(state)
+        for mode in range(1, 9):
+            assert items(as_dicts(oracle_apply_loss(state, mode, eta))) == items(apply_loss_dict(ref, mode, eta))
+
+    @pytest.mark.parametrize("eta", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("cutoff", [2, 3, 4])
+    def test_pattern_sums_over_branches(self, cutoff, eta):
+        state = oracle_build_cascaded(0.1, cutoff)
+        ref = as_dicts(state)
+        # Loss on all four herald modes at cutoff 4 makes 2025 branches, on
+        # which the dict reference alone takes about 15 s; two modes, one per
+        # chain, still give every sum many branches.
+        for mode in (3, 4, 5, 6) if cutoff < 4 else (3, 5):
+            state = oracle_apply_loss(state, mode, eta)
+            ref = apply_loss_dict(ref, mode, eta)
+        assert items(as_dicts(state)) == items(ref)
+        for pattern in ((1, 1, 0, 0), (1, 0, 1, 0), (2, 0, 0, 1), (0, 0, 0, 0), (9, 0, 0, 0)):
+            got = pattern_probability(state, (3, 4, 5, 6), pattern)
+            assert got == pattern_probability_dict(ref, (3, 4, 5, 6), pattern)
+        assert pattern_probability(state, (1, 8), (1, 0)) == pattern_probability_dict(ref, (1, 8), (1, 0))
 
 
 class TestBeamsplitterSectors:
@@ -382,3 +419,81 @@ class TestHeraldPatternValidation:
         monkeypatch.setattr(oracle, "oracle_build_cascaded", build)
         with pytest.raises(ValueError, match="eta must lie in"):
             oracle_pgen_filtered(0.1, eta_b, cutoff=2)
+
+
+class TestPhysicalInputChecks:
+    """Every public oracle entry point rejects an unphysical input with a one-line ValueError."""
+
+    ETAS = (0.9, 0.9, 0.8, 0.8, 0.8, 0.8, 0.9, 0.9)
+    D = (1, 0, 1, 1, 0, 0, 0, 1)
+    G = (0, 1, 1, 1, 0, 0, 1, 0)
+    BY_MU = {
+        "pgen": lambda mu: oracle_pgen(mu, 0.8, cutoff=4),
+        "fidelity": lambda mu: oracle_fidelity(mu, TestPhysicalInputChecks.ETAS, cutoff=4),
+        "fock_element": lambda mu: oracle_fock_element(mu, TestPhysicalInputChecks.ETAS, (0,) * 8, (0,) * 8, cutoff=4),
+        "spin_spin": lambda mu: oracle_spin_spin(mu, TestPhysicalInputChecks.ETAS, cutoff=4),
+        "pgen_dark": lambda mu: oracle_pgen_dark(mu, 0.8, 1e-3, cutoff=4),
+        "pgen_filtered": lambda mu: oracle_pgen_filtered(mu, 0.8, cutoff=2),
+        "covariance": lambda mu: oracle_covariance(mu, 4),
+        "build_cascaded": lambda mu: oracle_build_cascaded(mu, 2),
+    }
+    BY_ETAS = {
+        "fidelity": lambda etas: oracle_fidelity(0.1, etas, cutoff=4),
+        "fock_element": lambda etas: oracle_fock_element(
+            0.1, etas, TestPhysicalInputChecks.D, TestPhysicalInputChecks.G, cutoff=4
+        ),
+        "spin_spin": lambda etas: oracle_spin_spin(0.1, etas, cutoff=4),
+    }
+
+    @staticmethod
+    def rejects(call, match):
+        # numpy warnings become errors, so a check that comes too late fails here too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match) as info:
+                call()
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -0.1])
+    @pytest.mark.parametrize("entry", sorted(BY_MU))
+    def test_mean_photon(self, entry, mu):
+        self.rejects(lambda: self.BY_MU[entry](mu), "^mean photon number must be finite and >= 0")
+
+    @pytest.mark.parametrize(
+        "etas",
+        [[1.5] * 8, [-0.5] * 8, [0.8] * 7, [0.8] * 9, [0.8] * 7 + [float("nan")]],
+        ids=["above-1", "negative", "seven", "nine", "nan"],
+    )
+    @pytest.mark.parametrize("entry", sorted(BY_ETAS))
+    def test_mode_efficiencies(self, entry, etas):
+        self.rejects(lambda: self.BY_ETAS[entry](etas), "^etas must be 8 efficiencies in")
+
+    @pytest.mark.parametrize("eta_b", [1.5, -0.1, float("nan")])
+    def test_herald_efficiency(self, eta_b):
+        self.rejects(lambda: oracle_pgen(0.1, eta_b, cutoff=4), "^eta must lie in")
+        self.rejects(lambda: oracle_pgen_dark(0.1, eta_b, 1e-3, cutoff=4), "^eta must lie in")
+
+    @pytest.mark.parametrize("pd", [2.0, -0.1, float("nan")])
+    def test_dark_click_probability(self, pd):
+        self.rejects(lambda: oracle_pgen_dark(0.1, 0.8, pd, cutoff=4), "^dark click probability must lie in")
+
+    @pytest.mark.parametrize(
+        "click",
+        [(1.5, 0, 1, 1, 0, 0, 1, 0), (1, 0, 1, 1, 0, 0, 1), (1, 0, 1, 1, 0, 0, 1, 0, 0), (1, 0, -1, 1, 0, 0, 1, 0)],
+        ids=["float", "seven", "nine", "negative"],
+    )
+    def test_spin_click_pattern(self, click):
+        self.rejects(lambda: oracle_spin_spin(0.1, self.ETAS, click, cutoff=4), "^click pattern must be 8 nonnegative")
+
+    @pytest.mark.parametrize("index", [(1.0, 0, 1, 1, 0, 0, 0, 1), (1, 0, 1, 1, 0, 0, 0), (1, 0, -1, 1, 0, 0, 0, 1)])
+    def test_fock_indices(self, index):
+        self.rejects(lambda: oracle_fock_element(0.1, self.ETAS, index, self.G, cutoff=4), "^Fock index d must be 8")
+        self.rejects(lambda: oracle_fock_element(0.1, self.ETAS, self.D, index, cutoff=4), "^Fock index g must be 8")
+
+    def test_valid_edges_still_evaluate(self):
+        # mu = 0 and efficiencies 0 and 1 are physical
+        assert oracle_pgen(0.0, 1.0, cutoff=4) == 0.0
+        assert oracle_pgen(0.1, 0.0, (0, 0, 0, 0), cutoff=4) > 0.0
+        assert oracle_pgen_dark(0.1, 1.0, 1.0, cutoff=4) == 0.0
+        spin = oracle_spin_spin(0.1, np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0]), np.array([1, 0, 1, 1, 0, 0, 1, 0]))
+        assert np.trace(spin).real > 0.0

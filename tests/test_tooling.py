@@ -92,3 +92,29 @@ def test_tracer_sees_every_engine_stage():
     calls = tracer.calls()
     for name in ("kfunction.k_data", "moments.assemble_a", "moments.wick_moment", "moments.hafnian"):
         assert calls[name] >= 1, name
+
+
+def test_validate_leaves_numpy_random_unloaded():
+    # validate draws its trace-check points from the stdlib generator: importing
+    # numpy.random alone costs about a tenth of a validate run
+    code = (
+        "import contextlib, io, sys\n"
+        "from zalmsim import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = cli.main(['validate'])\n"
+        "print(status, 'numpy.random' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0 False"
+
+
+def test_oracle_caches_are_bounded():
+    # the chain gathers hold arrays that grow as cutoff^3, so no oracle cache may grow without bound
+    from zalmsim import oracle
+
+    caches = {name: obj for name, obj in vars(oracle).items() if hasattr(obj, "cache_info")}
+    assert {"_bs_sector", "_bs_table", "_chain_gathers"} <= set(caches)
+    for name, cached in caches.items():
+        assert cached.cache_info().maxsize is not None, name
+    assert callable(oracle._bs_sector.cache_clear)
