@@ -232,6 +232,11 @@ class TestLossCommutation:
             assert abs(p1 - p2) < 1e-10
 
 
+def items(branches):
+    """Every branch's (occupation, amplitude) pairs in order; == compares the amplitudes exactly."""
+    return [list(b.items()) for b in branches]
+
+
 class TestProjectedFilter:
     @pytest.mark.parametrize("eta_b", [0.0, 0.6, 1.0])
     @pytest.mark.parametrize("pattern", [(1, 1, 0, 0), (2, 0, 1, 0), (0, 0, 0, 0)])
@@ -246,12 +251,7 @@ class TestProjectedFilter:
         state = oracle_apply_loss(oracle_build_cascaded(0.1, 3), 3, 0.6)
         got = as_dicts(oracle_apply_loss(state, 4, 0.6))
         expected = per_kraus_index_loss(as_dicts(state), 4, 0.6)
-        assert [list(b.items()) for b in got] == [list(b.items()) for b in expected]
-
-
-def items(branches):
-    """Every branch's (occupation, amplitude) pairs in order; == compares the amplitudes bit for bit."""
-    return [list(b.items()) for b in branches]
+        assert items(got) == items(expected)
 
 
 class TestArrayStateMatchesDictPath:
