@@ -17,7 +17,8 @@ from .memory import (
     spin_spin_dm_dark,
     validate_click_pattern,
 )
-from .metrics import fidelity, pgen, pgen_with_dark, photonic_trace
+from .metrics import fidelity, pgen, pgen_with_dark
+from .metrics import photonic_trace  # noqa: F401 - unused here, but perfbench/tracing.py patches cli.photonic_trace
 from .moments import hafnian
 from .oracle import (
     oracle_fidelity,
@@ -78,15 +79,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_spin_dm(args: argparse.Namespace) -> int:
     params = params_from_external(_request_from_args(args))
     click = validate_click_pattern(int(x) for x in args.click_pattern.split(","))
-    if args.dark:
-        if click != DEFAULT_CLICK_PATTERN:
-            default = ",".join(map(str, DEFAULT_CLICK_PATTERN))
-            raise ValueError(
-                f"--dark mixes dark counts into the default click pattern {default} only, got {args.click_pattern}"
-            )
-        dm = spin_spin_dm_dark(params)
-    else:
-        dm = spin_spin_dm(params, click)
+    dm = spin_spin_dm_dark(params, click) if args.dark else spin_spin_dm(params, click)
     payload = {
         "click_pattern": list(click),
         "trace": dm.trace,
@@ -119,20 +112,23 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             ef = fidelity(p).value
             of = oracle_fidelity(mu, p.eta_vector)
             check(f"fidelity vs oracle mu={mu} eta_b={eta_b}", abs(ef - of) < 1e-5, f"{ef:.9f} vs {of:.9f}")
-            dm = spin_spin_dm(p).entries
+            dm = spin_spin_dm(p)
             om = oracle_spin_spin(mu, p.eta_vector)
-            err = float(np.max(np.abs(dm - om)))
+            err = float(np.max(np.abs(dm.entries - om)))
             check(f"spin_dm vs oracle mu={mu} eta_b={eta_b}", err < 1e-6, f"max err {err:.2e}")
+            low = dm.min_eigenvalue()
+            check(f"spin_dm PSD mu={mu} eta_b={eta_b}", low >= -1e-12 * dm.trace, f"min eigenvalue {low:.2e}")
 
     # Dual oracle paths.
     a = oracle_pgen(0.1, 0.8, cutoff=4)
     b = oracle_pgen_filtered(0.1, 0.8, cutoff=4)
     check("oracle dual-path pgen", abs(a - b) < 1e-12, f"{a:.15e} vs {b:.15e}")
 
-    # Trace preservation.  The stdlib generator keeps numpy.random, whose
-    # import costs about as much as the check, out of the process.
+    # Fidelity range, an invariant the engine does not enforce by construction.
+    # The stdlib generator keeps numpy.random, whose import costs about as
+    # much as the check, out of the process.
     rng = random.Random(7)
-    worst = 0.0
+    fids = []
     for _ in range(10):
         p = SourceParams(
             mean_photon=rng.uniform(0, 3),
@@ -140,8 +136,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             eta_t=rng.uniform(0.2, 1),
             eta_d=rng.uniform(0.2, 1),
         )
-        worst = max(worst, abs(photonic_trace(p).value - 1.0))
-    check("trace preservation", worst < 1e-9, f"worst |trace-1| = {worst:.2e}")
+        fids.append(fidelity(p).value)
+    check("fidelity in [0, 1]", all(0.0 <= f <= 1.0 for f in fids), f"range [{min(fids):.6f}, {max(fids):.6f}]")
 
     # Hafnian spot checks.
     check("hafnian empty", hafnian(np.zeros((0, 0))) == 1.0)
@@ -161,17 +157,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     counts = tuple(len(SIGMA_PATTERNS[k]) for k in (1, 2, 3, 4))
     check("dark-click sigma pattern counts", counts == (4, 6, 4, 1), f"{counts}, expected (4, 6, 4, 1)")
 
-    # Informational: the closed-form dark heralding omits the silent
-    # detectors' no-dark factors; report the ratio against the complete model.
-    pd = 1e-3
-    p_dark = SourceParams(mean_photon=0.05, dark_click_prob=pd)
-    engine_dark = pgen_with_dark(p_dark).value
-    full_dark = oracle_pgen_dark(0.05, 1.0, pd)
-    ratio = full_dark / engine_dark
-    print(
-        f"[info] dark-count model: engine/full-classical ratio at P_d={pd}: "
-        f"{1.0 / ratio:.8f} (complete model carries an extra (1-P_d)^2 = {(1 - pd) ** 2:.8f})"
-    )
+    # One dark-count model: the engine's mixture against the referee's own enumeration.
+    p_dark = SourceParams(mean_photon=0.05, dark_click_prob=1e-3)
+    ed = pgen_with_dark(p_dark).value
+    od = oracle_pgen_dark(0.05, 1.0, 1e-3)
+    check("pgen_with_dark vs oracle_pgen_dark", abs(ed - od) <= 1e-9 * od, f"{ed:.12e} vs {od:.12e}")
 
     failures = 0
     for name, ok, detail in checks:
@@ -211,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spin = sub.add_parser("spin-dm", help="spin-spin density matrix for a click pattern")
     _add_param_args(p_spin)
     p_spin.add_argument("--click-pattern", default=",".join(str(x) for x in DEFAULT_CLICK_PATTERN))
-    p_spin.add_argument("--dark", action="store_true", help="include dark-click mixing on the base pattern")
+    p_spin.add_argument("--dark", action="store_true", help="mix dark counts into the click pattern")
     p_spin.set_defaults(func=_cmd_spin_dm)
 
     p_validate = sub.add_parser("validate", help="run the oracle-equivalence suite")

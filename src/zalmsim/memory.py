@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedFidelityError
-from .metrics import CHAIN_MODES, HERALD_MODES, _detected, _moment, _variants, _weight, dark_attributions
+from .metrics import CHAIN_MODES, HERALD_MODES, _dark_mixture, _detected, _moment, _variants, _weight, dark_attributions
 from .moments import MAX_REQUEST_CARDINALITY
 from .moments import wick_moment  # noqa: F401 - unused here, but perfbench/tracing.py patches memory.wick_moment
 from .sources import SourceParams
@@ -67,8 +67,8 @@ def validate_click_pattern(click) -> tuple[int, ...]:
     return click
 
 
-# Click patterns mixed in by dark counts, grouped by how many of the base
-# pattern's four clicks are attributed to dark counts.
+# Click patterns mixed in by dark counts at the default pattern, grouped by
+# how many of its four clicks are attributed to dark counts.
 SIGMA_PATTERNS = {k: patterns for k, patterns in dark_attributions(DEFAULT_CLICK_PATTERN).items() if k}
 
 
@@ -144,21 +144,16 @@ def spin_spin_dm(params: SourceParams, click=DEFAULT_CLICK_PATTERN) -> SpinSpinD
     return SpinSpinDM((0.25 * pref * scalar) * (coeffs @ moments @ coeffs.T))
 
 
-def spin_spin_dm_dark(params: SourceParams) -> SpinSpinDM:
-    """Spin-spin matrix for the base click pattern including dark counts.
+def spin_spin_dm_dark(params: SourceParams, click=DEFAULT_CLICK_PATTERN) -> SpinSpinDM:
+    """Spin-spin matrix heralded by one click pattern, including dark counts.
 
-    Convex mixture over the click patterns whose missing clicks could have
-    been supplied by dark counts, weighted by the dark-click probabilities of
-    the eight detectors.
+    The dark-count mixture (metrics._dark_mixture) of spin_spin_dm over the
+    photon patterns behind the click pattern, with all eight detectors able
+    to fire a dark count.
     """
-    pd = params.dark_click_prob
-    total = (1.0 - pd) ** 8 * spin_spin_dm(params, DEFAULT_CLICK_PATTERN).entries
-    if pd > 0.0:
-        for k, patterns in SIGMA_PATTERNS.items():
-            weight = pd**k * (1.0 - pd) ** (8 - k)
-            for pattern in patterns:
-                total = total + weight * spin_spin_dm(params, pattern).entries
-    return SpinSpinDM(total)
+    click = validate_click_pattern(click)
+    entries = _dark_mixture(click, params.dark_click_prob, lambda photons: spin_spin_dm(params, photons).entries)
+    return SpinSpinDM(entries)
 
 
 def bell_fidelity_spin(dm: SpinSpinDM, target) -> float:

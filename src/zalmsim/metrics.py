@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from math import factorial, sqrt
 
@@ -145,22 +146,38 @@ def _element(variant: tuple[float, AMatrix], eta, d, g) -> complex:
 
 
 def dark_attributions(pattern) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Photon patterns behind a click pattern when k of its single clicks are dark counts, keyed by k.
+    """Photon patterns behind a click pattern when k of its clicked detectors saw a dark count, keyed by k.
 
-    Attributing a click to a dark count removes it from the photon pattern;
-    k = 0 holds the pattern itself.
+    A detector that reads n >= 1 counts saw n photons and no dark count, or
+    n - 1 photons and one dark count; k = 0 holds the pattern itself.
     """
-    clicked = [i for i, n in enumerate(pattern) if n == 1]
+    clicked = [i for i, n in enumerate(pattern) if n >= 1]
     out = {}
     for k in range(len(clicked) + 1):
         reduced = []
         for dark in itertools.combinations(clicked, k):
             photons = list(pattern)
             for i in dark:
-                photons[i] = 0
+                photons[i] -= 1
             reduced.append(tuple(photons))
         out[k] = tuple(reduced)
     return out
+
+
+def _dark_mixture(pattern, pd: float, photon_value):
+    """The dark-count model: photon_value mixed over the photon patterns behind a click pattern.
+
+    Each of the N = len(pattern) detectors fires a dark count with probability pd, so
+    P(c) = sum over D of pd^|D| (1 - pd)^(N - |D|) P_photons(c - 1_D), D running over the
+    subsets of the clicked detectors in dark_attributions order.  At pd = 0 only D = {} is evaluated.
+    """
+    terms = (
+        pd**k * (1.0 - pd) ** (len(pattern) - k) * photon_value(photons)
+        for k, photon_patterns in dark_attributions(pattern).items()
+        if k == 0 or pd > 0.0
+        for photons in photon_patterns
+    )
+    return functools.reduce(operator.add, terms)
 
 
 def photonic_trace(params: SourceParams) -> MetricResult:
@@ -176,28 +193,21 @@ def pgen(params: SourceParams) -> MetricResult:
 
 
 def pgen_with_dark(params: SourceParams) -> MetricResult:
-    """Heralding probability including detector dark clicks.
+    """Heralding probability of the herald pattern on detectors 3-6, including dark counts.
 
-    A classical mixture over the photon patterns behind the (1, 1, 0, 0)-class
-    click pattern: k of its two clicks dark, weighted pd^k (1 - pd)^(2 - k).
-    A dark-attributed detector keeps its mode in the detected set with zero
-    photons, so every term is a heralding element under the same exponent
-    matrix.
+    The dark-count mixture (_dark_mixture) over the four herald detectors,
+    the silent ones included.  A dark-attributed count leaves its mode in the
+    detected set with one photon fewer, so every term is a heralding element
+    under the same exponent matrix.
     """
-    pattern = params.herald_pattern
-    if sorted(pattern) != [0, 0, 1, 1]:
-        raise ValueError(f"dark-count heralding is defined for two single clicks, got {pattern}")
-    pd = params.dark_click_prob
     variant = _variants(params, _heralded(params))
     eta = params.eta_vector.tolist()
-    raw = 0.0
-    for k, photon_patterns in dark_attributions(pattern).items():
-        if k and pd == 0.0:
-            break
-        for photons in photon_patterns:
-            herald = (0, 0) + photons + (0, 0)
-            raw += pd**k * (1.0 - pd) ** (2 - k) * _element(variant, eta, herald, herald)
-    return _as_metric(raw, params)
+
+    def heralding(photons) -> complex:
+        herald = (0, 0) + photons + (0, 0)
+        return _element(variant, eta, herald, herald)
+
+    return _as_metric(_dark_mixture(params.herald_pattern, params.dark_click_prob, heralding), params)
 
 
 def fidelity(params: SourceParams, bell_target: str = "psi_minus") -> MetricResult:

@@ -21,8 +21,8 @@ pattern through the one Kraus index per mode that reaches it, with the
 coefficients ``oracle_apply_loss`` uses (``_kraus_coeffs``).  Public entry
 points check their physical inputs once and raise a one-line ``ValueError``.
 ``oracle_covariance`` reports one chain's second
-moments from that chain's Fock amplitudes, the quantity the engine's
-closed-form chain covariance is checked against.
+moments as ``_chain_value`` contractions with ladder-operator kernels, the
+quantity the engine's closed-form chain covariance is checked against.
 
 Mode bookkeeping: TMSV ladder indices (n, m, k, l) populate modes
 (1,4) = n, (2,3) = m, (5,8) = k, (6,7) = l before the splitters mix
@@ -407,28 +407,23 @@ def oracle_pgen_dark(
     pattern=(1, 1, 0, 0),
     cutoff: int | None = None,
 ) -> float:
-    """Dark-count heralding probability with the complete classical weights.
+    """Heralding probability of a herald pattern with independent dark counts on the four herald detectors.
 
-    Every detector, including the two that must stay silent, carries its own
-    no-dark factor.  The closed-form detection model quoted by the engine
-    omits the silent detectors' (1 - P_d)^2; the validation report surfaces
-    the resulting ratio.
+    Each detector fires a dark count with probability P_d.  One that reads
+    n >= 1 counts saw n photons and no dark count, or n - 1 photons and a
+    dark count; one that reads 0 saw neither.  Every dark or silent choice
+    carries its own P_d or 1 - P_d, the silent detectors' no-dark factors
+    included.
     """
     pd = dark_click_prob
     if not 0.0 <= pd <= 1.0:
         raise ValueError(f"dark click probability must lie in [0, 1], got {pd}")
     pattern = _herald_pattern(pattern)
-    clicked = [i for i, n in enumerate(pattern) if n == 1]
-    if len(clicked) != 2 or sum(pattern) != 2:
-        raise ValueError(f"dark-count heralding needs two single clicks, got {pattern}")
     total = 0.0
-    for dark in (0, 1, 2):
-        for removed in itertools.combinations(clicked, dark):
-            photon_pattern = list(pattern)
-            for idx in removed:
-                photon_pattern[idx] = 0
-            weight = pd**dark * (1.0 - pd) ** (4 - dark)
-            total += weight * oracle_pgen(mu, eta_b, tuple(photon_pattern), cutoff=cutoff)
+    for dark in itertools.product(*[(0, 1) if n else (0,) for n in pattern]):
+        photons = tuple(n - d for n, d in zip(pattern, dark))
+        weight = pd ** sum(dark) * (1.0 - pd) ** (4 - sum(dark))
+        total += weight * oracle_pgen(mu, eta_b, photons, cutoff=cutoff)
     return float(total)
 
 
@@ -603,56 +598,38 @@ def oracle_pgen_filtered(
     return float(sum(_squares(projected[order])))
 
 
+def _ladder_kernel(nmax: int, raises: int, lowers: int) -> tuple[int, np.ndarray]:
+    """Kernel of a^dag^raises a^lowers on one mode as (shift, vec): vec[o] = <o + shift| a^dag^raises a^lowers |o>."""
+    vec = np.zeros(nmax + 1)
+    for o in range(lowers, nmax + 1):
+        kept = o - lowers
+        vec[o] = sqrt(factorial(o) / factorial(kept) * factorial(kept + raises) / factorial(kept))
+    return raises - lowers, vec
+
+
 def oracle_covariance(mu: float, cutoff: int) -> np.ndarray:
     """Symmetrized quadrature second moments of one truncated chain over (q_1..q_4, p_1..p_4).
 
     The chain's local modes run (outer, herald, herald, outer), as in
     ``sources.build_cascaded_cov``: TMSV ladders u on (1, 2) and v on (3, 4),
-    then the splitter on (2, 3).  Uses q = a + a^dag, p = i(a^dag - a) so the
-    vacuum diagonal is 1, matching the covariance stage's normalization.
+    then the splitter on (2, 3).  Each <a_i^dag a_j> and <a_i a_j> is one
+    ``_chain_value`` contraction with ladder-operator kernels, divided by
+    the identity contraction (the truncated state's norm).  Uses
+    q = a + a^dag, p = i(a^dag - a) so the vacuum diagonal is 1, matching
+    the covariance stage's normalization.
     """
     _check_mean_photon(mu)
-    amps1 = _tmsv_amps(mu, cutoff)
-    occ_rows = []
-    amp_rows = []
-    for u in range(cutoff + 1):
-        for v in range(cutoff + 1):
-            sector = _bs_sector(u + v, BS_THETA)
-            for a in range(u + v + 1):
-                amp = amps1[u] * amps1[v] * sector[a, u]
-                if amp != 0.0:
-                    occ_rows.append((u, a, u + v - a, v))
-                    amp_rows.append(amp)
-    occs = np.array(occ_rows, dtype=np.int64)
-    amps = np.array(amp_rows)
-    norm = float(np.sum(amps**2))
-    powers = (2 * cutoff + 2) ** np.arange(4, dtype=np.int64)
-    index = {int(k): i for i, k in enumerate(occs @ powers)}
+    unit = np.eye(4, dtype=int)
+    none = np.zeros(4, dtype=int)
 
-    def pair_expect(i: int, j: int, lower_both: bool) -> float:
-        total = 0.0
-        for row, occ in enumerate(occs):
-            nj = occ[j]
-            if nj == 0:
-                continue
-            target = occ.copy()
-            target[j] -= 1
-            ni = target[i]
-            if lower_both:
-                if ni == 0:
-                    continue
-                target[i] -= 1
-                factor = sqrt(nj * ni)
-            else:
-                target[i] += 1
-                factor = sqrt(nj * (ni + 1))
-            other = index.get(int(target @ powers))
-            if other is not None:
-                total += amps[other] * amps[row] * factor
-        return total / norm
+    def expect(raises, lowers) -> float:
+        """The unnormalized <prod_m a_m^dag^raises[m] a_m^lowers[m]> over local modes 1-4."""
+        k = [_ladder_kernel(nmax, r, l) for nmax, r, l in zip((cutoff, 2 * cutoff, 2 * cutoff, cutoff), raises, lowers)]
+        return _chain_value(mu, cutoff, k[0], k[3], k[1], k[2])
 
-    ada = np.array([[pair_expect(i, j, False) for j in range(4)] for i in range(4)])
-    aa = np.array([[pair_expect(i, j, True) for j in range(4)] for i in range(4)])
+    norm = expect(none, none)
+    ada = np.array([[expect(unit[i], unit[j]) for j in range(4)] for i in range(4)]) / norm
+    aa = np.array([[expect(none, unit[i] + unit[j]) for j in range(4)] for i in range(4)]) / norm
     # Real amplitudes: <a a> and <a^dag a> are real, so the q-p blocks vanish.
     sym = ada + ada.T + np.eye(4)
     v = np.zeros((8, 8))

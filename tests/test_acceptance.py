@@ -137,12 +137,13 @@ def test_criterion_6_dark_count_reductions():
     exact_spin = np.array_equal(spin_spin_dm_dark(p).entries, spin_spin_dm(p).entries)
     vac = SourceParams(mean_photon=0.0, dark_click_prob=1e-4)
     vac_value = pgen_with_dark(vac).value
-    vac_ok = abs(vac_value - 1e-8) < 1e-20
+    # both clicks dark and both silent herald detectors quiet
+    vac_ok = abs(vac_value - 1e-8 * (1 - 1e-4) ** 2) < 1e-20
     report(
         6,
         exact_pgen and exact_spin and vac_ok,
         f"dark reductions: pgen identical {exact_pgen}, spin identical {exact_spin}, "
-        f"vacuum limit {vac_value!r} == P_d^2",
+        f"vacuum limit {vac_value!r} == P_d^2 (1 - P_d)^2",
     )
 
 

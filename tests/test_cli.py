@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from zalmsim import SourceParams, pgen, spin_spin_dm
+from zalmsim import SourceParams, SpinSpinDM, cli, pgen, pgen_with_dark, spin_spin_dm, spin_spin_dm_dark
 from zalmsim.cli import main
 from zalmsim.sweep import SweepConfig, render_sweep, run_sweep
 
@@ -135,6 +136,18 @@ class TestCliProcess:
         got = np.array([[complex(re, im) for re, im in row] for row in payload["spin_dm"]])
         assert np.array_equal(got, dm.entries)
 
+    def test_dark_spin_dm_mixes_any_click_pattern(self):
+        click = (0, 1, 1, 1, 0, 0, 0, 1)
+        result = run_cli(
+            ["spin-dm", "--dark", "--dark-click-prob", "1e-3", "--click-pattern", ",".join(map(str, click))]
+        )
+        assert result.returncode == 0, result.stderr
+        payload = json.loads(result.stdout)
+        dm = spin_spin_dm_dark(SourceParams(mean_photon=0.1, dark_click_prob=1e-3), click)
+        got = np.array([[complex(re, im) for re, im in row] for row in payload["spin_dm"]])
+        assert payload["click_pattern"] == list(click)
+        assert np.array_equal(got, dm.entries)
+
     def test_in_process_entry_point(self, capsys):
         code = main(["metrics", "--mean-photon", "0.05", "--bsm-efficiency", "0.8"])
         assert code == 0
@@ -146,6 +159,7 @@ class TestCliProcess:
         out = capsys.readouterr().out
         assert code == 0
         assert "[FAIL]" not in out
+        assert "[info]" not in out
         lines = [line for line in out.splitlines() if line.startswith("[PASS]")]
         assert len(lines) >= 15
 
@@ -165,14 +179,31 @@ class TestCliProcess:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"zalmsim: error: {field}")
 
-    @pytest.mark.parametrize(
-        "pattern, message",
-        [("9,9", "click pattern must be 8"), ("0,1,1,1,0,0,0,1", "--dark mixes dark counts")],
-        ids=["invalid-pattern", "non-default-pattern"],
-    )
+    @pytest.mark.parametrize("pattern, message", [("9,9", "click pattern must be 8")], ids=["invalid-pattern"])
     def test_dark_spin_dm_rejects_other_click_patterns(self, pattern, message):
         result = run_cli(["spin-dm", "--dark", "--click-pattern", pattern])
         assert result.returncode == 2
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"zalmsim: error: {message}")
+
+
+def _two_detector_dark(params):
+    # weights pd^k (1 - pd)^(2 - k): the silent herald detectors' (1 - pd)^2 left out
+    return SimpleNamespace(value=pgen_with_dark(params).value / (1 - params.dark_click_prob) ** 2)
+
+
+class TestValidateChecksCanFail:
+    @pytest.mark.parametrize(
+        "name, fake, check",
+        [
+            ("pgen_with_dark", _two_detector_dark, "pgen_with_dark vs oracle_pgen_dark"),
+            ("fidelity", lambda params, *target: SimpleNamespace(value=1.5), "fidelity in [0, 1]"),
+            ("spin_spin_dm", lambda params, *click: SpinSpinDM(-np.eye(4)), "spin_dm PSD"),
+        ],
+        ids=["dark-model", "fidelity-range", "spin-psd"],
+    )
+    def test_a_broken_engine_fails_validate(self, name, fake, check, monkeypatch, capsys):
+        monkeypatch.setattr(cli, name, fake)
+        assert main(["validate"]) == 2
+        assert f"[FAIL] {check}" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -175,6 +176,20 @@ class TestSpinSpinDark:
         assert dm.hermiticity_defect() < 1e-10
         assert 0.0 <= dm.trace <= 1.0
         assert dm.min_eigenvalue() > -1e-9
+
+    @pytest.mark.parametrize(
+        "click", [(0, 1, 1, 1, 0, 0, 0, 1), (1, 0, 2, 1, 0, 0, 0, 1)], ids=lambda c: "".join(map(str, c))
+    )
+    def test_any_pattern_matches_oracle_mixture(self, click):
+        # the referee's matrices, mixed here over each clicked detector's dark or photon choice
+        mu, pd = 0.05, 1e-2
+        p = SourceParams(mean_photon=mu, eta_b=0.8, eta_t=0.9, dark_click_prob=pd)
+        ref = np.zeros((4, 4), dtype=complex)
+        for dark in itertools.product(*[(0, 1) if n else (0,) for n in click]):
+            photons = tuple(n - d for n, d in zip(click, dark))
+            ref += pd ** sum(dark) * (1 - pd) ** (8 - sum(dark)) * oracle_spin_spin(mu, p.eta_vector, photons)
+        got = spin_spin_dm_dark(p, click).entries
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
 
     def test_dark_mixture_adds_probability(self):
         p0 = SourceParams(mean_photon=0.1, eta_t=0.8, dark_click_prob=0.0)

@@ -11,6 +11,7 @@ from zalmsim import (
     oracle_fidelity,
     oracle_fock_element,
     oracle_pgen,
+    oracle_pgen_dark,
     pgen,
     pgen_with_dark,
     photonic_trace,
@@ -113,18 +114,26 @@ class TestPgenWithDark:
         p = SourceParams(mean_photon=0.05, eta_b=0.8, dark_click_prob=0.0)
         assert pgen_with_dark(p).value == pgen(p).value
 
-    def test_vacuum_limit_is_dark_probability_squared(self):
+    def test_vacuum_limit_is_two_dark_clicks(self):
+        # both clicks dark and both silent detectors quiet
         p = SourceParams(mean_photon=0.0, dark_click_prob=1e-4)
-        np.testing.assert_allclose(pgen_with_dark(p).value, 1e-8, rtol=1e-12)
+        np.testing.assert_allclose(pgen_with_dark(p).value, 1e-8 * (1 - 1e-4) ** 2, rtol=1e-12)
 
     def test_perturbative_bound(self):
         p = SourceParams(mean_photon=0.05, dark_click_prob=1e-6)
         base = pgen(p).value
         assert abs(pgen_with_dark(p).value - base) < 1e-4 * base
 
-    def test_rejects_multi_click_patterns(self):
-        with pytest.raises(ValueError):
-            pgen_with_dark(SourceParams(mean_photon=0.1, herald_pattern=(2, 0, 0, 0), dark_click_prob=0.1))
+    def test_multi_click_pattern_removes_one_count(self):
+        # a detector reading two counts saw two photons, or one photon and a dark count
+        mu, pd = 0.1, 0.1
+        dark = pgen_with_dark(SourceParams(mean_photon=mu, herald_pattern=(2, 0, 0, 0), dark_click_prob=pd)).value
+
+        def pg(pattern):
+            return pgen(SourceParams(mean_photon=mu, herald_pattern=pattern)).value
+
+        mixture = (1 - pd) ** 4 * pg((2, 0, 0, 0)) + pd * (1 - pd) ** 3 * pg((1, 0, 0, 0))
+        np.testing.assert_allclose(dark, mixture, rtol=1e-13)
 
     @pytest.mark.parametrize(
         "pattern", [(1, 1, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1)], ids=lambda p: "".join(map(str, p))
@@ -132,7 +141,8 @@ class TestPgenWithDark:
     def test_equals_reduced_pattern_mixture(self, pattern):
         # each dark-attribution term is the heralding probability of the
         # pattern with that click removed, so the whole formula is a
-        # classical mixture over reduced patterns
+        # classical mixture over reduced patterns, in which the two silent
+        # detectors stay quiet too
         mu, eta_b, pd = 0.15, 0.7, 1e-3
         dark = pgen_with_dark(
             SourceParams(mean_photon=mu, eta_b=eta_b, dark_click_prob=pd, herald_pattern=pattern)
@@ -143,11 +153,27 @@ class TestPgenWithDark:
 
         first, second = [tuple(int(i == k) for i in range(4)) for k, n in enumerate(pattern) if n]
         mixture = (
-            (1 - pd) ** 2 * pg(pattern)
-            + pd * (1 - pd) * (pg(first) + pg(second))
-            + pd**2 * pg((0, 0, 0, 0))
+            (1 - pd) ** 4 * pg(pattern)
+            + pd * (1 - pd) ** 3 * (pg(first) + pg(second))
+            + pd**2 * (1 - pd) ** 2 * pg((0, 0, 0, 0))
         )
         np.testing.assert_allclose(dark, mixture, rtol=1e-13)
+
+    @pytest.mark.parametrize("mu", [0.05, 0.15])
+    @pytest.mark.parametrize("pd", [1e-4, 1e-3, 1e-2])
+    @pytest.mark.parametrize(
+        "pattern",
+        [(1, 1, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 0), (2, 1, 0, 0), (1, 1, 1, 0)],
+        ids=lambda p: "".join(map(str, p)),
+    )
+    def test_matches_oracle_dark_model(self, pattern, pd, mu):
+        # the referee enumerates the dark choices on its own, from the same rule
+        eta_b = 0.7
+        engine = pgen_with_dark(
+            SourceParams(mean_photon=mu, eta_b=eta_b, dark_click_prob=pd, herald_pattern=pattern)
+        ).value
+        ref = oracle_pgen_dark(mu, eta_b, pd, pattern)
+        assert abs(engine - ref) <= 1e-9 * ref
 
 
 class TestFidelity:

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import warnings
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -497,3 +499,19 @@ class TestPhysicalInputChecks:
         assert oracle_pgen_dark(0.1, 1.0, 1.0, cutoff=4) == 0.0
         spin = oracle_spin_spin(0.1, np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0]), np.array([1, 0, 1, 1, 0, 0, 1, 0]))
         assert np.trace(spin).real > 0.0
+
+
+def test_referee_imports_nothing_from_the_engine():
+    # The oracle is the independent referee: it shares the package's error types and no engine code.
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules = [("zalmsim." if node.level else "") + node.module]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [f"zalmsim.{alias.name}" for alias in node.names]
+        else:
+            continue
+        imported.update(m for m in modules if m.split(".")[0] == "zalmsim")
+    assert imported == {"zalmsim.errors"}

@@ -83,7 +83,7 @@ def test_fidelity_is_a_probability(params):
 @PROPERTY
 @given(source_params(dark_click_prob=st.floats(0.0, 0.1)), click_patterns)
 def test_spin_matrices_are_hermitian_and_psd(params, click):
-    for dm in (spin_spin_dm(params, click), spin_spin_dm_dark(params)):
+    for dm in (spin_spin_dm(params, click), spin_spin_dm_dark(params, click)):
         assert dm.hermiticity_defect() <= 1e-12 * np.max(np.abs(dm.entries))
         assert dm.min_eigenvalue() > -1e-9
 
