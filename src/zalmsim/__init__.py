@@ -11,7 +11,6 @@ from .memory import (
     SIGMA_PATTERNS,
     SpinSpinDM,
     bell_fidelity_spin,
-    branch_forms,
     spin_spin_dm,
     spin_spin_dm_dark,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "UndefinedFidelityError",
     "assemble_a",
     "bell_fidelity_spin",
-    "branch_forms",
     "build_cascaded_cov",
     "fidelity",
     "fock_element",

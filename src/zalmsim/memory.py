@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedFidelityError
-from .metrics import CHAIN_MODES, HERALD_MODES, _dark_mixture, _detected, _moment, _variants, _weight, dark_attributions
+from .metrics import CHAIN_MODES, HERALD_MODES, _a_variant, _dark_mixture, _detected, _moment, _weight, dark_attributions
 from .moments import MAX_REQUEST_CARDINALITY
 from .moments import wick_moment  # noqa: F401 - unused here, but perfbench/tracing.py patches memory.wick_moment
-from .sources import SourceParams
+from .sources import SourceParams, parse_counts
 
 DEFAULT_CLICK_PATTERN = (1, 0, 1, 1, 0, 0, 1, 0)
 MEMORY_PAIRS = ((1, 2), (7, 8))
@@ -45,18 +45,17 @@ BELL_TARGETS = {
 def validate_click_pattern(click) -> tuple[int, ...]:
     """Check a click pattern, including that each chain's Wick request stays under the cap.
 
-    A chain receives two forms per herald click on its modes and, in the
-    multilinear expansion, up to two per clicked memory pair.
+    Each memory pair clicks (0,0), (1,0) or (0,1): one photon loads its
+    memory.  A chain receives two forms per herald click on its modes and, in
+    the multilinear expansion, up to two per clicked memory pair.
     """
-    click = tuple(int(n) for n in click)
-    if len(click) != 8 or any(n < 0 for n in click):
-        raise ValueError(f"click pattern must be 8 nonnegative counts, got {click}")
-    for i in (1, 2, 7, 8):
-        if click[i - 1] > 1:
-            raise ValueError(f"memory-side clicks are limited to 0 or 1, got {click[i - 1]} on mode {i}")
+    click = parse_counts(click, 8, "click pattern")
+    for i, j in MEMORY_PAIRS:
+        if click[i - 1] + click[j - 1] > 1:
+            raise ValueError(f"memory pair ({i}, {j}) allows at most one click, got {(click[i - 1], click[j - 1])}")
     if sum(click[2:6]) > 8:
         raise ValueError("heralding clicks exceed the cap of 8")
-    pairs = sum(1 for i, j in MEMORY_PAIRS if click[i - 1] or click[j - 1])
+    pairs = sum(click[i - 1] + click[j - 1] for i, j in MEMORY_PAIRS)
     for chain in CHAIN_MODES:
         forms = 2 * sum(click[m - 1] for m in chain if m in HERALD_MODES) + 2 * pairs
         if forms > MAX_REQUEST_CARDINALITY:
@@ -97,8 +96,8 @@ class SpinSpinDM:
         return float(np.min(np.linalg.eigvalsh(herm)))
 
 
-def branch_forms(branch, click, eta) -> list[tuple[float, tuple[int, ...]]]:
-    """Memory-side detection terms for both pairs of one bra or ket branch.
+def _branch_forms(branch, click, eta) -> list[tuple[float, tuple[int, ...]]]:
+    """Memory-side detection terms for both pairs of one bra or ket branch, for a validated click pattern.
 
     branch is a (memory A, memory B) pair of rail labels from BRANCHES.  A
     clicked pair (i, j) detects (sqrt(eta_i) x_i +- sqrt(eta_j) x_j)/sqrt(2)
@@ -108,14 +107,11 @@ def branch_forms(branch, click, eta) -> list[tuple[float, tuple[int, ...]]]:
     difference form.  The product of the pair forms comes back expanded into
     (coefficient, modes) terms, one mode per clicked pair.
     """
-    click = validate_click_pattern(click)
     terms: list[tuple[float, tuple[int, ...]]] = [(1.0, ())]
     for (i, j), mem in zip(MEMORY_PAIRS, branch):
         ni, nj = click[i - 1], click[j - 1]
         if (ni, nj) == (0, 0):
             continue
-        if (ni, nj) not in ((1, 0), (0, 1)):
-            raise ValueError(f"memory pair clicks must be (0,0), (1,0) or (0,1), got {(ni, nj)}")
         sign = (1.0 if mem == "10" else -1.0) * (1.0 if ni else -1.0)
         pair = ((np.sqrt(eta[i - 1]) / np.sqrt(2.0), i), (sign * np.sqrt(eta[j - 1]) / np.sqrt(2.0), j))
         terms = [(c * pc, modes + (m,)) for c, modes in terms for pc, m in pair]
@@ -132,16 +128,16 @@ def spin_spin_dm(params: SourceParams, click=DEFAULT_CLICK_PATTERN) -> SpinSpinD
     the prefactor and the herald weight turn into Fock elements.
     """
     click = validate_click_pattern(click)
-    pref, a = _variants(params, _detected(params))
+    a = _a_variant(params.mean_photon, *_detected(params))
     eta = params.eta_vector.tolist()
     herald = (0, 0) + click[2:6] + (0, 0)
     scalar, heralds, _ = _weight(eta, herald, herald)
-    terms = [branch_forms(b, click, eta) for b in BASIS]
+    terms = [_branch_forms(b, click, eta) for b in BASIS]
     modes = [m for _, m in terms[0]]
     coeffs = np.array([[c for c, _ in branch] for branch in terms])
     memo: dict = {}
     moments = np.array([[_moment(a, [*heralds, *k], [*heralds, *b], memo) for b in modes] for k in modes])
-    return SpinSpinDM((0.25 * pref * scalar) * (coeffs @ moments @ coeffs.T))
+    return SpinSpinDM((0.25 * a.prefactor * scalar) * (coeffs @ moments @ coeffs.T))
 
 
 def spin_spin_dm_dark(params: SourceParams, click=DEFAULT_CLICK_PATTERN) -> SpinSpinDM:

@@ -28,12 +28,14 @@ import numpy as np
 from .errors import UndefinedFidelityError
 from .kfunction import ChainMoments, k_data
 from .moments import AMatrix, MomentRequest, assemble_a, wick_moment
-from .sources import SourceParams, build_cascaded_cov  # noqa: F401 - perfbench/tracing.py patches metrics.build_cascaded_cov
+from .sources import SourceParams, build_cascaded_cov, parse_counts  # noqa: F401 - perfbench/tracing.py patches metrics.build_cascaded_cov
 
 HERALD_MODES = (3, 4, 5, 6)
 CHAIN_MODES = ((1, 4, 6, 7), (2, 3, 5, 8))
 REAL_TOLERANCE = 1e-9
 MAX_TOTAL_FOCK = 16
+# The herald patterns that click one photon on each of two heralding modes: the fidelity's domain.
+FIDELITY_PATTERNS = ((1, 1, 0, 0), (0, 0, 1, 1))
 
 # Global mode -> (chain index, local mode 1..4).
 _CHAIN_OF = {mode: (c, local) for c, modes in enumerate(CHAIN_MODES) for local, mode in enumerate(modes, 1)}
@@ -71,15 +73,6 @@ def _kernel_for(mu: float) -> ChainMoments:
 @functools.lru_cache(maxsize=256)
 def _a_variant(mu: float, eta_outer: float, eta_herald: float) -> AMatrix:
     return assemble_a(_kernel_for(mu), eta_outer, eta_herald)
-
-
-def _variants(params: SourceParams, eta) -> tuple[float, AMatrix]:
-    """The 8-mode Gaussian prefactor and the chain exponent matrix both chains share.
-
-    eta is one chain's (outer, herald) efficiency pair, 0.0 to trace those modes out.
-    """
-    a = _a_variant(params.mean_photon, *eta)
-    return a.prefactor, a
 
 
 def _detected(params: SourceParams) -> tuple[float, float]:
@@ -120,7 +113,7 @@ def _weight(eta, d, g) -> tuple[float, list[int], list[int]]:
     """The sqrt(eta)^(d+g) / sqrt(d! g!) weight of <d| rho |g> and its ket and bra modes, once per photon.
 
     Every metric in this module weights its Fock counts here.  spin_spin_dm
-    weights only its herald counts here: memory.branch_forms puts sqrt(eta)
+    weights only its herald counts here: memory._branch_forms puts sqrt(eta)
     on the memory modes' detection forms itself.
     """
     scalar = 1.0
@@ -134,15 +127,14 @@ def _weight(eta, d, g) -> tuple[float, list[int], list[int]]:
     return scalar, kets, bras
 
 
-def _element(variant: tuple[float, AMatrix], eta, d, g) -> complex:
-    """<d| rho |g> of the lossy state under one (prefactor, B) variant, for 8-mode counts d, g.
+def _element(a: AMatrix, eta, d, g) -> complex:
+    """<d| rho |g> of the lossy state under one chain exponent matrix, for 8-mode counts d, g.
 
     With traced modes (efficiency 0) in B, the element sums over their photon
     numbers, so the heralding probability is the element of the herald counts.
     """
-    pref, a = variant
     scalar, kets, bras = _weight(eta, d, g)
-    return pref * (scalar * _moment(a, kets, bras))
+    return a.prefactor * (scalar * _moment(a, kets, bras))
 
 
 def dark_attributions(pattern) -> dict[int, tuple[tuple[int, ...], ...]]:
@@ -183,13 +175,14 @@ def _dark_mixture(pattern, pd: float, photon_value):
 def photonic_trace(params: SourceParams) -> MetricResult:
     """Trace of the lossy source state: the vacuum element with every mode traced out, exactly 1."""
     vacuum = (0,) * 8
-    return _as_metric(_element(_variants(params, (0.0, 0.0)), (), vacuum, vacuum), params)
+    return _as_metric(_element(_a_variant(params.mean_photon, 0.0, 0.0), (), vacuum, vacuum), params)
 
 
 def pgen(params: SourceParams) -> MetricResult:
     """Probability that the heralding detectors fire with the requested pattern."""
     herald = (0, 0) + params.herald_pattern + (0, 0)
-    return _as_metric(_element(_variants(params, _heralded(params)), params.eta_vector.tolist(), herald, herald), params)
+    a = _a_variant(params.mean_photon, *_heralded(params))
+    return _as_metric(_element(a, params.eta_vector.tolist(), herald, herald), params)
 
 
 def pgen_with_dark(params: SourceParams) -> MetricResult:
@@ -200,12 +193,12 @@ def pgen_with_dark(params: SourceParams) -> MetricResult:
     detected set with one photon fewer, so every term is a heralding element
     under the same exponent matrix.
     """
-    variant = _variants(params, _heralded(params))
+    a = _a_variant(params.mean_photon, *_heralded(params))
     eta = params.eta_vector.tolist()
 
     def heralding(photons) -> complex:
         herald = (0, 0) + photons + (0, 0)
-        return _element(variant, eta, herald, herald)
+        return _element(a, eta, herald, herald)
 
     return _as_metric(_dark_mixture(params.herald_pattern, params.dark_click_prob, heralding), params)
 
@@ -213,15 +206,14 @@ def pgen_with_dark(params: SourceParams) -> MetricResult:
 def fidelity(params: SourceParams, bell_target: str = "psi_minus") -> MetricResult:
     """Bell fidelity of the heralded photonic state, (rho11 + rho22 +- (rho12 + rho21)) / (2 pgen).
 
-    Supported patterns click exactly one photon on each of two heralding
-    modes, (1,1,0,0) or (0,0,1,1); e1 and e2 put one photon on the outer
-    modes (1, 8) and (2, 7).  bell_target selects the relative sign of the
-    two coherence terms; "psi_minus" reproduces the pattern's nominal Bell
-    state, "psi_plus" the orthogonal one.
+    Supported herald patterns are FIDELITY_PATTERNS; e1 and e2 put one
+    photon on the outer modes (1, 8) and (2, 7).  bell_target selects the
+    relative sign of the two coherence terms; "psi_minus" reproduces the
+    pattern's nominal Bell state, "psi_plus" the orthogonal one.
     """
     pattern = params.herald_pattern
-    if pattern not in ((1, 1, 0, 0), (0, 0, 1, 1)):
-        raise ValueError(f"fidelity is defined for patterns (1,1,0,0) or (0,0,1,1), got {pattern}")
+    if pattern not in FIDELITY_PATTERNS:
+        raise ValueError(f"fidelity is defined for herald patterns {FIDELITY_PATTERNS}, got {pattern}")
     if bell_target == "psi_minus":
         cross_sign = 1.0
     elif bell_target == "psi_plus":
@@ -230,8 +222,8 @@ def fidelity(params: SourceParams, bell_target: str = "psi_minus") -> MetricResu
         raise ValueError(f"unknown bell_target {bell_target!r}")
     if params.mean_photon == 0.0:
         raise UndefinedFidelityError("zero heralding probability at mean_photon = 0")
-    full = _variants(params, _detected(params))
-    heralded = _variants(params, _heralded(params))
+    full = _a_variant(params.mean_photon, *_detected(params))
+    heralded = _a_variant(params.mean_photon, *_heralded(params))
     # Every element and pgen carry the same herald weight eta_b^2; leaving it
     # out of all five keeps the ratio finite in the eta_b -> 0 limit.
     eta = [1.0 if mode in HERALD_MODES else e for mode, e in enumerate(params.eta_vector.tolist(), 1)]
@@ -252,10 +244,8 @@ def fidelity(params: SourceParams, bell_target: str = "psi_minus") -> MetricResu
 
 def fock_element(params: SourceParams, d, g) -> complex:
     """Matrix element <d| rho |g> of the lossy photonic state in the Fock basis."""
-    d = tuple(int(x) for x in d)
-    g = tuple(int(x) for x in g)
-    if len(d) != 8 or len(g) != 8 or any(x < 0 for x in d + g):
-        raise ValueError("Fock indices must be 8 nonnegative integers each")
+    d = parse_counts(d, 8, "Fock index d")
+    g = parse_counts(g, 8, "Fock index g")
     if sum(d) + sum(g) > MAX_TOTAL_FOCK:
         raise ValueError(f"total photon count {sum(d) + sum(g)} exceeds the cap of {MAX_TOTAL_FOCK}")
-    return _element(_variants(params, _detected(params)), params.eta_vector.tolist(), d, g)
+    return _element(_a_variant(params.mean_photon, *_detected(params)), params.eta_vector.tolist(), d, g)

@@ -16,7 +16,7 @@ import urllib.parse
 from . import __version__ as ENGINE_VERSION
 from .kfunction import COVARIANCE_PRESCALE
 from .memory import spin_spin_dm, validate_click_pattern
-from .metrics import fidelity, pgen, photonic_trace
+from .metrics import FIDELITY_PATTERNS, fidelity, pgen, photonic_trace
 from .sources import PARAM_FIELDS, SourceParams, params_from_external
 
 _REQUEST_FIELDS = {**dict.fromkeys(PARAM_FIELDS, float), "herald_pattern": list, "click_pattern": list}
@@ -84,7 +84,7 @@ def compute_metrics_response(data: dict) -> dict:
         "imag_residuals": residuals,
         "engine_version": ENGINE_VERSION,
     }
-    if params.mean_photon > 0.0 and sorted(params.herald_pattern) == [0, 0, 1, 1]:
+    if params.mean_photon > 0.0 and params.herald_pattern in FIDELITY_PATTERNS:
         f = fidelity(params)
         payload["fidelity"] = f.value
         residuals["fidelity"] = f.imag_residual
@@ -110,23 +110,15 @@ def _coerce_query(query: str) -> dict:
     data: dict = {}
     for field, values in urllib.parse.parse_qs(query).items():
         raw = values[-1]
-        if field in ("herald_pattern", "click_pattern"):
-            data[field] = [int(x) for x in raw.split(",") if x != ""]
-        else:
-            try:
+        # A value that does not parse stays a string, which _parse_request refuses with 400 bad_type.
+        try:
+            if field in ("herald_pattern", "click_pattern"):
+                data[field] = [int(x) for x in raw.split(",") if x != ""]
+            else:
                 data[field] = float(raw)
-            except ValueError:
-                data[field] = raw
+        except ValueError:
+            data[field] = raw
     return data
-
-
-def __getattr__(name: str):
-    # The HTTP classes live in httpd, imported on first use.
-    if name in ("_Handler", "BoundedHTTPServer"):
-        from . import httpd
-
-        return getattr(httpd, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_server(bind: str = "127.0.0.1", port: int = 8791):

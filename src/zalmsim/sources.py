@@ -11,6 +11,7 @@ build_cascaded_cov gives the same chain's quadrature covariance.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import sqrt
 
@@ -32,6 +33,18 @@ PARAM_FIELDS = {
     "detection_efficiency": "eta_d",
     "dark_click_prob": "dark_click_prob",
 }
+
+
+def parse_counts(counts, size: int, what: str) -> tuple[int, ...]:
+    """counts as size nonnegative ints (numpy ints pass, fractional counts do not), else a one-line ValueError."""
+    counts = tuple(counts)
+    try:
+        parsed = tuple(map(operator.index, counts))
+    except TypeError:
+        parsed = ()
+    if len(parsed) != size or min(parsed) < 0:
+        raise ValueError(f"{what} must be {size} nonnegative integer counts, got {counts}")
+    return parsed
 
 
 @dataclass(frozen=True)
@@ -63,9 +76,7 @@ class SourceParams:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if not 0.0 <= self.dark_click_prob < 1.0:
             raise ValueError(f"dark_click_prob must lie in [0, 1), got {self.dark_click_prob}")
-        pattern = tuple(int(n) for n in self.herald_pattern)
-        if len(pattern) != 4 or any(n < 0 for n in pattern):
-            raise ValueError(f"herald_pattern must be 4 nonnegative counts, got {self.herald_pattern}")
+        pattern = parse_counts(self.herald_pattern, 4, "herald_pattern")
         if sum(pattern) > 8:
             raise ValueError("herald_pattern exceeds the total click cap of 8")
         object.__setattr__(self, "herald_pattern", pattern)

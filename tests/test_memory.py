@@ -12,13 +12,12 @@ from zalmsim import (
     SpinSpinDM,
     UndefinedFidelityError,
     bell_fidelity_spin,
-    branch_forms,
     oracle_spin_spin,
     pgen,
     spin_spin_dm,
     spin_spin_dm_dark,
 )
-from zalmsim.memory import validate_click_pattern
+from zalmsim.memory import _branch_forms, validate_click_pattern
 from zalmsim.metrics import dark_attributions
 
 
@@ -28,12 +27,12 @@ class TestBranchForms:
         self.e = {m: np.sqrt(self.eta[m - 1]) / np.sqrt(2.0) for m in (1, 2, 7, 8)}
 
     def test_no_click_pair_contributes_nothing(self):
-        terms = branch_forms(("10", "10"), (0, 0, 1, 1, 0, 0, 1, 0), self.eta)
+        terms = _branch_forms(("10", "10"), (0, 0, 1, 1, 0, 0, 1, 0), self.eta)
         # only the (7,8) pair clicked: one term per mode of that pair
         assert [modes for _, modes in terms] == [(7,), (8,)]
 
     def test_plus_combination_for_first_rail_branch(self):
-        terms = dict((modes, c) for c, modes in branch_forms(("10", "10"), DEFAULT_CLICK_PATTERN, self.eta))
+        terms = dict((modes, c) for c, modes in _branch_forms(("10", "10"), DEFAULT_CLICK_PATTERN, self.eta))
         e = self.e
         expected = {(1, 7): e[1] * e[7], (1, 8): e[1] * e[8], (2, 7): e[2] * e[7], (2, 8): e[2] * e[8]}
         assert terms.keys() == expected.keys()
@@ -43,7 +42,7 @@ class TestBranchForms:
     def test_minus_combination_when_click_moves(self):
         flipped = list(DEFAULT_CLICK_PATTERN)
         flipped[0], flipped[1] = 0, 1
-        terms = dict((modes, c) for c, modes in branch_forms(("10", "10"), tuple(flipped), self.eta))
+        terms = dict((modes, c) for c, modes in _branch_forms(("10", "10"), tuple(flipped), self.eta))
         e = self.e
         expected = {(1, 7): e[1] * e[7], (1, 8): e[1] * e[8], (2, 7): -e[2] * e[7], (2, 8): -e[2] * e[8]}
         assert terms.keys() == expected.keys()
@@ -51,20 +50,33 @@ class TestBranchForms:
             np.testing.assert_allclose(terms[modes], c, atol=1e-15)
 
     def test_second_rail_branch_flips_sign(self):
-        plus = branch_forms(("10", "10"), DEFAULT_CLICK_PATTERN, self.eta)
-        minus = branch_forms(("01", "10"), DEFAULT_CLICK_PATTERN, self.eta)
+        plus = _branch_forms(("10", "10"), DEFAULT_CLICK_PATTERN, self.eta)
+        minus = _branch_forms(("01", "10"), DEFAULT_CLICK_PATTERN, self.eta)
         assert [m for _, m in plus] == [m for _, m in minus]
         for (cp, modes), (cm, _) in zip(plus, minus):
             # only the terms on mode 2 change sign
             assert cm == (-cp if 2 in modes else cp)
 
     def test_rejects_double_clicks(self):
-        with pytest.raises(ValueError):
-            branch_forms(("10", "10"), (1, 1, 1, 1, 0, 0, 1, 0), self.eta)
+        # validate_click_pattern owns the memory-pair rule; spin_spin_dm applies it before any branch forms
+        params = SourceParams(mean_photon=0.1, dark_click_prob=1e-3)
+        for click in ((1, 1, 1, 1, 0, 0, 1, 0), (1, 0, 1, 1, 0, 0, 1, 1)):
+            for check in (validate_click_pattern, lambda c: spin_spin_dm(params, c), lambda c: spin_spin_dm_dark(params, c)):
+                with pytest.raises(ValueError, match=r"^memory pair \(\d, \d\) allows at most one click, got \(1, 1\)$"):
+                    check(click)
 
     def test_rejects_invalid_memory_counts(self):
         with pytest.raises(ValueError):
             validate_click_pattern((2, 0, 1, 1, 0, 0, 1, 0))
+
+    def test_rejects_fractional_counts(self):
+        click = (1.5, 0, 1, 1, 0, 0, 1, 0)
+        # a generator, as the CLI passes, is shown as given
+        with pytest.raises(ValueError, match=r"^click pattern must be 8 nonnegative integer counts, got \(1\.5, 0, 1, 1, 0, 0, 1, 0\)$"):
+            validate_click_pattern(n for n in click)
+        with pytest.raises(ValueError, match="^click pattern must be 8 nonnegative integer counts"):
+            spin_spin_dm_dark(SourceParams(mean_photon=0.1, dark_click_prob=1e-3), click)
+        assert validate_click_pattern(np.array(DEFAULT_CLICK_PATTERN)) == DEFAULT_CLICK_PATTERN
 
 
 class TestClickPatternCost:

@@ -223,10 +223,10 @@ class TestFidelity:
 
     def test_coherence_terms_conjugate_pair(self):
         # W(a1 a3 a4 a8; b2* b3* b4* b7*) and W(a2 a3 a4 a7; b1* b3* b4* b8*)
-        from zalmsim.metrics import _detected, _moment, _variants
+        from zalmsim.metrics import _a_variant, _detected, _moment
 
         p = SourceParams(mean_photon=0.2, eta_b=0.6, eta_t=0.9, eta_d=0.8)
-        _, a = _variants(p, _detected(p))
+        a = _a_variant(p.mean_photon, *_detected(p))
 
         def w(alphas, betas):
             return _moment(a, alphas, betas)
@@ -323,6 +323,11 @@ class TestFockElement:
         p = SourceParams(mean_photon=0.1)
         with pytest.raises(ValueError):
             fock_element(p, (3,) * 8, (0,) * 8)
+
+    def test_rejects_fractional_counts(self):
+        p = SourceParams(mean_photon=0.1)
+        with pytest.raises(ValueError, match=r"^Fock index g must be 8 nonnegative integer counts, got \(0\.5, 0,"):
+            fock_element(p, (0,) * 8, (0.5,) + (0,) * 7)
 
 
 class TestEfficiencyLimits:

@@ -8,9 +8,18 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
-from zalmsim import SourceParams, pgen, photonic_trace, spin_spin_dm
-from zalmsim.server import MAX_BODY_BYTES, SOCKET_TIMEOUT_S, build_server
+from zalmsim import SourceParams, UndefinedFidelityError, pgen, photonic_trace, spin_spin_dm
+from zalmsim.server import MAX_BODY_BYTES, SOCKET_TIMEOUT_S, RequestError, build_server, compute_metrics_response
+from zalmsim.sources import MAX_MEAN_PHOTON
+
+# ROADMAP item 4.  The heralding moments (~ mean_photon^2) leave the normal floats a little below
+# UNDERFLOW_MEAN_PHOTON.  At efficiencies near 0 nothing damps a chain moment of 16 forms
+# (~ 15!! mean_photon^8), which overflows above OVERFLOW_MEAN_PHOTON.
+UNDERFLOW_MEAN_PHOTON = 1e-150
+OVERFLOW_MEAN_PHOTON = 1e37
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +159,19 @@ class TestMetricsEndpoint:
         assert status == 422
         assert payload["code"] == "out_of_range"
 
+    def test_double_clicked_memory_pair_is_422(self, server_url):
+        status, payload = post(f"{server_url}/v1/metrics", {"mean_photon": 0.1, "click_pattern": [1, 1, 1, 1, 0, 0, 1, 0]})
+        assert (status, payload["code"]) == (422, "out_of_range")
+        status, payload = get(f"{server_url}/v1/spin_dm?mean_photon=0.1&click_pattern=1,1,1,1,0,0,1,0")
+        assert (status, payload["code"]) == (422, "out_of_range")
+
+    def test_herald_pattern_without_fidelity_is_200(self, server_url):
+        body = {"mean_photon": 0.1, "bsm_efficiency": 0.7, "herald_pattern": [1, 0, 1, 0]}
+        status, payload = post(f"{server_url}/v1/metrics", body)
+        assert status == 200
+        assert payload["fidelity"] is None
+        assert payload["pgen"] == pgen(SourceParams(mean_photon=0.1, eta_b=0.7, herald_pattern=(1, 0, 1, 0))).value
+
     def test_unknown_path_is_404(self, server_url):
         status, _ = post(f"{server_url}/v1/other", {"mean_photon": 0.1})
         assert status == 404
@@ -185,9 +207,10 @@ class TestRequestBody:
 class TestHandlerBound:
     def test_full_pool_answers_503_busy(self, monkeypatch):
         from zalmsim import server
+        from zalmsim.httpd import _Handler
 
         monkeypatch.setattr(server, "MAX_CONCURRENT_HANDLERS", 2)
-        monkeypatch.setattr(server._Handler, "timeout", 1.0)
+        monkeypatch.setattr(_Handler, "timeout", 1.0)
         httpd = build_server("127.0.0.1", 0)
         port = httpd.server_address[1]
         url = f"http://127.0.0.1:{port}/v1/metrics"
@@ -261,6 +284,10 @@ class TestSpinDmEndpoint:
         got = np.array([[complex(re, im) for re, im in row] for row in payload["spin_dm"]])
         assert np.array_equal(got, dm.entries)
 
+    def test_fractional_query_count_is_400(self, server_url):
+        status, payload = get(f"{server_url}/v1/spin_dm?mean_photon=0.1&click_pattern=1.5,0,1,1,0,0,1,0")
+        assert (status, payload["code"], payload["field"]) == (400, "bad_type", "click_pattern")
+
     def test_explicit_click_pattern(self, server_url):
         status, payload = get(
             f"{server_url}/v1/spin_dm?mean_photon=0.05&click_pattern=0,1,1,1,0,0,1,0"
@@ -268,3 +295,57 @@ class TestSpinDmEndpoint:
         assert status == 200
         dm = spin_spin_dm(SourceParams(mean_photon=0.05), (0, 1, 1, 1, 0, 0, 1, 0))
         assert payload["spin_dm"][1][1][0] == dm.entries[1, 1].real
+
+
+# Up to eight herald photons spread over modes 3-6; memory pairs (1, 2) and (7, 8) may click both detectors.
+herald_counts = st.lists(st.integers(0, 3), max_size=8).map(lambda modes: [modes.count(m) for m in range(4)])
+memory_pair = st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)])
+# Half the draws in [0, 1], so that most bodies get past the efficiency checks to the patterns.
+any_efficiency = st.one_of(st.floats(0.0, 1.0), st.floats())
+typed_bodies = st.fixed_dictionaries(
+    {"mean_photon": st.floats(0.0, MAX_MEAN_PHOTON, exclude_min=True)},
+    optional={
+        "bsm_efficiency": any_efficiency,
+        "outcoupling_efficiency": any_efficiency,
+        "detection_efficiency": any_efficiency,
+        "dark_click_prob": any_efficiency,
+        "herald_pattern": herald_counts,
+        "click_pattern": st.builds(lambda a, heralds, b: [*a, *heralds, *b], memory_pair, herald_counts, memory_pair),
+    },
+)
+
+
+class TestTypedBodies:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None, phases=(Phase.explicit, Phase.generate))
+    @given(typed_bodies)
+    @example({"mean_photon": 0.1, "click_pattern": [1, 1, 1, 1, 0, 0, 1, 0]})
+    @example({"mean_photon": 0.1, "herald_pattern": [1, 0, 1, 0]})
+    def test_answered_or_refused_with_a_request_error(self, body):
+        # A ValueError escaping here is a rule that _parse_request does not check: the service would answer 500.
+        # The two numerical defects of ROADMAP item 4 are allowed only where they occur; the xfails below keep them visible.
+        try:
+            compute_metrics_response(body)
+        except RequestError as exc:
+            assert exc.status == 422
+        except UndefinedFidelityError:
+            assert body["mean_photon"] < UNDERFLOW_MEAN_PHOTON
+        except RuntimeWarning:
+            assert body["mean_photon"] > OVERFLOW_MEAN_PHOTON
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=UndefinedFidelityError,
+        reason="ROADMAP item 4: the heralding moments underflow, so the fidelity is undefined at mean_photon = 1e-170",
+    )
+    def test_tiny_mean_photon_has_a_fidelity(self):
+        payload = compute_metrics_response({"mean_photon": 1e-170})
+        assert 0.0 <= payload["fidelity"] <= 1.0
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValueError,
+        reason="ROADMAP item 4: at eta_b = 0 nothing damps the chain moments, so 16 herald forms overflow and pgen = 0 x inf is NaN",
+    )
+    def test_dead_heralding_arm_at_large_mean_photon_is_finite(self):
+        payload = compute_metrics_response({"mean_photon": 1e40, "bsm_efficiency": 0.0, "herald_pattern": [8, 0, 0, 0]})
+        json.dumps(payload, allow_nan=False)

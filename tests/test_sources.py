@@ -30,6 +30,11 @@ class TestSourceParams:
         with pytest.raises(ValueError):
             SourceParams(**kwargs)
 
+    def test_fractional_herald_counts_raise(self):
+        with pytest.raises(ValueError, match=r"^herald_pattern must be 4 nonnegative integer counts, got \(0\.9, 1, 0, 0\)$"):
+            SourceParams(mean_photon=0.1, herald_pattern=(0.9, 1, 0, 0))
+        assert SourceParams(mean_photon=0.1, herald_pattern=np.array([0, 1, 0, 1])).herald_pattern == (0, 1, 0, 1)
+
 
 class TestCascadedCov:
     def test_vacuum(self):
