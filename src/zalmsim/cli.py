@@ -4,12 +4,12 @@ and the oracle-equivalence validation report."""
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 
 import numpy as np
 
+from .errors import NumericalDomainError
 from .memory import (
     DEFAULT_CLICK_PATTERN,
     SIGMA_PATTERNS,
@@ -27,9 +27,9 @@ from .oracle import (
     oracle_pgen_filtered,
     oracle_spin_spin,
 )
-from .server import ENGINE_VERSION, RequestError, _spin_dm_wire, compute_metrics_response, serve
+from .server import ENGINE_VERSION, RequestError, compute_metrics_response, reply_json, serve, spin_dm_reply
 from .sources import PARAM_FIELDS, SourceParams, params_from_external
-from .sweep import SweepConfig, render_sweep, run_sweep
+from .sweep import KNOWN_METRICS, SweepConfig, render_sweep, run_sweep
 
 
 def _add_param_args(parser: argparse.ArgumentParser) -> None:
@@ -72,7 +72,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    sys.stdout.write(json.dumps(compute_metrics_response(_request_from_args(args)), indent=2) + "\n")
+    sys.stdout.write(reply_json(compute_metrics_response(_request_from_args(args)), indent=2) + "\n")
     return 0
 
 
@@ -80,13 +80,7 @@ def _cmd_spin_dm(args: argparse.Namespace) -> int:
     params = params_from_external(_request_from_args(args))
     click = validate_click_pattern(int(x) for x in args.click_pattern.split(","))
     dm = spin_spin_dm_dark(params, click) if args.dark else spin_spin_dm(params, click)
-    payload = {
-        "click_pattern": list(click),
-        "trace": dm.trace,
-        "spin_dm": _spin_dm_wire(dm.entries),
-        "engine_version": ENGINE_VERSION,
-    }
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(reply_json(spin_dm_reply(click, dm), indent=2) + "\n")
     return 0
 
 
@@ -187,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--to", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
     p_sweep.add_argument("--scale", choices=("linear", "log"), default="linear")
-    p_sweep.add_argument("--metrics", default="pgen", help="comma separated subset of pgen,pgen_dark,fidelity,trace,spin_dm")
+    p_sweep.add_argument("--metrics", default="pgen", help=f"comma separated subset of {','.join(KNOWN_METRICS)}")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--output", default=None, help="output path (default: stdout)")
     p_sweep.add_argument("--timing", action="store_true", help="append a wall_time_s column (non-deterministic)")
@@ -219,9 +213,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RequestError, ValueError) as exc:
-        # Parameter values are checked after argparse has read the flags;
-        # report a rejected one as argparse reports a bad flag.
+    except (RequestError, ValueError, NumericalDomainError) as exc:
+        # Parameter values are checked after argparse has read the flags; report a
+        # rejected one, or a result the arithmetic cannot give, as argparse reports a bad flag.
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,10 +2,10 @@
 
 
 class NumericalDomainError(ArithmeticError):
-    """A matrix left the numerically valid domain (singular A, non-PD Gamma, ...)."""
+    """A result the arithmetic cannot give: undefined, or a NaN or infinity that JSON cannot carry."""
 
 
-class UndefinedFidelityError(ZeroDivisionError):
+class UndefinedFidelityError(NumericalDomainError, ZeroDivisionError):
     """Fidelity requested for a state with zero heralding probability."""
 
 

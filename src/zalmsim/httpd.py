@@ -16,7 +16,7 @@ import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import server
-from .errors import NumericalDomainError, UndefinedFidelityError
+from .errors import NumericalDomainError
 from .memory import DEFAULT_CLICK_PATTERN
 from .server import ENGINE_VERSION, RequestError
 
@@ -28,16 +28,17 @@ _BUSY_REPLY = (
 )
 
 
+def _spin_dm(query: str) -> dict:
+    params, click = server._parse_request({"click_pattern": list(DEFAULT_CLICK_PATTERN), **server._coerce_query(query)})
+    return server.spin_dm_reply(click, server.spin_spin_dm(params, click))
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = f"zalmsim/{ENGINE_VERSION}"
     timeout = server.SOCKET_TIMEOUT_S
 
     def _send_json(self, status: int, payload: dict) -> None:
-        try:
-            body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        except ValueError as exc:
-            # NaN and Infinity are not JSON; refuse the reply instead of emitting them.
-            raise NumericalDomainError(f"non-finite value in the reply: {exc}") from exc
+        body = server.reply_json(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
@@ -49,7 +50,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, data_fn())
         except RequestError as exc:
             self._send_json(exc.status, exc.payload)
-        except (NumericalDomainError, UndefinedFidelityError) as exc:
+        except NumericalDomainError as exc:
             self._send_json(500, {"code": "numerical_domain", "field": "", "message": str(exc)})
         except Exception as exc:  # noqa: BLE001
             self._send_json(500, {"code": "internal", "field": "", "message": str(exc)})
@@ -59,18 +60,7 @@ class _Handler(BaseHTTPRequestHandler):
         if parsed.path == "/v1/health":
             self._handle(server.health_payload)
         elif parsed.path == "/v1/spin_dm":
-            data = server._coerce_query(parsed.query)
-            data.setdefault("click_pattern", list(DEFAULT_CLICK_PATTERN))
-
-            def spin_only():
-                payload = server.compute_metrics_response(data)
-                return {
-                    "spin_dm": payload["spin_dm"],
-                    "trace": payload["trace"],
-                    "engine_version": ENGINE_VERSION,
-                }
-
-            self._handle(spin_only)
+            self._handle(lambda: _spin_dm(parsed.query))
         else:
             self._send_json(404, {"code": "not_found", "field": "", "message": self.path})
 

@@ -11,9 +11,11 @@ or this module for its payload functions loads neither http.server nor ssl.
 
 from __future__ import annotations
 
+import json
 import urllib.parse
 
 from . import __version__ as ENGINE_VERSION
+from .errors import NumericalDomainError
 from .kfunction import COVARIANCE_PRESCALE
 from .memory import spin_spin_dm, validate_click_pattern
 from .metrics import FIDELITY_PATTERNS, fidelity, pgen, photonic_trace
@@ -69,8 +71,21 @@ def _spin_dm_wire(entries) -> list:
     return [[[float(entries[i, j].real), float(entries[i, j].imag)] for j in range(4)] for i in range(4)]
 
 
+def reply_json(payload, indent: int | None = None) -> str:
+    """The JSON text of every reply; NaN and Infinity are not JSON, so they raise NumericalDomainError."""
+    try:
+        return json.dumps(payload, allow_nan=False, indent=indent)
+    except ValueError as exc:
+        raise NumericalDomainError(f"non-finite value in the reply: {exc}") from exc
+
+
+def spin_dm_reply(click, dm) -> dict:
+    """The spin-matrix reply of GET /v1/spin_dm and `zalmsim spin-dm`; its trace is the click pattern's probability."""
+    return {"click_pattern": list(click), "trace": dm.trace, "spin_dm": _spin_dm_wire(dm.entries), "engine_version": ENGINE_VERSION}
+
+
 def compute_metrics_response(data: dict) -> dict:
-    """The full metrics payload for one request; shared by POST and GET paths."""
+    """The full metrics payload for one request: POST /v1/metrics and `zalmsim metrics`."""
     params, click = _parse_request(data)
     residuals: dict = {}
     trace = photonic_trace(params)
@@ -108,12 +123,12 @@ def health_payload() -> dict:
 
 def _coerce_query(query: str) -> dict:
     data: dict = {}
-    for field, values in urllib.parse.parse_qs(query).items():
+    for field, values in urllib.parse.parse_qs(query, keep_blank_values=True).items():
         raw = values[-1]
-        # A value that does not parse stays a string, which _parse_request refuses with 400 bad_type.
+        # A value that does not parse, empty ones included, stays a string, which _parse_request refuses with 400 bad_type.
         try:
             if field in ("herald_pattern", "click_pattern"):
-                data[field] = [int(x) for x in raw.split(",") if x != ""]
+                data[field] = [int(x) for x in raw.split(",")]
             else:
                 data[field] = float(raw)
         except ValueError:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -126,10 +127,15 @@ def rows_to_csv(config: SweepConfig, rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_cell(value):
+    # JSON has no NaN: a metric that failed (NaN, or no spin_dm cells) is null, and the row's error column says why.
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def rows_to_json(config: SweepConfig, rows: list[dict]) -> str:
     cols = _columns(config)
-    ordered = [{c: row.get(c, "") for c in cols} for row in rows]
-    return json.dumps(ordered, indent=2) + "\n"
+    ordered = [{c: _json_cell(row.get(c)) for c in cols} for row in rows]
+    return json.dumps(ordered, allow_nan=False, indent=2) + "\n"
 
 
 def render_sweep(config: SweepConfig, rows: list[dict]) -> str:

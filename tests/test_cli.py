@@ -6,7 +6,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from zalmsim import SourceParams, SpinSpinDM, cli, pgen, pgen_with_dark, spin_spin_dm, spin_spin_dm_dark
+from zalmsim import (
+    SourceParams,
+    SpinSpinDM,
+    UndefinedFidelityError,
+    cli,
+    pgen,
+    pgen_with_dark,
+    spin_spin_dm,
+    spin_spin_dm_dark,
+    sweep,
+)
 from zalmsim.cli import main
 from zalmsim.sweep import SweepConfig, render_sweep, run_sweep
 
@@ -186,6 +196,53 @@ class TestCliProcess:
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"zalmsim: error: {message}")
+
+
+class TestStrictJson:
+    def test_sweep_json_writes_null_for_a_failed_metric(self, capsys):
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        code = main(["sweep", "--param", "mean_photon", "--from", "0", "--to", "0.1", "--steps", "2",
+                     "--metrics", "pgen,fidelity", "--format", "json"])
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert rows[0]["fidelity"] is None
+        assert "fidelity:UndefinedFidelityError" in rows[0]["error"]
+        assert rows[1]["fidelity"] == 0.5 and rows[1]["error"] == ""
+
+    def test_sweep_json_writes_null_for_a_failed_spin_matrix(self, monkeypatch):
+        def undefined(params):
+            raise UndefinedFidelityError("spin-spin matrix has nonpositive trace")
+
+        monkeypatch.setattr(sweep, "spin_spin_dm", undefined)
+        config = SweepConfig(
+            "mean_photon", 0.05, 0.1, 2, SourceParams(mean_photon=0.1), metrics=("spin_dm",), output_format="json"
+        )
+        rows = json.loads(render_sweep(config, run_sweep(config)))
+        assert rows[0]["spin_dm_00_re"] is None
+        assert rows[0]["error"] == "spin_dm:UndefinedFidelityError"
+
+    @pytest.mark.parametrize(
+        "args, name, nan_result",
+        [
+            (["metrics"], "compute_metrics_response", lambda data: {"pgen": float("nan")}),
+            (["spin-dm"], "spin_spin_dm", lambda params, click: SpinSpinDM(np.full((4, 4), np.nan))),
+            (["spin-dm", "--dark"], "spin_spin_dm_dark", lambda params, click: SpinSpinDM(np.full((4, 4), np.nan))),
+        ],
+        ids=["metrics", "spin-dm", "spin-dm-dark"],
+    )
+    @pytest.mark.parametrize("failure", ["nan-in-reply", "undefined-fidelity"])
+    def test_numerical_failure_is_one_line_error(self, args, name, nan_result, failure, monkeypatch, capsys):
+        def undefined(*_):
+            raise UndefinedFidelityError("heralding probability vanished")
+
+        monkeypatch.setattr(cli, name, nan_result if failure == "nan-in-reply" else undefined)
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("zalmsim: error: ")
 
 
 def _two_detector_dark(params):

@@ -5,6 +5,7 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,16 @@ class TestMetricsEndpoint:
         assert payload["fidelity"] is None
         assert payload["pgen"] == pgen(SourceParams(mean_photon=0.1, eta_b=0.7, herald_pattern=(1, 0, 1, 0))).value
 
+    def test_undefined_fidelity_is_numerical_domain(self, server_url, monkeypatch):
+        from zalmsim import server
+
+        def undefined(data):
+            raise UndefinedFidelityError("heralding probability vanished")
+
+        monkeypatch.setattr(server, "compute_metrics_response", undefined)
+        status, payload = post(f"{server_url}/v1/metrics", {"mean_photon": 0.1})
+        assert (status, payload["code"]) == (500, "numerical_domain")
+
     def test_unknown_path_is_404(self, server_url):
         status, _ = post(f"{server_url}/v1/other", {"mean_photon": 0.1})
         assert status == 404
@@ -295,6 +306,48 @@ class TestSpinDmEndpoint:
         assert status == 200
         dm = spin_spin_dm(SourceParams(mean_photon=0.05), (0, 1, 1, 1, 0, 0, 1, 0))
         assert payload["spin_dm"][1][1][0] == dm.entries[1, 1].real
+
+    @pytest.mark.parametrize("click", [None, (0, 1, 1, 1, 0, 0, 1, 0)], ids=["default-click", "explicit-click"])
+    def test_reply_equals_the_cli_reply(self, server_url, click, capsys):
+        from zalmsim import DEFAULT_CLICK_PATTERN, cli
+
+        query = "mean_photon=0.05&outcoupling_efficiency=0.8"
+        flags = ["spin-dm", "--mean-photon", "0.05", "--outcoupling-efficiency", "0.8"]
+        if click is not None:
+            query += "&click_pattern=" + ",".join(map(str, click))
+            flags += ["--click-pattern", ",".join(map(str, click))]
+        status, payload = get(f"{server_url}/v1/spin_dm?{query}")
+        assert status == 200
+        assert cli.main(flags) == 0
+        assert payload == json.loads(capsys.readouterr().out)
+        expected = click or DEFAULT_CLICK_PATTERN
+        assert payload["click_pattern"] == list(expected)
+        # the spin matrix's own trace: the click pattern's probability, not the photonic trace of 1
+        assert payload["trace"] == spin_spin_dm(SourceParams(mean_photon=0.05, eta_t=0.8), expected).trace
+
+    def test_tiny_mean_photon_needs_no_fidelity(self, server_url):
+        # The endpoint computes the spin matrix alone, so the fidelity's underflow (ROADMAP item 4) is not its failure.
+        from zalmsim import httpd
+
+        status, payload = get(f"{server_url}/v1/spin_dm?mean_photon=1e-170")
+        assert status == 200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert httpd._spin_dm("mean_photon=1e-170") == payload
+        assert payload["trace"] == spin_spin_dm(SourceParams(mean_photon=1e-170)).trace
+
+    @pytest.mark.parametrize(
+        "query, field",
+        [
+            ("herald_pattern=1,,1,0,0", "herald_pattern"),
+            ("click_pattern=1,0,1,1,0,0,1,0,", "click_pattern"),
+            ("click_pattern=", "click_pattern"),
+        ],
+        ids=["inner-empty-field", "trailing-comma", "empty-value"],
+    )
+    def test_empty_count_field_is_400(self, server_url, query, field):
+        status, payload = get(f"{server_url}/v1/spin_dm?mean_photon=0.1&{query}")
+        assert (status, payload["code"], payload["field"]) == (400, "bad_type", field)
 
 
 # Up to eight herald photons spread over modes 3-6; memory pairs (1, 2) and (7, 8) may click both detectors.
