@@ -10,13 +10,7 @@ import sys
 import numpy as np
 
 from .errors import NumericalDomainError
-from .memory import (
-    DEFAULT_CLICK_PATTERN,
-    SIGMA_PATTERNS,
-    spin_spin_dm,
-    spin_spin_dm_dark,
-    validate_click_pattern,
-)
+from .memory import SIGMA_PATTERNS, spin_spin_dm, spin_spin_dm_dark
 from .metrics import fidelity, pgen, pgen_with_dark
 from .metrics import photonic_trace  # noqa: F401 - unused here, but perfbench/tracing.py patches cli.photonic_trace
 from .moments import hafnian
@@ -27,27 +21,25 @@ from .oracle import (
     oracle_pgen_filtered,
     oracle_spin_spin,
 )
-from .server import ENGINE_VERSION, RequestError, compute_metrics_response, reply_json, serve, spin_dm_reply
-from .sources import PARAM_FIELDS, SourceParams, params_from_external
+from .server import ENGINE_VERSION, _REQUEST_FIELDS, RequestError, _parse_request, compute_metrics_response, read_fields
+from .server import reply_json, serve, spin_dm_response
+from .sources import PARAM_FIELDS, SourceParams
 from .sweep import KNOWN_METRICS, SweepConfig, render_sweep, run_sweep
 
 
-def _add_param_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mean-photon", type=float, default=0.1)
-    parser.add_argument("--bsm-efficiency", type=float, default=1.0)
-    parser.add_argument("--outcoupling-efficiency", type=float, default=1.0)
-    parser.add_argument("--detection-efficiency", type=float, default=1.0)
-    parser.add_argument("--dark-click-prob", type=float, default=0.0)
-    parser.add_argument(
-        "--herald-pattern", type=str, default="1,1,0,0", help="comma separated clicks on modes 3-6"
-    )
+_FLAG_HELP = {"herald_pattern": "comma separated clicks on modes 3-6", "click_pattern": "comma separated clicks on modes 1-8"}
+
+
+def _add_param_args(parser: argparse.ArgumentParser, *counts: str) -> None:
+    """The parameter flags, plus the count flags named; a flag left out keeps SourceParams' default."""
+    for name in (*PARAM_FIELDS, "herald_pattern", *counts):
+        default = "0.1" if name == "mean_photon" else None
+        parser.add_argument("--" + name.replace("_", "-"), default=default, help=_FLAG_HELP.get(name))
 
 
 def _request_from_args(args: argparse.Namespace) -> dict:
-    """The parameter flags as a service request body."""
-    request = {name: getattr(args, name) for name in PARAM_FIELDS}
-    request["herald_pattern"] = [int(x) for x in args.herald_pattern.split(",")]
-    return request
+    """The flags that were given, read as a service query is (server.read_fields)."""
+    return read_fields({name: text for name in _REQUEST_FIELDS if (text := getattr(args, name, None)) is not None})
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -57,7 +49,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         stop=args.to,
         steps=args.steps,
         scale=args.scale,
-        fixed=params_from_external(_request_from_args(args)),
+        fixed=_parse_request(_request_from_args(args))[0],
         metrics=tuple(args.metrics.split(",")),
         output_format=args.format,
         include_timing=args.timing,
@@ -77,10 +69,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_spin_dm(args: argparse.Namespace) -> int:
-    params = params_from_external(_request_from_args(args))
-    click = validate_click_pattern(int(x) for x in args.click_pattern.split(","))
-    dm = spin_spin_dm_dark(params, click) if args.dark else spin_spin_dm(params, click)
-    sys.stdout.write(reply_json(spin_dm_reply(click, dm), indent=2) + "\n")
+    sys.stdout.write(reply_json(spin_dm_response(_request_from_args(args)), indent=2) + "\n")
     return 0
 
 
@@ -193,9 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.set_defaults(func=_cmd_metrics)
 
     p_spin = sub.add_parser("spin-dm", help="spin-spin density matrix for a click pattern")
-    _add_param_args(p_spin)
-    p_spin.add_argument("--click-pattern", default=",".join(str(x) for x in DEFAULT_CLICK_PATTERN))
-    p_spin.add_argument("--dark", action="store_true", help="mix dark counts into the click pattern")
+    _add_param_args(p_spin, "click_pattern")
     p_spin.set_defaults(func=_cmd_spin_dm)
 
     p_validate = sub.add_parser("validate", help="run the oracle-equivalence suite")

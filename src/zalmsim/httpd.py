@@ -8,7 +8,6 @@ tests and the benchmark tracer replace them.
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
 import time
@@ -17,7 +16,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import server
 from .errors import NumericalDomainError
-from .memory import DEFAULT_CLICK_PATTERN
 from .server import ENGINE_VERSION, RequestError
 
 _BUSY_BODY = b'{"code": "busy", "field": "", "message": "every request handler is in use"}'
@@ -26,11 +24,6 @@ _BUSY_REPLY = (
     b"Content-Type: application/json; charset=utf-8\r\n"
     b"Content-Length: %d\r\nConnection: close\r\n\r\n%s" % (len(_BUSY_BODY), _BUSY_BODY)
 )
-
-
-def _spin_dm(query: str) -> dict:
-    params, click = server._parse_request({"click_pattern": list(DEFAULT_CLICK_PATTERN), **server._coerce_query(query)})
-    return server.spin_dm_reply(click, server.spin_spin_dm(params, click))
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -60,7 +53,7 @@ class _Handler(BaseHTTPRequestHandler):
         if parsed.path == "/v1/health":
             self._handle(server.health_payload)
         elif parsed.path == "/v1/spin_dm":
-            self._handle(lambda: _spin_dm(parsed.query))
+            self._handle(lambda: server.spin_dm_response(server._coerce_query(parsed.query)))
         else:
             self._send_json(404, {"code": "not_found", "field": "", "message": self.path})
 
@@ -83,8 +76,8 @@ class _Handler(BaseHTTPRequestHandler):
         except TimeoutError as exc:
             raise RequestError(408, "timeout", "", f"body shorter than its Content-Length of {length} bytes") from exc
         try:
-            return json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            return server.read_json(body.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError is one too
             raise RequestError(400, "malformed", "", f"invalid JSON: {exc}") from exc
 
     def log_message(self, fmt, *args):  # silence per-request stderr noise

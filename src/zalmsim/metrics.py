@@ -47,7 +47,6 @@ class MetricResult:
 
     value: float
     imag_residual: float
-    params_echo: SourceParams
     flags: tuple[str, ...] = ()
 
     @property
@@ -55,13 +54,13 @@ class MetricResult:
         return not self.flags
 
 
-def _as_metric(raw: complex, params: SourceParams, extra_flags: tuple[str, ...] = ()) -> MetricResult:
+def _as_metric(raw: complex, extra_flags: tuple[str, ...] = ()) -> MetricResult:
     value = float(np.real(raw))
     residual = abs(float(np.imag(raw)))
     flags = list(extra_flags)
     if residual >= REAL_TOLERANCE * max(abs(value), 1e-30):
         flags.append("imag_residual")
-    return MetricResult(value, residual, params, tuple(flags))
+    return MetricResult(value, residual, tuple(flags))
 
 
 @functools.lru_cache(maxsize=256)
@@ -175,14 +174,14 @@ def _dark_mixture(pattern, pd: float, photon_value):
 def photonic_trace(params: SourceParams) -> MetricResult:
     """Trace of the lossy source state: the vacuum element with every mode traced out, exactly 1."""
     vacuum = (0,) * 8
-    return _as_metric(_element(_a_variant(params.mean_photon, 0.0, 0.0), (), vacuum, vacuum), params)
+    return _as_metric(_element(_a_variant(params.mean_photon, 0.0, 0.0), (), vacuum, vacuum))
 
 
 def pgen(params: SourceParams) -> MetricResult:
     """Probability that the heralding detectors fire with the requested pattern."""
     herald = (0, 0) + params.herald_pattern + (0, 0)
     a = _a_variant(params.mean_photon, *_heralded(params))
-    return _as_metric(_element(a, params.eta_vector.tolist(), herald, herald), params)
+    return _as_metric(_element(a, params.eta_vector.tolist(), herald, herald))
 
 
 def pgen_with_dark(params: SourceParams) -> MetricResult:
@@ -200,7 +199,7 @@ def pgen_with_dark(params: SourceParams) -> MetricResult:
         herald = (0, 0) + photons + (0, 0)
         return _element(a, eta, herald, herald)
 
-    return _as_metric(_dark_mixture(params.herald_pattern, params.dark_click_prob, heralding), params)
+    return _as_metric(_dark_mixture(params.herald_pattern, params.dark_click_prob, heralding))
 
 
 def fidelity(params: SourceParams, bell_target: str = "psi_minus") -> MetricResult:
@@ -239,7 +238,7 @@ def fidelity(params: SourceParams, bell_target: str = "psi_minus") -> MetricResu
     value = float(np.real(raw))
     if value < -REAL_TOLERANCE or value > 1.0 + REAL_TOLERANCE:
         flags = ("out_of_range",)
-    return _as_metric(raw, params, flags)
+    return _as_metric(raw, flags)
 
 
 def fock_element(params: SourceParams, d, g) -> complex:

@@ -17,9 +17,9 @@ import urllib.parse
 from . import __version__ as ENGINE_VERSION
 from .errors import NumericalDomainError
 from .kfunction import COVARIANCE_PRESCALE
-from .memory import spin_spin_dm, validate_click_pattern
+from .memory import DEFAULT_CLICK_PATTERN, spin_spin_dm, spin_spin_dm_dark, validate_click_pattern
 from .metrics import FIDELITY_PATTERNS, fidelity, pgen, photonic_trace
-from .sources import PARAM_FIELDS, SourceParams, params_from_external
+from .sources import PARAM_FIELDS, SourceParams
 
 _REQUEST_FIELDS = {**dict.fromkeys(PARAM_FIELDS, float), "herald_pattern": list, "click_pattern": list}
 # A request body is a few hundred bytes; the cap bounds what one request may make the server read.
@@ -39,6 +39,32 @@ class RequestError(Exception):
         self.payload = {"code": code, "field": field, "message": message}
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def read_json(text: str):
+    """The one JSON reader, reply_json's input twin: strict JSON, so NaN, Infinity and nesting too deep to read raise ValueError."""
+    try:
+        return json.loads(text, parse_constant=_refuse_constant)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
+
+
+def read_fields(texts: dict) -> dict:
+    """Request fields from their texts (query values, CLI flags), each read as JSON, a count list as the items of a JSON array.
+
+    Text that is not JSON, empty text included, stays a string, which _parse_request refuses with 400 bad_type.
+    """
+    data: dict = {}
+    for field, text in texts.items():
+        try:
+            data[field] = read_json(f"[{text}]" if text and _REQUEST_FIELDS.get(field) is list else text)
+        except ValueError:
+            data[field] = text
+    return data
+
+
 def _parse_request(data: dict) -> tuple[SourceParams, tuple[int, ...] | None]:
     if not isinstance(data, dict):
         raise RequestError(400, "malformed", "", "request body must be a JSON object")
@@ -52,14 +78,17 @@ def _parse_request(data: dict) -> tuple[SourceParams, tuple[int, ...] | None]:
         if kind is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise RequestError(400, "bad_type", field, f"{field} must be a number")
-            clean[field] = float(value)
+            try:
+                clean[field] = float(value)
+            except OverflowError:
+                raise RequestError(422, "out_of_range", field, f"{field} is too large for a float") from None
         else:
             if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
                 raise RequestError(400, "bad_type", field, f"{field} must be a list of integers")
             clean[field] = value
     click = clean.pop("click_pattern", None)
     try:
-        params = params_from_external(clean)
+        params = SourceParams(**{PARAM_FIELDS.get(field, field): value for field, value in clean.items()})
         if click is not None:
             click = validate_click_pattern(click)
     except ValueError as exc:
@@ -82,6 +111,12 @@ def reply_json(payload, indent: int | None = None) -> str:
 def spin_dm_reply(click, dm) -> dict:
     """The spin-matrix reply of GET /v1/spin_dm and `zalmsim spin-dm`; its trace is the click pattern's probability."""
     return {"click_pattern": list(click), "trace": dm.trace, "spin_dm": _spin_dm_wire(dm.entries), "engine_version": ENGINE_VERSION}
+
+
+def spin_dm_response(data: dict) -> dict:
+    """The spin-matrix reply for one request, its dark counts mixed in: GET /v1/spin_dm and `zalmsim spin-dm`."""
+    params, click = _parse_request({"click_pattern": list(DEFAULT_CLICK_PATTERN), **data})
+    return spin_dm_reply(click, spin_spin_dm_dark(params, click))
 
 
 def compute_metrics_response(data: dict) -> dict:
@@ -122,18 +157,7 @@ def health_payload() -> dict:
 
 
 def _coerce_query(query: str) -> dict:
-    data: dict = {}
-    for field, values in urllib.parse.parse_qs(query, keep_blank_values=True).items():
-        raw = values[-1]
-        # A value that does not parse, empty ones included, stays a string, which _parse_request refuses with 400 bad_type.
-        try:
-            if field in ("herald_pattern", "click_pattern"):
-                data[field] = [int(x) for x in raw.split(",")]
-            else:
-                data[field] = float(raw)
-        except ValueError:
-            data[field] = raw
-    return data
+    return read_fields({field: values[-1] for field, values in urllib.parse.parse_qs(query, keep_blank_values=True).items()})
 
 
 def build_server(bind: str = "127.0.0.1", port: int = 8791):

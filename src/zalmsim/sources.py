@@ -88,14 +88,6 @@ class SourceParams:
         return np.array([out, out, self.eta_b, self.eta_b, self.eta_b, self.eta_b, out, out])
 
 
-def params_from_external(values: dict) -> SourceParams:
-    """SourceParams from a mapping keyed by external names; absent fields keep their defaults."""
-    fields = {PARAM_FIELDS.get(name, name): value for name, value in values.items()}
-    if "herald_pattern" in fields:
-        fields["herald_pattern"] = tuple(fields["herald_pattern"])
-    return SourceParams(**fields)
-
-
 # The pairing P = U M0 U^T of one chain's squeezed pairs (1, 2) and (3, 4)
 # after the 50:50 heralding splitter U on its herald modes (2, 3).
 _C = sqrt(0.5)

@@ -45,6 +45,8 @@ class SweepConfig:
         unknown = [m for m in self.metrics if m not in KNOWN_METRICS]
         if unknown:
             raise ValueError(f"unknown metrics {unknown}; options: {KNOWN_METRICS}")
+        if len(set(self.metrics)) < len(self.metrics):
+            raise ValueError(f"each metric may be named once, got {','.join(self.metrics)}")
         object.__setattr__(self, "metrics", tuple(self.metrics))
 
     def grid(self) -> np.ndarray:

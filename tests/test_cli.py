@@ -13,6 +13,7 @@ from zalmsim import (
     cli,
     pgen,
     pgen_with_dark,
+    server,
     spin_spin_dm,
     spin_spin_dm_dark,
     sweep,
@@ -41,6 +42,13 @@ class TestSweepConfig:
             SweepConfig("not_a_param", 0.1, 1.0, 5, fixed)
         with pytest.raises(ValueError):
             SweepConfig("mean_photon", 0.1, 1.0, 5, fixed, metrics=("bogus",))
+
+    def test_metric_named_twice_is_refused(self):
+        # each metric is one CSV column and one JSON key: a repeat would print two columns for one key
+        with pytest.raises(ValueError, match="named once"):
+            SweepConfig("mean_photon", 0.1, 1.0, 5, SourceParams(mean_photon=0.1), metrics=("pgen", "pgen"))
+        result = run_cli(["sweep", "--param", "mean_photon", "--from", "0.1", "--to", "0.2", "--steps", "2", "--metrics", "pgen,pgen"])
+        assert (result.returncode, result.stdout, len(result.stderr.splitlines())) == (2, "", 1)
 
     def test_degenerate_two_step_sweep(self):
         config = SweepConfig("mean_photon", 0.01, 0.02, 2, SourceParams(mean_photon=0.1))
@@ -149,7 +157,7 @@ class TestCliProcess:
     def test_dark_spin_dm_mixes_any_click_pattern(self):
         click = (0, 1, 1, 1, 0, 0, 0, 1)
         result = run_cli(
-            ["spin-dm", "--dark", "--dark-click-prob", "1e-3", "--click-pattern", ",".join(map(str, click))]
+            ["spin-dm", "--dark-click-prob", "1e-3", "--click-pattern", ",".join(map(str, click))]
         )
         assert result.returncode == 0, result.stderr
         payload = json.loads(result.stdout)
@@ -191,11 +199,47 @@ class TestCliProcess:
 
     @pytest.mark.parametrize("pattern, message", [("9,9", "click pattern must be 8")], ids=["invalid-pattern"])
     def test_dark_spin_dm_rejects_other_click_patterns(self, pattern, message):
-        result = run_cli(["spin-dm", "--dark", "--click-pattern", pattern])
+        result = run_cli(["spin-dm", "--click-pattern", pattern])
         assert result.returncode == 2
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"zalmsim: error: {message}")
+
+
+class TestFlagText:
+    """A flag's text is read as the service reads a query value: as JSON, a count list as a JSON array's items."""
+
+    @pytest.mark.parametrize(
+        "command, flag, text",
+        [
+            ("metrics", "--herald-pattern", "0_1,1,0,0"),
+            ("metrics", "--mean-photon", "1_0e-1"),
+            ("spin-dm", "--mean-photon", "nan"),
+            ("spin-dm", "--mean-photon", ".5"),
+            ("spin-dm", "--click-pattern", "+1,0,1,1,0,0,1,0"),
+            ("sweep", "--bsm-efficiency", "+1"),
+        ],
+    )
+    def test_text_that_is_not_json_is_one_line_error(self, command, flag, text, capsys):
+        args = [command, flag, text]
+        if command == "sweep":
+            args += ["--param", "mean_photon", "--from", "0.1", "--to", "0.2", "--steps", "2"]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        field = flag[2:].replace("-", "_")
+        assert out == "" and err == f"zalmsim: error: {field} must be a {'list of integers' if 'pattern' in flag else 'number'}\n"
+
+    def test_integer_too_large_for_a_float_is_one_line_error(self, capsys):
+        assert main(["metrics", "--mean-photon", "1" + "0" * 400]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "zalmsim: error: mean_photon is too large for a float\n"
+
+    def test_sweep_takes_its_fixed_params_from_the_request_parser(self):
+        result = run_cli(["sweep", "--param", "mean_photon", "--from", "0.1", "--to", "0.2", "--steps", "2",
+                          "--herald-pattern", "0,0,1,1", "--bsm-efficiency", "1", "--format", "json"])
+        assert result.returncode == 0, result.stderr
+        rows = json.loads(result.stdout)
+        assert rows[1]["pgen"] == pgen(SourceParams(mean_photon=0.2, herald_pattern=(0, 0, 1, 1))).value
 
 
 class TestStrictJson:
@@ -224,20 +268,19 @@ class TestStrictJson:
         assert rows[0]["error"] == "spin_dm:UndefinedFidelityError"
 
     @pytest.mark.parametrize(
-        "args, name, nan_result",
+        "args, module, name, nan_result",
         [
-            (["metrics"], "compute_metrics_response", lambda data: {"pgen": float("nan")}),
-            (["spin-dm"], "spin_spin_dm", lambda params, click: SpinSpinDM(np.full((4, 4), np.nan))),
-            (["spin-dm", "--dark"], "spin_spin_dm_dark", lambda params, click: SpinSpinDM(np.full((4, 4), np.nan))),
+            (["metrics"], cli, "compute_metrics_response", lambda data: {"pgen": float("nan")}),
+            (["spin-dm"], server, "spin_spin_dm_dark", lambda params, click: SpinSpinDM(np.full((4, 4), np.nan))),
         ],
-        ids=["metrics", "spin-dm", "spin-dm-dark"],
+        ids=["metrics", "spin-dm"],
     )
     @pytest.mark.parametrize("failure", ["nan-in-reply", "undefined-fidelity"])
-    def test_numerical_failure_is_one_line_error(self, args, name, nan_result, failure, monkeypatch, capsys):
+    def test_numerical_failure_is_one_line_error(self, args, module, name, nan_result, failure, monkeypatch, capsys):
         def undefined(*_):
             raise UndefinedFidelityError("heralding probability vanished")
 
-        monkeypatch.setattr(cli, name, nan_result if failure == "nan-in-reply" else undefined)
+        monkeypatch.setattr(module, name, nan_result if failure == "nan-in-reply" else undefined)
         assert main(args) == 2
         out, err = capsys.readouterr()
         assert out == ""

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from zalmsim import SourceParams, UndefinedFidelityError, pgen, photonic_trace, spin_spin_dm
+from zalmsim import SourceParams, UndefinedFidelityError, pgen, photonic_trace, spin_spin_dm, spin_spin_dm_dark
 from zalmsim.server import MAX_BODY_BYTES, SOCKET_TIMEOUT_S, RequestError, build_server, compute_metrics_response
 from zalmsim.sources import MAX_MEAN_PHOTON
 
@@ -124,6 +124,27 @@ class TestMetricsEndpoint:
         status, payload = post(f"{server_url}/v1/metrics", b"{not json")
         assert status == 400
         assert payload["code"] == "malformed"
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"[" * 60_000, b'{"mean_photon": NaN}', b'{"mean_photon": Infinity}', b'{"mean_photon": -Infinity}'],
+        ids=["nested-past-the-recursion-limit", "nan-token", "infinity-token", "minus-infinity-token"],
+    )
+    def test_body_that_strict_json_cannot_read_is_400(self, server_url, body):
+        status, payload = post(f"{server_url}/v1/metrics", body)
+        assert (status, payload["code"]) == (400, "malformed")
+
+    def test_integer_too_large_for_a_float_is_422(self, server_url):
+        # as 1e400 is: a number out of every field's range
+        for text in ("1" + "0" * 400, "1e400"):
+            status, payload = post(f"{server_url}/v1/metrics", b'{"mean_photon": %s}' % text.encode())
+            assert (status, payload["code"]) == (422, "out_of_range")
+
+    def test_integer_past_the_digit_limit_is_not_500(self, server_url):
+        # 400 malformed where the interpreter limits integer digits, 422 out_of_range where it does not
+        status, payload = post(f"{server_url}/v1/metrics", b'{"mean_photon": 1%s}' % (b"0" * 5000))
+        assert status in (400, 422)
+        assert payload["code"] in ("malformed", "out_of_range")
 
     def test_missing_required_field_is_400(self, server_url):
         status, payload = post(f"{server_url}/v1/metrics", {"bsm_efficiency": 0.5})
@@ -307,8 +328,12 @@ class TestSpinDmEndpoint:
         dm = spin_spin_dm(SourceParams(mean_photon=0.05), (0, 1, 1, 1, 0, 0, 1, 0))
         assert payload["spin_dm"][1][1][0] == dm.entries[1, 1].real
 
-    @pytest.mark.parametrize("click", [None, (0, 1, 1, 1, 0, 0, 1, 0)], ids=["default-click", "explicit-click"])
-    def test_reply_equals_the_cli_reply(self, server_url, click, capsys):
+    @pytest.mark.parametrize(
+        "click, dark",
+        [(None, 0.0), ((0, 1, 1, 1, 0, 0, 1, 0), 0.0), (None, 0.01)],
+        ids=["default-click", "explicit-click", "dark-counts"],
+    )
+    def test_reply_equals_the_cli_reply(self, server_url, click, dark, capsys):
         from zalmsim import DEFAULT_CLICK_PATTERN, cli
 
         query = "mean_photon=0.05&outcoupling_efficiency=0.8"
@@ -316,6 +341,9 @@ class TestSpinDmEndpoint:
         if click is not None:
             query += "&click_pattern=" + ",".join(map(str, click))
             flags += ["--click-pattern", ",".join(map(str, click))]
+        if dark:
+            query += f"&dark_click_prob={dark}"
+            flags += ["--dark-click-prob", str(dark)]
         status, payload = get(f"{server_url}/v1/spin_dm?{query}")
         assert status == 200
         assert cli.main(flags) == 0
@@ -323,17 +351,43 @@ class TestSpinDmEndpoint:
         expected = click or DEFAULT_CLICK_PATTERN
         assert payload["click_pattern"] == list(expected)
         # the spin matrix's own trace: the click pattern's probability, not the photonic trace of 1
-        assert payload["trace"] == spin_spin_dm(SourceParams(mean_photon=0.05, eta_t=0.8), expected).trace
+        params = SourceParams(mean_photon=0.05, eta_t=0.8, dark_click_prob=dark)
+        assert payload["trace"] == spin_spin_dm_dark(params, expected).trace
+
+    def test_dark_click_prob_mixes_dark_counts(self, server_url):
+        status, payload = get(f"{server_url}/v1/spin_dm?mean_photon=0.1&dark_click_prob=0.01")
+        assert status == 200
+        dm = spin_spin_dm_dark(SourceParams(mean_photon=0.1, dark_click_prob=0.01))
+        got = np.array([[complex(re, im) for re, im in row] for row in payload["spin_dm"]])
+        assert np.array_equal(got, dm.entries)
+        assert payload["trace"] == dm.trace != spin_spin_dm(SourceParams(mean_photon=0.1)).trace
+
+    @pytest.mark.parametrize(
+        "query, field",
+        [
+            ("mean_photon=0.1&herald_pattern=0_1,1,0,0", "herald_pattern"),
+            ("mean_photon=1_0e-1", "mean_photon"),
+            ("mean_photon=nan", "mean_photon"),
+            ("mean_photon=.5", "mean_photon"),
+            ("mean_photon=0.1&click_pattern=%2B1,0,1,1,0,0,1,0", "click_pattern"),
+            ("mean_photon=" + "[" * 5_000, "mean_photon"),
+        ],
+        ids=["underscore-count", "underscore-number", "nan", "leading-point", "plus-sign", "nested-past-the-recursion-limit"],
+    )
+    def test_value_that_is_not_json_is_400(self, server_url, query, field):
+        # a query value is read as the same text in a JSON body would be
+        status, payload = get(f"{server_url}/v1/spin_dm?{query}")
+        assert (status, payload["code"], payload["field"]) == (400, "bad_type", field)
 
     def test_tiny_mean_photon_needs_no_fidelity(self, server_url):
         # The endpoint computes the spin matrix alone, so the fidelity's underflow (ROADMAP item 4) is not its failure.
-        from zalmsim import httpd
+        from zalmsim import server
 
         status, payload = get(f"{server_url}/v1/spin_dm?mean_photon=1e-170")
         assert status == 200
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert httpd._spin_dm("mean_photon=1e-170") == payload
+            assert server.spin_dm_response(server._coerce_query("mean_photon=1e-170")) == payload
         assert payload["trace"] == spin_spin_dm(SourceParams(mean_photon=1e-170)).trace
 
     @pytest.mark.parametrize(
