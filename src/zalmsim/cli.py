@@ -22,7 +22,7 @@ from .oracle import (
     oracle_spin_spin,
 )
 from .server import ENGINE_VERSION, _REQUEST_FIELDS, RequestError, _parse_request, compute_metrics_response, read_fields
-from .server import reply_json, serve, spin_dm_response
+from .server import read_json, reply_json, serve, spin_dm_response
 from .sources import PARAM_FIELDS, SourceParams
 from .sweep import KNOWN_METRICS, SweepConfig, render_sweep, run_sweep
 
@@ -42,12 +42,24 @@ def _request_from_args(args: argparse.Namespace) -> dict:
     return read_fields({name: text for name in _REQUEST_FIELDS if (text := getattr(args, name, None)) is not None})
 
 
+def _number_flag(args: argparse.Namespace, name: str, kind: type = float):
+    """A numeric flag read by the parameter flags' JSON rule: a JSON number, an integer where kind is int, never a boolean."""
+    text = getattr(args, name)
+    try:
+        value = read_json(text)
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            raise ValueError
+        return kind(value)
+    except (ValueError, OverflowError):  # OverflowError: an integer too large for a float
+        raise ValueError(f"--{name} must be {'an integer' if kind is int else 'a number'}, got {text!r}") from None
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = SweepConfig(
         swept_parameter=args.param,
-        start=getattr(args, "from"),
-        stop=args.to,
-        steps=args.steps,
+        start=_number_flag(args, "from"),
+        stop=_number_flag(args, "to"),
+        steps=_number_flag(args, "steps", int),
         scale=args.scale,
         fixed=_parse_request(_request_from_args(args))[0],
         metrics=tuple(args.metrics.split(",")),
@@ -74,8 +86,11 @@ def _cmd_spin_dm(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    print(f"serving on http://{args.bind}:{args.port}", file=sys.stderr)
-    serve(args.bind, args.port)
+    port = _number_flag(args, "port", int)
+    if not 0 <= port <= 65535:
+        raise ValueError(f"--port must lie in [0, 65535], got {port}")
+    print(f"serving on http://{args.bind}:{port}", file=sys.stderr)
+    serve(args.bind, port)
     return 0
 
 
@@ -166,9 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter and emit CSV/JSON rows")
     p_sweep.add_argument("--param", required=True, choices=sorted(PARAM_FIELDS))
-    p_sweep.add_argument("--from", type=float, required=True, dest="from")
-    p_sweep.add_argument("--to", type=float, required=True)
-    p_sweep.add_argument("--steps", type=int, required=True)
+    p_sweep.add_argument("--from", required=True, dest="from")
+    p_sweep.add_argument("--to", required=True)
+    p_sweep.add_argument("--steps", required=True)
     p_sweep.add_argument("--scale", choices=("linear", "log"), default="linear")
     p_sweep.add_argument("--metrics", default="pgen", help=f"comma separated subset of {','.join(KNOWN_METRICS)}")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -190,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser("serve", help="run the JSON HTTP service")
     p_serve.add_argument("--bind", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8791)
+    p_serve.add_argument("--port", default="8791")
     p_serve.set_defaults(func=_cmd_serve)
     return parser
 

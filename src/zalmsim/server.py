@@ -4,14 +4,16 @@ Mock-hardware style endpoint: every response is reproducible bit-exactly by
 the corresponding library call.  Loopback bind, no authentication.
 
 This module holds the request and reply logic.  The HTTP layer (``httpd``:
-the handler and the bounded threading server) and hashlib are imported only
-when a server is built or the health payload is made, so importing the CLI
-or this module for its payload functions loads neither http.server nor ssl.
+the socketserver handler and the bounded threading server) is imported only
+when a server is built, so importing the CLI or this module for its payload
+functions loads no socket server.  No process of the package, a serving one
+included, loads http.server, http.client, email, ssl or hashlib.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 import urllib.parse
 
 from . import __version__ as ENGINE_VERSION
@@ -19,7 +21,7 @@ from .errors import NumericalDomainError
 from .kfunction import COVARIANCE_PRESCALE
 from .memory import DEFAULT_CLICK_PATTERN, spin_spin_dm, spin_spin_dm_dark, validate_click_pattern
 from .metrics import FIDELITY_PATTERNS, fidelity, pgen, photonic_trace
-from .sources import PARAM_FIELDS, SourceParams
+from .sources import PARAM_FIELDS, SourceParams, as_count
 
 _REQUEST_FIELDS = {**dict.fromkeys(PARAM_FIELDS, float), "herald_pattern": list, "click_pattern": list}
 # A request body is a few hundred bytes; the cap bounds what one request may make the server read.
@@ -83,9 +85,12 @@ def _parse_request(data: dict) -> tuple[SourceParams, tuple[int, ...] | None]:
             except OverflowError:
                 raise RequestError(422, "out_of_range", field, f"{field} is too large for a float") from None
         else:
-            if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
-                raise RequestError(400, "bad_type", field, f"{field} must be a list of integers")
-            clean[field] = value
+            try:
+                if not isinstance(value, list):
+                    raise TypeError(f"{field} is not a list")
+                clean[field] = [as_count(v) for v in value]
+            except TypeError:
+                raise RequestError(400, "bad_type", field, f"{field} must be a list of integers") from None
     click = clean.pop("click_pattern", None)
     try:
         params = SourceParams(**{PARAM_FIELDS.get(field, field): value for field, value in clean.items()})
@@ -145,14 +150,12 @@ def compute_metrics_response(data: dict) -> dict:
 
 
 def health_payload() -> dict:
-    import hashlib
-
+    """GET /v1/health; the checksum is the exact IEEE-754 bits of pgen at mean_photon 0.1, as 16 hex digits."""
     probe = pgen(SourceParams(mean_photon=0.1))
-    checksum = hashlib.sha256(repr(probe.value).encode()).hexdigest()[:16]
     return {
         "engine_version": ENGINE_VERSION,
         "convention_scale": COVARIANCE_PRESCALE,
-        "self_test_checksum": checksum,
+        "self_test_checksum": struct.pack(">d", probe.value).hex(),
     }
 
 

@@ -35,11 +35,18 @@ PARAM_FIELDS = {
 }
 
 
+def as_count(item) -> int:
+    """item as an int: ints and numpy ints pass; a bool, a fractional number or a string raises TypeError."""
+    if isinstance(item, bool):
+        raise TypeError(f"a boolean is not a count, got {item!r}")
+    return operator.index(item)
+
+
 def parse_counts(counts, size: int, what: str) -> tuple[int, ...]:
-    """counts as size nonnegative ints (numpy ints pass, fractional counts do not), else a one-line ValueError."""
+    """counts as size nonnegative ints (as_count reads each), else a one-line ValueError."""
     counts = tuple(counts)
     try:
-        parsed = tuple(map(operator.index, counts))
+        parsed = tuple(map(as_count, counts))
     except TypeError:
         parsed = ()
     if len(parsed) != size or min(parsed) < 0:

@@ -229,6 +229,28 @@ class TestFlagText:
         field = flag[2:].replace("-", "_")
         assert out == "" and err == f"zalmsim: error: {field} must be a {'list of integers' if 'pattern' in flag else 'number'}\n"
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["sweep", "--from", "0_1", "--to", "2", "--steps", "2"], "--from must be a number, got '0_1'"),
+            (["sweep", "--from", "0.1", "--to", "true", "--steps", "2"], "--to must be a number, got 'true'"),
+            (["sweep", "--from", "1" + "0" * 400, "--to", "2", "--steps", "2"], "--from must be a number, got '1" + "0" * 400 + "'"),
+            (["sweep", "--from", "0.1", "--to", "2", "--steps", "2.0"], "--steps must be an integer, got '2.0'"),
+            (["serve", "--port", "8791.0"], "--port must be an integer, got '8791.0'"),
+            (["serve", "--port", "false"], "--port must be an integer, got 'false'"),
+            (["serve", "--port", "70000"], "--port must lie in [0, 65535], got 70000"),
+            (["metrics", "--herald-pattern", "true,true,false,false"], "herald_pattern must be a list of integers"),
+        ],
+        ids=["underscore-from", "boolean-to", "from-too-large-for-a-float", "fractional-steps", "fractional-port",
+             "boolean-port", "port-out-of-range", "boolean-counts"],
+    )
+    def test_flag_outside_the_json_rule_is_one_line_error(self, args, message, capsys):
+        if args[0] == "sweep":
+            args = [*args, "--param", "mean_photon"]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"zalmsim: error: {message}\n"
+
     def test_integer_too_large_for_a_float_is_one_line_error(self, capsys):
         assert main(["metrics", "--mean-photon", "1" + "0" * 400]) == 2
         out, err = capsys.readouterr()

@@ -1,5 +1,8 @@
+import datetime
+import email.utils
 import json
 import socket
+import struct
 import threading
 import time
 import urllib.error
@@ -12,7 +15,8 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from zalmsim import SourceParams, UndefinedFidelityError, pgen, photonic_trace, spin_spin_dm, spin_spin_dm_dark
+from zalmsim import SourceParams, UndefinedFidelityError, pgen, photonic_trace, server, spin_spin_dm, spin_spin_dm_dark
+from zalmsim.httpd import MAX_HEADERS, MAX_LINE_BYTES
 from zalmsim.server import MAX_BODY_BYTES, SOCKET_TIMEOUT_S, RequestError, build_server, compute_metrics_response
 from zalmsim.sources import MAX_MEAN_PHOTON
 
@@ -54,19 +58,30 @@ def get(url: str) -> tuple[int, dict]:
         return err.code, json.loads(err.read())
 
 
+def raw_request(url: str, request: bytes) -> tuple[bytes, dict, dict]:
+    """Send request bytes as written; (status line, headers by lower-case name, reply body read as strict JSON)."""
+    parts = urllib.parse.urlsplit(url)
+    with socket.create_connection((parts.hostname, parts.port), timeout=30) as sock:
+        sock.sendall(request)
+        reply = b""
+        try:
+            while chunk := sock.recv(65536):
+                reply += chunk
+        except ConnectionResetError:  # the server closed with part of a refused request unread
+            pass
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {name.lower(): value.strip() for name, _, value in (line.partition(":") for line in lines)}
+    assert int(headers["content-length"]) == len(body)
+    return status_line.encode("latin-1"), headers, server.read_json(body.decode("utf-8"))
+
+
 def raw_post(url: str, content_length: str, body: bytes = b"") -> tuple[int, dict, float]:
     """POST /v1/metrics with a hand-written Content-Length; (status, JSON reply, seconds to the reply)."""
-    parts = urllib.parse.urlsplit(url)
-    head = f"POST /v1/metrics HTTP/1.1\r\nHost: {parts.netloc}\r\nContent-Length: {content_length}\r\n\r\n"
+    head = f"POST /v1/metrics HTTP/1.1\r\nHost: x\r\nContent-Length: {content_length}\r\n\r\n"
     started = time.perf_counter()
-    with socket.create_connection((parts.hostname, parts.port), timeout=30) as sock:
-        sock.sendall(head.encode() + body)
-        reply = b""
-        while chunk := sock.recv(65536):
-            reply += chunk
-    elapsed = time.perf_counter() - started
-    status_line, _, rest = reply.partition(b"\r\n")
-    return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2]), elapsed
+    status_line, _, payload = raw_request(url, head.encode() + body)
+    return int(status_line.split()[1]), payload, time.perf_counter() - started
 
 
 class TestHealth:
@@ -75,7 +90,17 @@ class TestHealth:
         assert status == 200
         assert payload["engine_version"]
         assert payload["convention_scale"] == 0.5
-        assert len(payload["self_test_checksum"]) == 16
+        assert payload["self_test_checksum"] == struct.pack(">d", pgen(SourceParams(mean_photon=0.1)).value).hex()
+
+    def test_reply_headers(self, server_url):
+        status_line, headers, _ = raw_request(server_url, b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert status_line == b"HTTP/1.0 200 OK"
+        assert headers["server"] == "zalmsim/0.1.0"
+        assert headers["content-type"] == "application/json; charset=utf-8"
+        assert headers["connection"] == "close"
+        sent = email.utils.parsedate_to_datetime(headers["date"])
+        assert abs((sent - datetime.datetime.now(datetime.timezone.utc)).total_seconds()) < 60
+        assert headers["date"] == email.utils.format_datetime(sent, usegmt=True)
 
 
 class TestMetricsEndpoint:
@@ -195,14 +220,18 @@ class TestMetricsEndpoint:
         assert payload["pgen"] == pgen(SourceParams(mean_photon=0.1, eta_b=0.7, herald_pattern=(1, 0, 1, 0))).value
 
     def test_undefined_fidelity_is_numerical_domain(self, server_url, monkeypatch):
-        from zalmsim import server
-
         def undefined(data):
             raise UndefinedFidelityError("heralding probability vanished")
 
         monkeypatch.setattr(server, "compute_metrics_response", undefined)
         status, payload = post(f"{server_url}/v1/metrics", {"mean_photon": 0.1})
         assert (status, payload["code"]) == (500, "numerical_domain")
+
+    def test_boolean_count_is_400(self, server_url):
+        status, payload = post(f"{server_url}/v1/metrics", {"mean_photon": 0.1, "herald_pattern": [True, True, False, False]})
+        assert (status, payload["code"], payload["field"]) == (400, "bad_type", "herald_pattern")
+        status, payload = get(f"{server_url}/v1/spin_dm?mean_photon=0.1&click_pattern=1,0,1,1,0,0,1,false")
+        assert (status, payload["code"], payload["field"]) == (400, "bad_type", "click_pattern")
 
     def test_unknown_path_is_404(self, server_url):
         status, _ = post(f"{server_url}/v1/other", {"mean_photon": 0.1})
@@ -236,9 +265,86 @@ class TestRequestBody:
         assert payload["code"] == "timeout"
 
 
+    @pytest.mark.parametrize("lengths", [("20", "2"), ("20", "20")], ids=["differing", "repeated"])
+    def test_more_than_one_content_length_is_400(self, server_url, lengths):
+        body = b'{"mean_photon": 0.1}'
+        head = "".join(f"Content-Length: {length}\r\n" for length in lengths)
+        status_line, _, payload = raw_request(server_url, f"POST /v1/metrics HTTP/1.1\r\n{head}\r\n".encode() + body)
+        assert b" 400 " in status_line
+        assert (payload["code"], payload["field"]) == ("malformed", "Content-Length")
+
+    def test_transfer_encoding_is_400(self, server_url):
+        body = b'{"mean_photon": 0.1}'
+        chunked = b"POST /v1/metrics HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n14\r\n" + body + b"\r\n0\r\n\r\n"
+        status_line, _, payload = raw_request(server_url, chunked)
+        assert b" 400 " in status_line
+        assert payload == {"code": "malformed", "field": "Transfer-Encoding", "message": "send the body with a Content-Length"}
+
+
+class TestProtocolErrors:
+    """Whatever arrives, the reply is a status line and a {code, field, message} JSON body."""
+
+    @pytest.mark.parametrize("line", [b"GARBAGE", b"GET /v1/health", b""], ids=["one-word", "http-0.9", "blank"])
+    def test_request_line_that_is_not_three_words_is_400(self, server_url, line):
+        status_line, _, payload = raw_request(server_url, line + b"\r\n\r\n")
+        assert status_line == b"HTTP/1.0 400 Bad Request"
+        assert payload["code"] == "malformed"
+
+    def test_request_line_over_the_cap_is_414(self, server_url):
+        status_line, _, payload = raw_request(server_url, b"GET /" + b"a" * MAX_LINE_BYTES + b" HTTP/1.1\r\n\r\n")
+        assert b" 414 " in status_line
+        assert payload["code"] == "too_large"
+
+    @pytest.mark.parametrize(
+        "headers",
+        [b"".join(b"X-%d: y\r\n" % i for i in range(MAX_HEADERS + 1)), b"X-Long: " + b"y" * MAX_LINE_BYTES + b"\r\n"],
+        ids=["too-many", "too-long"],
+    )
+    def test_headers_over_the_caps_are_431(self, server_url, headers):
+        status_line, _, payload = raw_request(server_url, b"GET /v1/health HTTP/1.1\r\n" + headers + b"\r\n")
+        assert b" 431 " in status_line
+        assert payload["code"] == "too_large"
+
+    def test_headers_up_to_the_cap_are_read(self, server_url):
+        headers = b"".join(b"X-%d: y\r\n" % i for i in range(MAX_HEADERS))
+        status_line, _, _ = raw_request(server_url, b"GET /v1/health HTTP/1.1\r\n" + headers + b"\r\n")
+        assert status_line == b"HTTP/1.0 200 OK"
+
+    @pytest.mark.parametrize("method", ["PUT", "DELETE", "HEAD"])
+    def test_other_method_is_405(self, server_url, method):
+        body = b'{"mean_photon": 0.1}'
+        request = f"{method} /v1/metrics HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n".encode() + body
+        status_line, headers, payload = raw_request(server_url, request)
+        assert b" 405 " in status_line
+        assert headers["allow"] == "GET, POST"
+        assert payload["code"] == "method_not_allowed"
+
+    def test_client_that_leaves_before_its_request_gets_no_reply(self, monkeypatch, capsys):
+        # One handler slot: the next request is answered only once the departed client's handler has finished.
+        monkeypatch.setattr(server, "MAX_CONCURRENT_HANDLERS", 1)
+        httpd = build_server("127.0.0.1", 0)
+        port = httpd.server_address[1]
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                sock.shutdown(socket.SHUT_WR)
+                assert sock.recv(65536) == b""
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                # close with a reset, as a client that crashed does
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            deadline = time.perf_counter() + 5.0
+            while (status := get(f"http://127.0.0.1:{port}/v1/health")[0]) == 503 and time.perf_counter() < deadline:
+                time.sleep(0.02)
+            assert status == 200
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+        assert capsys.readouterr().err == ""
+
+
 class TestHandlerBound:
     def test_full_pool_answers_503_busy(self, monkeypatch):
-        from zalmsim import server
         from zalmsim.httpd import _Handler
 
         monkeypatch.setattr(server, "MAX_CONCURRENT_HANDLERS", 2)
@@ -276,8 +382,6 @@ class TestHandlerBound:
 
 class TestReplyJson:
     def test_non_finite_value_is_numerical_domain_error(self, server_url, monkeypatch):
-        from zalmsim import server
-
         def reject(name):
             raise ValueError(f"{name} is not JSON")
 
@@ -381,8 +485,6 @@ class TestSpinDmEndpoint:
 
     def test_tiny_mean_photon_needs_no_fidelity(self, server_url):
         # The endpoint computes the spin matrix alone, so the fidelity's underflow (ROADMAP item 4) is not its failure.
-        from zalmsim import server
-
         status, payload = get(f"{server_url}/v1/spin_dm?mean_photon=1e-170")
         assert status == 200
         with warnings.catch_warnings():

@@ -61,11 +61,37 @@ def test_import_leaves_scipy_unloaded():
     assert result.stdout.strip() == "False"
 
 
+HTTP_STACK = ("http.server", "http.client", "email.parser", "ssl", "hashlib", "_hashlib")
+
+
 def test_import_leaves_the_http_stack_unloaded():
-    # only `zalmsim serve` and /v1/health need http.server (with ssl) and hashlib
+    # importing the CLI or the request layer loads no socket server at all
     code = (
         "import sys, zalmsim.cli, zalmsim.server; "
-        "print(sorted(m for m in ('http.server', 'ssl', 'hashlib') if m in sys.modules))"
+        f"print(sorted(m for m in {HTTP_STACK + ('socketserver',)} if m in sys.modules))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_serving_leaves_the_http_stack_unloaded():
+    # the service answers on socketserver alone: http.server would bring http.client, email and ssl,
+    # and hashlib OpenSSL's libcrypto
+    code = (
+        "import socket, sys, threading\n"
+        "from zalmsim.server import build_server\n"
+        "httpd = build_server('127.0.0.1', 0)\n"
+        "threading.Thread(target=httpd.serve_forever, daemon=True).start()\n"
+        "body = b'{\"mean_photon\": 0.1}'\n"
+        "for request in (b'GET /v1/health HTTP/1.0\\r\\n\\r\\n',\n"
+        "                b'POST /v1/metrics HTTP/1.0\\r\\nContent-Length: %d\\r\\n\\r\\n%s' % (len(body), body)):\n"
+        "    with socket.create_connection(httpd.server_address, timeout=30) as sock:\n"
+        "        sock.sendall(request)\n"
+        "        assert sock.makefile('rb').readline().split()[1] == b'200'\n"
+        "httpd.shutdown()\n"
+        "httpd.server_close()\n"
+        f"print(sorted(m for m in {HTTP_STACK} if m in sys.modules))\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
