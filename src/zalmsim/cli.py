@@ -22,7 +22,7 @@ from .oracle import (
     oracle_spin_spin,
 )
 from .server import ENGINE_VERSION, _REQUEST_FIELDS, RequestError, _parse_request, compute_metrics_response, read_fields
-from .server import read_json, reply_json, serve, spin_dm_response
+from .server import build_server, read_json, reply_json, spin_dm_response
 from .sources import PARAM_FIELDS, SourceParams
 from .sweep import KNOWN_METRICS, SweepConfig, render_sweep, run_sweep
 
@@ -89,8 +89,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     port = _number_flag(args, "port", int)
     if not 0 <= port <= 65535:
         raise ValueError(f"--port must lie in [0, 65535], got {port}")
+    try:
+        httpd = build_server(args.bind, port)
+    except OSError as exc:  # the bind only: a port in use, an address not of this host
+        raise ValueError(f"cannot serve on {args.bind}:{port}: {exc}") from None
     print(f"serving on http://{args.bind}:{port}", file=sys.stderr)
-    serve(args.bind, port)
+    try:
+        httpd.serve_forever()
+    finally:
+        httpd.server_close()
     return 0
 
 

@@ -44,16 +44,38 @@ def _reply(status: int, payload: dict) -> bytes:
     return head.encode("latin-1") + body
 
 
+def _send_and_linger(sock: socket.socket, reply: bytes) -> None:
+    """Send a reply to a request not read to its end, then drain until the client closes (at most server.BUSY_LINGER_S).
+
+    A socket closed with unread bytes sends a reset, which can destroy the
+    reply before the client reads it; shutting down writing first and
+    draining lets a client still sending its body read the reply.
+    """
+    deadline = time.monotonic() + server.BUSY_LINGER_S
+    sock.sendall(reply)
+    sock.shutdown(socket.SHUT_WR)
+    while (left := deadline - time.monotonic()) > 0:
+        sock.settimeout(left)
+        if not sock.recv(server.MAX_BODY_BYTES):
+            break
+
+
 class _Handler(socketserver.StreamRequestHandler):
     """One request per connection, answered with one write."""
 
     timeout = server.SOCKET_TIMEOUT_S
 
     def handle(self) -> None:
+        self.body_read = False
         try:
             line = self.rfile.readline(MAX_LINE_BYTES + 1)
-            if line:  # else the client closed before sending a request
-                self.wfile.write(self._answer(line))
+            if not line:
+                return  # the client closed before sending a request
+            reply = self._answer(line)
+            if self.body_read:
+                self.wfile.write(reply)
+            else:  # refused before its body was read, or a GET: the client may still be sending
+                _send_and_linger(self.connection, reply)
         except OSError:
             pass  # the client closed, reset or fell silent before its request was read or its reply written
 
@@ -116,6 +138,7 @@ class _Handler(socketserver.StreamRequestHandler):
         length = int(raw)
         if length > server.MAX_BODY_BYTES:
             raise RequestError(413, "too_large", "Content-Length", f"body of {length} bytes exceeds the cap of {server.MAX_BODY_BYTES}")
+        self.body_read = True
         try:
             body = self.rfile.read(length)
         except TimeoutError as exc:
@@ -153,15 +176,9 @@ class BoundedHTTPServer(socketserver.ThreadingTCPServer):
             self._slots.release()
 
     def _refuse(self, request) -> None:
-        """Answer 503 unread, then drain until the client closes (at most server.BUSY_LINGER_S), so close() sends no reset."""
-        deadline = time.monotonic() + server.BUSY_LINGER_S
+        """Answer 503 with the request unread."""
         try:
-            request.sendall(_reply(503, {"code": "busy", "field": "", "message": "every request handler is in use"}))
-            request.shutdown(socket.SHUT_WR)
-            while (left := deadline - time.monotonic()) > 0:
-                request.settimeout(left)
-                if not request.recv(server.MAX_BODY_BYTES):
-                    break
+            _send_and_linger(request, _reply(503, {"code": "busy", "field": "", "message": "every request handler is in use"}))
         except OSError:
             pass
         self.close_request(request)

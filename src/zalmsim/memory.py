@@ -152,17 +152,11 @@ def spin_spin_dm_dark(params: SourceParams, click=DEFAULT_CLICK_PATTERN) -> Spin
     return SpinSpinDM(entries)
 
 
-def bell_fidelity_spin(dm: SpinSpinDM, target) -> float:
-    """Overlap <target| dm |target> / trace for a Bell label or explicit 4-vector."""
-    if isinstance(target, str):
-        try:
-            vec = BELL_TARGETS[target]
-        except KeyError:
-            raise ValueError(f"unknown Bell target {target!r}; options: {sorted(BELL_TARGETS)}")
-    else:
-        vec = np.asarray(target, dtype=complex)
-        if vec.shape != (4,):
-            raise ValueError("explicit Bell target must be a 4-vector")
+def bell_fidelity_spin(dm: SpinSpinDM, target: str) -> float:
+    """Overlap <target| dm |target> / trace for a Bell label, a key of BELL_TARGETS."""
+    if not (isinstance(target, str) and target in BELL_TARGETS):
+        raise ValueError(f"unknown Bell target {target!r}; options: {sorted(BELL_TARGETS)}")
+    vec = BELL_TARGETS[target]
     tr = dm.trace
     if tr <= 0.0:
         raise UndefinedFidelityError("spin-spin matrix has nonpositive trace")

@@ -5,7 +5,7 @@ Chain A holds modes 1, 4, 6, 7 and chain B modes 2, 3, 5, 8; in each, two
 squeezed pairs meet on one heralding beam splitter, and the local modes run
 (outer, herald, herald, outer).  No 8-mode state is built: the paper's
 K-function integral is taken in the amplitude basis, where one chain's
-excess moments (``kfunction.k_data``) give a closed-form 8x8 real exponent
+excess moments (``moments.k_data``) give a closed-form 8x8 real exponent
 matrix B (``moments.assemble_a``) per pair of outer and herald efficiencies.
 Loss is the same on both chains, so one B serves both; a traced mode is a
 mode at efficiency 0.
@@ -26,8 +26,7 @@ from math import factorial, sqrt
 import numpy as np
 
 from .errors import UndefinedFidelityError
-from .kfunction import ChainMoments, k_data
-from .moments import AMatrix, MomentRequest, assemble_a, wick_moment
+from .moments import AMatrix, ChainMoments, MomentRequest, assemble_a, k_data, wick_moment
 from .sources import SourceParams, build_cascaded_cov, parse_counts  # noqa: F401 - perfbench/tracing.py patches metrics.build_cascaded_cov
 
 HERALD_MODES = (3, 4, 5, 6)

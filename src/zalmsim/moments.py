@@ -1,8 +1,21 @@
-"""Chain moment engine: the amplitude-basis exponent matrix, hafnians and Wick moments.
+"""Chain moment engine: the K-function's moments, the amplitude-basis exponent matrix, hafnians and Wick moments.
 
-A Gaussian state with excess moments S (``kfunction``) and per-mode
-efficiencies eta has the Fock elements (Hamilton et al., PRL 119, 170501
-(2017), in the form of The Walrus's ``density_matrix_element``)
+The paper's K-function is the coherent-state kernel of the Gaussian source
+state.  Written over one chain's amplitudes (a_1..a_4, a_1^dag..a_4^dag)
+instead of its quadratures, it is fixed by the chain's excess normally
+ordered moments (k_data)
+
+    S = [[N, M], [M, N]],   N = <a^dag a> = mu I,   M = <a a> = sqrt(mu (1 + mu)) P,
+
+with P the heralding splitter's pairing (``sources.PAIRING``): the Husimi
+matrix is Q = I + S, and the kernel's exponent is B below at unit
+efficiency.  S is known in closed form, so it is never formed as Q - I from
+a covariance, which would cancel the O(mu) moments against the vacuum's 1
+at small mu.
+
+A Gaussian state with excess moments S and per-mode efficiencies eta has
+the Fock elements (Hamilton et al., PRL 119, 170501 (2017), in the form of
+The Walrus's ``density_matrix_element``)
 
     <d| rho |g> = haf(A_(d,g)) / (sqrt(det(I + D S D)) sqrt(d! g!)),   A = X (I + D S D)^-1 D S D,
 
@@ -38,15 +51,34 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
+from math import isfinite, sqrt
 
 import numpy as np
 
-from .kfunction import ChainMoments
 from .sources import PAIRING
 
 MAX_REQUEST_CARDINALITY = 16
 # Below this many forms, matching enumeration beats hafnian_repeated.
 REPEATED_MIN_FORMS = 8
+
+
+@dataclass(frozen=True)
+class ChainMoments:
+    """One chain's excess moments: N = mean_photon I and M = pair P."""
+
+    mean_photon: float
+    pair: float
+
+
+def k_data(mu: float) -> ChainMoments:
+    """The chain's excess moments at mean photon number mu per squeezed mode.
+
+    sqrt(mu) sqrt(1 + mu) instead of sqrt(mu (1 + mu)) keeps the pair moment
+    finite wherever mu is.
+    """
+    if not isfinite(mu) or mu < 0:
+        raise ValueError(f"mean photon number must be finite and >= 0, got {mu}")
+    return ChainMoments(float(mu), sqrt(mu) * sqrt(1.0 + mu))
 
 
 @dataclass(frozen=True)

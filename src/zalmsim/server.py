@@ -18,10 +18,10 @@ import urllib.parse
 
 from . import __version__ as ENGINE_VERSION
 from .errors import NumericalDomainError
-from .kfunction import COVARIANCE_PRESCALE
-from .memory import DEFAULT_CLICK_PATTERN, spin_spin_dm, spin_spin_dm_dark, validate_click_pattern
-from .metrics import FIDELITY_PATTERNS, fidelity, pgen, photonic_trace
-from .sources import PARAM_FIELDS, SourceParams, as_count
+from .memory import DEFAULT_CLICK_PATTERN, spin_spin_dm_dark, validate_click_pattern
+from .memory import spin_spin_dm  # noqa: F401 - unused here, but perfbench/tracing.py patches server.spin_spin_dm
+from .metrics import FIDELITY_PATTERNS, fidelity, pgen, pgen_with_dark, photonic_trace
+from .sources import COVARIANCE_PRESCALE, PARAM_FIELDS, SourceParams, as_count
 
 _REQUEST_FIELDS = {**dict.fromkeys(PARAM_FIELDS, float), "herald_pattern": list, "click_pattern": list}
 # A request body is a few hundred bytes; the cap bounds what one request may make the server read.
@@ -113,24 +113,26 @@ def reply_json(payload, indent: int | None = None) -> str:
         raise NumericalDomainError(f"non-finite value in the reply: {exc}") from exc
 
 
-def spin_dm_reply(click, dm) -> dict:
-    """The spin-matrix reply of GET /v1/spin_dm and `zalmsim spin-dm`; its trace is the click pattern's probability."""
+def spin_dm_response(data: dict) -> dict:
+    """The spin-matrix reply for one request, its dark counts mixed in: GET /v1/spin_dm and `zalmsim spin-dm`.
+
+    Its trace is the click pattern's probability.
+    """
+    params, click = _parse_request({"click_pattern": list(DEFAULT_CLICK_PATTERN), **data})
+    dm = spin_spin_dm_dark(params, click)
     return {"click_pattern": list(click), "trace": dm.trace, "spin_dm": _spin_dm_wire(dm.entries), "engine_version": ENGINE_VERSION}
 
 
-def spin_dm_response(data: dict) -> dict:
-    """The spin-matrix reply for one request, its dark counts mixed in: GET /v1/spin_dm and `zalmsim spin-dm`."""
-    params, click = _parse_request({"click_pattern": list(DEFAULT_CLICK_PATTERN), **data})
-    return spin_dm_reply(click, spin_spin_dm_dark(params, click))
-
-
 def compute_metrics_response(data: dict) -> dict:
-    """The full metrics payload for one request: POST /v1/metrics and `zalmsim metrics`."""
+    """The full metrics payload for one request: POST /v1/metrics and `zalmsim metrics`.
+
+    pgen and spin_dm mix in dark counts at dark_click_prob; the fidelity is the photonic state's, with none.
+    """
     params, click = _parse_request(data)
     residuals: dict = {}
     trace = photonic_trace(params)
     residuals["trace"] = trace.imag_residual
-    p = pgen(params)
+    p = pgen_with_dark(params)
     residuals["pgen"] = p.imag_residual
     payload = {
         "pgen": p.value,
@@ -144,7 +146,7 @@ def compute_metrics_response(data: dict) -> dict:
         payload["fidelity"] = f.value
         residuals["fidelity"] = f.imag_residual
     if click is not None:
-        dm = spin_spin_dm(params, click)
+        dm = spin_spin_dm_dark(params, click)
         payload["spin_dm"] = _spin_dm_wire(dm.entries)
     return payload
 
@@ -168,12 +170,3 @@ def build_server(bind: str = "127.0.0.1", port: int = 8791):
     from .httpd import BoundedHTTPServer, _Handler
 
     return BoundedHTTPServer((bind, port), _Handler)
-
-
-def serve(bind: str = "127.0.0.1", port: int = 8791) -> None:
-    """Run the JSON service until interrupted."""
-    httpd = build_server(bind, port)
-    try:
-        httpd.serve_forever()
-    finally:
-        httpd.server_close()

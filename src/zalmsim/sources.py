@@ -5,7 +5,7 @@ Bell-measurement splitters, (3, 5) and (4, 6).  Its 8-mode state is exactly
 a product of two identical 4-mode chains, modes (1, 4, 6, 7) and (2, 3, 5, 8):
 in each, two squeezed-vacuum pairs meet on one heralding splitter, whose
 pairing PAIRING carries the chain's correlations.  The engine reads one
-chain's moments off PAIRING in the amplitude basis (``kfunction``);
+chain's moments off PAIRING in the amplitude basis (``moments.k_data``);
 build_cascaded_cov gives the same chain's quadrature covariance.
 """
 
@@ -100,6 +100,11 @@ class SourceParams:
 _C = sqrt(0.5)
 PAIRING = np.array([[0.0, _C, -_C, 0.0], [_C, 0.0, 0.0, _C], [-_C, 0.0, 0.0, _C], [0.0, _C, _C, 0.0]])
 PAIRING.flags.writeable = False
+
+# The quadrature covariance V of build_cascaded_cov (unit vacuum variance) in
+# the amplitude basis: with W the map from (q, p) to (a, a^dag), the Husimi
+# matrix is Q = W (COVARIANCE_PRESCALE V) W^dag + I/2.
+COVARIANCE_PRESCALE = 0.5
 
 
 def build_cascaded_cov(mu: float) -> np.ndarray:

@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from zalmsim import COVARIANCE_PRESCALE, NumericalDomainError, hafnian
+from zalmsim import NumericalDomainError
+from zalmsim.moments import hafnian
+from zalmsim.sources import COVARIANCE_PRESCALE
 
 MAX_REQUEST_CARDINALITY = 16
 

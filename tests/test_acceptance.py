@@ -17,7 +17,6 @@ from zalmsim import (
     SourceParams,
     build_cascaded_cov,
     fidelity,
-    hafnian,
     oracle_fidelity,
     oracle_pgen,
     oracle_spin_spin,
@@ -27,6 +26,7 @@ from zalmsim import (
     spin_spin_dm,
     spin_spin_dm_dark,
 )
+from zalmsim.moments import hafnian
 from zalmsim.server import build_server
 from zalmsim.sources import DEFAULT_HERALD_PATTERN
 
@@ -214,7 +214,7 @@ def test_criterion_9_interface_fidelity(tmp_path):
                 eta_d=req["detection_efficiency"],
                 dark_click_prob=req["dark_click_prob"],
             )
-            service_ok = service_ok and payload["pgen"] == pgen(params).value
+            service_ok = service_ok and payload["pgen"] == pgen_with_dark(params).value
             service_ok = service_ok and payload["trace"] == photonic_trace(params).value
             service_ok = service_ok and payload["fidelity"] == fidelity(params).value
     finally:

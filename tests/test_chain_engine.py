@@ -22,8 +22,9 @@ from quadrature_reference import (
     wick_moment,
 )
 
-from zalmsim import BASIS, SourceParams, build_cascaded_cov, fidelity, fock_element, pgen, spin_spin_dm
+from zalmsim import SourceParams, build_cascaded_cov, fidelity, fock_element, pgen, spin_spin_dm
 from zalmsim import metrics
+from zalmsim.memory import BASIS
 from zalmsim.oracle import oracle_pgen
 
 RTOL = 1e-11

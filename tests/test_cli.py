@@ -1,4 +1,5 @@
 import json
+import socket
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -172,6 +173,12 @@ class TestCliProcess:
         payload = json.loads(capsys.readouterr().out)
         assert payload["pgen"] == pgen(SourceParams(mean_photon=0.05, eta_b=0.8)).value
 
+    def test_metrics_mixes_dark_counts_into_pgen(self, capsys):
+        assert main(["metrics", "--dark-click-prob", "1e-3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        params = SourceParams(mean_photon=0.1, dark_click_prob=1e-3)
+        assert payload["pgen"] == pgen_with_dark(params).value != pgen(params).value
+
     def test_validate_passes_and_reports(self, capsys):
         code = main(["validate"])
         out = capsys.readouterr().out
@@ -250,6 +257,19 @@ class TestFlagText:
         assert main(args) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"zalmsim: error: {message}\n"
+
+    def test_serve_on_a_busy_port_is_one_line_error(self):
+        # a subprocess, so that a bind that wrongly succeeds ends at the timeout instead of serving forever
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            result = subprocess.run(
+                [sys.executable, "-m", "zalmsim", "serve", "--port", str(port)], capture_output=True, text=True, timeout=60
+            )
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith(f"zalmsim: error: cannot serve on 127.0.0.1:{port}: ")
+        assert result.stderr.count("\n") == 1
 
     def test_integer_too_large_for_a_float_is_one_line_error(self, capsys):
         assert main(["metrics", "--mean-photon", "1" + "0" * 400]) == 2

@@ -1,7 +1,7 @@
 """The K-function: the quadrature kernel of the test reference, and the engine's amplitude-basis moments.
 
 quadrature_reference.k_data is the coherent-basis kernel of a covariance,
-which the chain engine is checked against; zalmsim.k_data gives the engine
+which the chain engine is checked against; zalmsim.moments.k_data gives the engine
 one chain's excess moments N and M, which must be the same state's.
 """
 
@@ -10,9 +10,8 @@ import pytest
 from cascade_reference import tmsv_cov
 from quadrature_reference import k_data
 
-import zalmsim
-from zalmsim import COVARIANCE_PRESCALE, NumericalDomainError, build_cascaded_cov
-from zalmsim.sources import PAIRING
+from zalmsim import NumericalDomainError, build_cascaded_cov, moments
+from zalmsim.sources import COVARIANCE_PRESCALE, PAIRING
 
 
 def coherent_overlap_from_kernel(kd, alphas: np.ndarray) -> complex:
@@ -84,16 +83,16 @@ class TestChainMoments:
         # with a = (q + i p) / sqrt(2) at the hbar = 1 scale kappa V.
         w = np.block([[np.eye(4), 1j * np.eye(4)], [np.eye(4), -1j * np.eye(4)]]) / np.sqrt(2.0)
         q = w @ (COVARIANCE_PRESCALE * build_cascaded_cov(mu)) @ w.conj().T + 0.5 * np.eye(8)
-        k = zalmsim.k_data(mu)
+        k = moments.k_data(mu)
         n, m = k.mean_photon * np.eye(4), k.pair * PAIRING
         excess = np.block([[n, m], [m, n]])
         np.testing.assert_allclose(q - np.eye(8), excess, atol=1e-14 * (1.0 + mu))
 
     def test_pair_moment_stays_finite(self):
-        k = zalmsim.k_data(1e300)
+        k = moments.k_data(1e300)
         assert k.pair == pytest.approx(1e300, rel=1e-15)
 
     @pytest.mark.parametrize("mu", [-1e-3, float("nan"), float("inf")])
     def test_rejects_invalid_mean_photon(self, mu):
         with pytest.raises(ValueError):
-            zalmsim.k_data(mu)
+            moments.k_data(mu)

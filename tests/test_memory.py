@@ -7,7 +7,6 @@ import pytest
 from zalmsim import (
     BELL_TARGETS,
     DEFAULT_CLICK_PATTERN,
-    SIGMA_PATTERNS,
     SourceParams,
     SpinSpinDM,
     UndefinedFidelityError,
@@ -17,7 +16,7 @@ from zalmsim import (
     spin_spin_dm,
     spin_spin_dm_dark,
 )
-from zalmsim.memory import _branch_forms, validate_click_pattern
+from zalmsim.memory import SIGMA_PATTERNS, _branch_forms, validate_click_pattern
 from zalmsim.metrics import dark_attributions
 
 
@@ -236,3 +235,9 @@ class TestBellFidelitySpin:
         dm = SpinSpinDM(np.eye(4))
         with pytest.raises(ValueError):
             bell_fidelity_spin(dm, "sigma_plus")
+
+    def test_explicit_vector_rejected(self):
+        # the target is a Bell label only, so even BELL_TARGETS' own vector is refused with a one-line ValueError
+        dm = SpinSpinDM(np.eye(4))
+        with pytest.raises(ValueError, match="unknown Bell target"):
+            bell_fidelity_spin(dm, BELL_TARGETS["phi_minus"])

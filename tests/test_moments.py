@@ -23,8 +23,8 @@ from quadrature_reference import (
     wick_moment,
 )
 
-import zalmsim
-from zalmsim import SourceParams, hafnian, hafnian_repeated
+from zalmsim import SourceParams, moments
+from zalmsim.moments import hafnian, hafnian_repeated
 from zalmsim.sources import PAIRING
 
 
@@ -310,7 +310,7 @@ def test_canonical_forms_are_unit_amplitude_pairs():
 
 
 def excess_moments(mu: float) -> np.ndarray:
-    k = zalmsim.k_data(mu)
+    k = moments.k_data(mu)
     n, m = k.mean_photon * np.eye(4), k.pair * PAIRING
     return np.block([[n, m], [m, n]])
 
@@ -329,7 +329,7 @@ class TestChainExponent:
         # B = X (I + S E)^-1 S and prefactor 1 / det(I + S E), E = diag(eta, eta)
         s = excess_moments(mu)
         e = np.diag([eta_outer, eta_herald, eta_herald, eta_outer] * 2)
-        a = zalmsim.assemble_a(zalmsim.k_data(mu), eta_outer, eta_herald)
+        a = moments.assemble_a(moments.k_data(mu), eta_outer, eta_herald)
         np.testing.assert_allclose(a.entries, swap_blocks(np.linalg.solve(np.eye(8) + s @ e, s)), rtol=0, atol=1e-13)
         assert a.prefactor == pytest.approx(1.0 / np.linalg.det(np.eye(8) + s @ e), rel=1e-13)
 
@@ -338,44 +338,44 @@ class TestChainExponent:
         kd = k_data(eight_mode_cov(0.2))
         eta = [eta_outer, eta_outer, eta_herald, eta_herald, eta_herald, eta_herald, eta_outer, eta_outer]
         ref = gaussian_prefactor(assemble_a(kd, eta), kd)
-        got = zalmsim.assemble_a(zalmsim.k_data(0.2), eta_outer, eta_herald).prefactor
+        got = moments.assemble_a(moments.k_data(0.2), eta_outer, eta_herald).prefactor
         assert got == pytest.approx(ref.real, rel=1e-12)
         assert abs(ref.imag) < 1e-12
 
     @pytest.mark.parametrize("mu", [0.0, 1e-20, 0.3, 1e40])
     def test_tracing_every_mode_is_exactly_the_vacuum(self, mu):
-        a = zalmsim.assemble_a(zalmsim.k_data(mu), 0.0, 0.0)
+        a = moments.assemble_a(moments.k_data(mu), 0.0, 0.0)
         assert a.prefactor == 1.0
         assert np.all(np.diag(a.entries[:4, 4:]) == mu)
 
     def test_symmetric_and_read_only(self):
-        a = zalmsim.assemble_a(zalmsim.k_data(0.4), 0.7, 0.3)
+        a = moments.assemble_a(moments.k_data(0.4), 0.7, 0.3)
         assert np.array_equal(a.entries, a.entries.T)
         assert not a.entries.flags.writeable
 
     def test_rejects_bad_eta(self):
-        k = zalmsim.k_data(0.2)
+        k = moments.k_data(0.2)
         with pytest.raises(ValueError):
-            zalmsim.assemble_a(k, 1.2, 0.5)
+            moments.assemble_a(k, 1.2, 0.5)
         with pytest.raises(ValueError):
-            zalmsim.assemble_a(k, 0.5, -0.1)
+            moments.assemble_a(k, 0.5, -0.1)
 
 
 class TestChainWickMoment:
     def setup_method(self):
-        self.a = zalmsim.assemble_a(zalmsim.k_data(0.3), 0.8, 0.6)
+        self.a = moments.assemble_a(moments.k_data(0.3), 0.8, 0.6)
 
     def test_empty_and_odd_requests(self):
-        assert zalmsim.wick_moment(self.a, zalmsim.MomentRequest(())) == 1.0
-        assert zalmsim.wick_moment(self.a, zalmsim.MomentRequest((1, 2, 5))) == 0.0
+        assert moments.wick_moment(self.a, moments.MomentRequest(())) == 1.0
+        assert moments.wick_moment(self.a, moments.MomentRequest((1, 2, 5))) == 0.0
 
     def test_pair_moment_is_the_exponent_entry(self):
         for i, j in itertools.product(range(8), repeat=2):
-            assert zalmsim.wick_moment(self.a, zalmsim.MomentRequest((i, j))) == self.a.entries[i, j]
+            assert moments.wick_moment(self.a, moments.MomentRequest((i, j))) == self.a.entries[i, j]
 
     def test_four_forms_are_three_matchings(self):
         b = self.a.entries
-        got = zalmsim.wick_moment(self.a, zalmsim.MomentRequest((0, 1, 5, 6)))
+        got = moments.wick_moment(self.a, moments.MomentRequest((0, 1, 5, 6)))
         ref = b[0, 1] * b[5, 6] + b[0, 5] * b[1, 6] + b[0, 6] * b[1, 5]
         assert got == pytest.approx(ref, rel=1e-15)
 
@@ -383,18 +383,18 @@ class TestChainWickMoment:
         # Ten forms with repeats take the hafnian_repeated path.
         forms = (0, 0, 1, 5, 5, 5, 2, 6, 1, 0)
         ref = hafnian(self.a.entries[np.ix_(forms, forms)])
-        got = zalmsim.wick_moment(self.a, zalmsim.MomentRequest(forms))
+        got = moments.wick_moment(self.a, moments.MomentRequest(forms))
         assert got == pytest.approx(ref, rel=1e-12)
 
     def test_symmetric_under_form_permutation(self):
-        base = zalmsim.wick_moment(self.a, zalmsim.MomentRequest((0, 2, 5, 7)))
+        base = moments.wick_moment(self.a, moments.MomentRequest((0, 2, 5, 7)))
         for perm in itertools.permutations((0, 2, 5, 7)):
-            assert zalmsim.wick_moment(self.a, zalmsim.MomentRequest(perm)) == pytest.approx(base, rel=1e-14)
+            assert moments.wick_moment(self.a, moments.MomentRequest(perm)) == pytest.approx(base, rel=1e-14)
 
     def test_rejects_bad_requests(self):
         with pytest.raises(ValueError):
-            zalmsim.MomentRequest((0,) * 18)
+            moments.MomentRequest((0,) * 18)
         with pytest.raises(ValueError):
-            zalmsim.MomentRequest((-1, 0))
+            moments.MomentRequest((-1, 0))
         with pytest.raises(ValueError):
-            zalmsim.wick_moment(self.a, zalmsim.MomentRequest((0, 8)))
+            moments.wick_moment(self.a, moments.MomentRequest((0, 8)))

@@ -10,8 +10,6 @@ import pytest
 from zalmsim import (
     UndefinedFidelityError,
     build_cascaded_cov,
-    oracle_apply_loss,
-    oracle_build_cascaded,
     oracle_covariance,
     oracle_fidelity,
     oracle_fock_element,
@@ -31,6 +29,8 @@ from zalmsim.oracle import (
     _trace_vec,
     apply_beamsplitter,
     build_pre_bsm_state,
+    oracle_apply_loss,
+    oracle_build_cascaded,
     pattern_probability,
 )
 

@@ -1,5 +1,6 @@
 import datetime
 import email.utils
+import http.client
 import json
 import socket
 import struct
@@ -15,7 +16,17 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from zalmsim import SourceParams, UndefinedFidelityError, pgen, photonic_trace, server, spin_spin_dm, spin_spin_dm_dark
+from zalmsim import (
+    SourceParams,
+    UndefinedFidelityError,
+    fidelity,
+    pgen,
+    pgen_with_dark,
+    photonic_trace,
+    server,
+    spin_spin_dm,
+    spin_spin_dm_dark,
+)
 from zalmsim.httpd import MAX_HEADERS, MAX_LINE_BYTES
 from zalmsim.server import MAX_BODY_BYTES, SOCKET_TIMEOUT_S, RequestError, build_server, compute_metrics_response
 from zalmsim.sources import MAX_MEAN_PHOTON
@@ -133,6 +144,17 @@ class TestMetricsEndpoint:
                 eta_d=req["detection_efficiency"],
             )
             assert payload["pgen"] == pgen(params).value
+
+    def test_dark_counts_mix_into_pgen_and_spin_dm(self, server_url):
+        click = [1, 0, 1, 1, 0, 0, 1, 0]
+        status, payload = post(f"{server_url}/v1/metrics", {"mean_photon": 0.1, "dark_click_prob": 1e-3, "click_pattern": click})
+        assert status == 200
+        params = SourceParams(mean_photon=0.1, dark_click_prob=1e-3)
+        assert payload["pgen"] == pgen_with_dark(params).value != pgen(params).value
+        got = np.array([[complex(re, im) for re, im in row] for row in payload["spin_dm"]])
+        assert np.array_equal(got, spin_spin_dm_dark(params, tuple(click)).entries)
+        # the fidelity is the photonic state's, with no dark-count model
+        assert payload["fidelity"] == fidelity(params).value
 
     def test_spin_dm_present_iff_click_pattern_given(self, server_url):
         status, without = post(f"{server_url}/v1/metrics", {"mean_photon": 0.1})
@@ -256,6 +278,19 @@ class TestRequestBody:
         assert elapsed < 1.0
         assert status == 413
         assert payload["code"] == "too_large" and payload["field"] == "Content-Length"
+
+    def test_large_body_still_reads_its_413(self, server_url):
+        # The client is still sending its body when the 413 goes out; the server drains it rather than
+        # closing on unread bytes, whose reset would break the client's send before it reads the reply.
+        parts = urllib.parse.urlsplit(server_url)
+        conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=30)
+        try:
+            conn.request("POST", "/v1/metrics", body=b" " * 4_000_000, headers={"Content-Type": "application/json"})
+            reply = conn.getresponse()
+            assert reply.status == 413
+            assert server.read_json(reply.read().decode("utf-8"))["code"] == "too_large"
+        finally:
+            conn.close()
 
     def test_short_body_times_out_with_408(self, server_url):
         body = b'{"mean_photon": 0.1}'
