@@ -13,8 +13,8 @@ and its trace is the probability of the full click pattern.
 Each memory pair (1, 2) and (7, 8) joins one mode of chain A with one of
 chain B, so its detection form is expanded multilinearly: every entry is a
 signed sum of lossy-state Fock elements with the herald counts on modes 3-6
-and one photon per clicked memory pair, and the 16 entries share one memo of
-the distinct chain moments.
+and one photon per clicked memory pair, and the 16 entries evaluate each
+distinct chain moment once (metrics.moment_scope).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import UndefinedFidelityError
 from .metrics import CHAIN_MODES, HERALD_MODES, _a_variant, _dark_mixture, _detected, _moment, _weight, dark_attributions
+from .metrics import moment_scope
 from .moments import MAX_REQUEST_CARDINALITY
 from .moments import wick_moment  # noqa: F401 - unused here, but perfbench/tracing.py patches memory.wick_moment
 from .sources import SourceParams, parse_counts
@@ -125,7 +126,9 @@ def spin_spin_dm(params: SourceParams, click=DEFAULT_CLICK_PATTERN) -> SpinSpinD
     changes the polynomial prefactor of each entry.  Every branch expands into
     the same term modes with its own signs, so the matrix is C M C^T with C
     the branch-by-term coefficients and M the moments of term pairs, which
-    the prefactor and the herald weight turn into Fock elements.
+    the prefactor and the herald weight turn into Fock elements.  M is
+    evaluated in a metrics.moment_scope: the caller's, if one is open (the
+    request layer's), else one for this call alone.
     """
     click = validate_click_pattern(click)
     a = _a_variant(params.mean_photon, *_detected(params))
@@ -135,8 +138,8 @@ def spin_spin_dm(params: SourceParams, click=DEFAULT_CLICK_PATTERN) -> SpinSpinD
     terms = [_branch_forms(b, click, eta) for b in BASIS]
     modes = [m for _, m in terms[0]]
     coeffs = np.array([[c for c, _ in branch] for branch in terms])
-    memo: dict = {}
-    moments = np.array([[_moment(a, [*heralds, *k], [*heralds, *b], memo) for b in modes] for k in modes])
+    with moment_scope():
+        moments = np.array([[_moment(a, [*heralds, *k], [*heralds, *b]) for b in modes] for k in modes])
     return SpinSpinDM((0.25 * a.prefactor * scalar) * (coeffs @ moments @ coeffs.T))
 
 

@@ -17,6 +17,7 @@ Wick moments, each the hafnian of B at the chain's amplitude indices.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import operator
@@ -83,17 +84,48 @@ def _heralded(params: SourceParams) -> tuple[float, float]:
     return 0.0, params.eta_b
 
 
-def _moment(a: AMatrix, kets, bras, memo: dict | None = None) -> complex:
+# The chain-moment scope open in this context: id(B) -> (B, {sorted local (ket, bra) modes: moment}).
+# Holding B keeps its id from being reused while the scope is open.
+_SCOPE: contextvars.ContextVar[dict | None] = contextvars.ContextVar("chain_moment_scope", default=None)
+
+
+class moment_scope:
+    """Evaluate each distinct chain moment once until the block ends; inside an open scope, share that one.
+
+    The request layer (server.compute_metrics_response, server.spin_dm_response)
+    opens one per request, and spin_spin_dm one for a call made outside any
+    scope, so that its 16 entries share their moments.  Sweep rows,
+    spin_spin_dm_dark (whose spin matrices each open their own) and the
+    other library calls open none (ROADMAP item 2, Step A): sharing there
+    waits until the benchmark's peak RSS stops growing with throughput, so
+    that a faster sweep does not read as a memory regression.
+    """
+
+    def __enter__(self):
+        self._token = None if _SCOPE.get() is not None else _SCOPE.set({})
+
+    def __exit__(self, *exc):
+        if self._token is not None:
+            _SCOPE.reset(self._token)
+
+
+def _moment(a: AMatrix, kets, bras) -> complex:
     """Wick moment of a_j on global modes kets and a_j^dag on bras, one wick_moment per chain.
 
-    memo, if given, maps a chain's sorted local (ket, bra) modes to its moment;
-    both chains share B, so equal keys on either chain have equal moments.
+    Both chains share B, so a chain's moment is fixed by B and its sorted
+    local (ket, bra) modes; inside a moment_scope each such key is
+    evaluated once and then read from the scope.
     """
     split = (([], []), ([], []))
     for side, modes in enumerate((kets, bras)):
         for mode in modes:
             chain, local = _CHAIN_OF[mode]
             split[chain][side].append(local)
+    memo = None
+    if (scope := _SCOPE.get()) is not None:
+        if id(a) not in scope:
+            scope[id(a)] = (a, {})
+        memo = scope[id(a)][1]
     out = 1.0 + 0.0j
     for k, b in split:
         key = (tuple(sorted(k)), tuple(sorted(b)))

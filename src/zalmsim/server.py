@@ -3,6 +3,13 @@
 Mock-hardware style endpoint: every response is reproducible bit-exactly by
 the corresponding library call.  Loopback bind, no authentication.
 
+This is where evaluation is scoped.  Each metrics or spin-matrix request is
+evaluated in one chain-moment scope (metrics.moment_scope), so its metrics
+evaluate each distinct chain moment once.  Metrics replies are kept for the
+last REPLY_CACHE_SIZE distinct parsed requests (SourceParams and click
+pattern), so a repeated request is answered from the cache with a copy of
+the reply it got the first time.
+
 This module holds the request and reply logic.  The HTTP layer (``httpd``:
 the socketserver handler and the bounded threading server) is imported only
 when a server is built, so importing the CLI or this module for its payload
@@ -12,6 +19,8 @@ included, loads http.server, http.client, email, ssl or hashlib.
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import struct
 import urllib.parse
@@ -20,7 +29,7 @@ from . import __version__ as ENGINE_VERSION
 from .errors import NumericalDomainError
 from .memory import DEFAULT_CLICK_PATTERN, spin_spin_dm_dark, validate_click_pattern
 from .memory import spin_spin_dm  # noqa: F401 - unused here, but perfbench/tracing.py patches server.spin_spin_dm
-from .metrics import FIDELITY_PATTERNS, fidelity, pgen, pgen_with_dark, photonic_trace
+from .metrics import FIDELITY_PATTERNS, fidelity, moment_scope, pgen, pgen_with_dark, photonic_trace
 from .sources import COVARIANCE_PRESCALE, PARAM_FIELDS, SourceParams, as_count
 
 _REQUEST_FIELDS = {**dict.fromkeys(PARAM_FIELDS, float), "herald_pattern": list, "click_pattern": list}
@@ -32,6 +41,8 @@ SOCKET_TIMEOUT_S = 2.0
 MAX_CONCURRENT_HANDLERS = 32
 # Seconds a refused connection may hold the accept loop while the client takes its 503.
 BUSY_LINGER_S = 0.2
+# Distinct parsed requests whose metrics replies are kept, as many as metrics._a_variant keeps exponent matrices.
+REPLY_CACHE_SIZE = 256
 
 
 class RequestError(Exception):
@@ -116,19 +127,18 @@ def reply_json(payload, indent: int | None = None) -> str:
 def spin_dm_response(data: dict) -> dict:
     """The spin-matrix reply for one request, its dark counts mixed in: GET /v1/spin_dm and `zalmsim spin-dm`.
 
-    Its trace is the click pattern's probability.
+    Its trace is the click pattern's probability.  The mixture's spin matrices
+    share one chain-moment scope.
     """
     params, click = _parse_request({"click_pattern": list(DEFAULT_CLICK_PATTERN), **data})
-    dm = spin_spin_dm_dark(params, click)
+    with moment_scope():
+        dm = spin_spin_dm_dark(params, click)
     return {"click_pattern": list(click), "trace": dm.trace, "spin_dm": _spin_dm_wire(dm.entries), "engine_version": ENGINE_VERSION}
 
 
-def compute_metrics_response(data: dict) -> dict:
-    """The full metrics payload for one request: POST /v1/metrics and `zalmsim metrics`.
-
-    pgen and spin_dm mix in dark counts at dark_click_prob; the fidelity is the photonic state's, with none.
-    """
-    params, click = _parse_request(data)
+@functools.lru_cache(maxsize=REPLY_CACHE_SIZE)
+def _metrics_payload(params: SourceParams, click: tuple[int, ...] | None) -> dict:
+    """The metrics payload of one parsed request; the cache shares it, so it is never handed out."""
     residuals: dict = {}
     trace = photonic_trace(params)
     residuals["trace"] = trace.imag_residual
@@ -149,6 +159,20 @@ def compute_metrics_response(data: dict) -> dict:
         dm = spin_spin_dm_dark(params, click)
         payload["spin_dm"] = _spin_dm_wire(dm.entries)
     return payload
+
+
+def compute_metrics_response(data: dict) -> dict:
+    """The full metrics payload for one request: POST /v1/metrics and `zalmsim metrics`.
+
+    pgen and spin_dm mix in dark counts at dark_click_prob; the fidelity is the photonic state's, with none.
+    The metrics share one chain-moment scope.  A request equal, once parsed,
+    to one of the last REPLY_CACHE_SIZE distinct requests gets a copy of
+    that request's payload, which the caller may change.
+    """
+    params, click = _parse_request(data)
+    with moment_scope():
+        payload = _metrics_payload(params, click)
+    return copy.deepcopy(payload)
 
 
 def health_payload() -> dict:

@@ -17,9 +17,11 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from zalmsim import (
+    DEFAULT_CLICK_PATTERN,
     SourceParams,
     UndefinedFidelityError,
     fidelity,
+    metrics,
     pgen,
     pgen_with_dark,
     photonic_trace,
@@ -28,7 +30,15 @@ from zalmsim import (
     spin_spin_dm_dark,
 )
 from zalmsim.httpd import MAX_HEADERS, MAX_LINE_BYTES
-from zalmsim.server import MAX_BODY_BYTES, SOCKET_TIMEOUT_S, RequestError, build_server, compute_metrics_response
+from zalmsim.server import (
+    MAX_BODY_BYTES,
+    SOCKET_TIMEOUT_S,
+    RequestError,
+    build_server,
+    compute_metrics_response,
+    reply_json,
+    spin_dm_response,
+)
 from zalmsim.sources import MAX_MEAN_PHOTON
 
 # ROADMAP item 4.  The heralding moments (~ mean_photon^2) leave the normal floats a little below
@@ -47,6 +57,28 @@ def server_url():
     yield f"http://127.0.0.1:{port}"
     httpd.shutdown()
     httpd.server_close()
+
+
+@pytest.fixture
+def cold_replies():
+    """An empty metrics reply cache, so the next request of every body is evaluated."""
+    server._metrics_payload.cache_clear()
+    yield
+    server._metrics_payload.cache_clear()
+
+
+@pytest.fixture
+def wick_calls(monkeypatch):
+    """Every metrics.wick_moment call as (id of B, forms); B is held so that its id stays its own."""
+    calls, held, wick_moment = [], [], metrics.wick_moment
+
+    def counted(a, req):
+        held.append(a)
+        calls.append((id(a), req.forms))
+        return wick_moment(a, req)
+
+    monkeypatch.setattr(metrics, "wick_moment", counted)
+    return calls
 
 
 def post(url: str, payload) -> tuple[int, dict]:
@@ -593,3 +625,63 @@ class TestTypedBodies:
     def test_dead_heralding_arm_at_large_mean_photon_is_finite(self):
         payload = compute_metrics_response({"mean_photon": 1e40, "bsm_efficiency": 0.0, "herald_pattern": [8, 0, 0, 0]})
         json.dumps(payload, allow_nan=False)
+
+
+class TestRequestScope:
+    """A request evaluates each distinct chain moment, a (B, chain request) pair, once."""
+
+    @pytest.mark.parametrize("dark", [0.0, 1e-3])
+    def test_metrics_reply_reaches_each_chain_moment_once(self, cold_replies, wick_calls, dark):
+        body = {"mean_photon": 0.1, "bsm_efficiency": 0.8, "dark_click_prob": dark, "click_pattern": list(DEFAULT_CLICK_PATTERN)}
+        payload = compute_metrics_response(body)
+        assert payload["fidelity"] is not None and "spin_dm" in payload
+        assert len(wick_calls) == len(set(wick_calls)) > 0
+
+    def test_spin_dm_reply_shares_one_scope_over_the_dark_mixture(self, wick_calls):
+        payload = spin_dm_response({"mean_photon": 0.1, "dark_click_prob": 1e-3})
+        # 150 calls without a scope: the mixture's 16 spin matrices each evaluate their own moments.
+        assert len(wick_calls) == 32
+        got = np.array([[complex(re, im) for re, im in row] for row in payload["spin_dm"]])
+        assert np.array_equal(got, spin_spin_dm_dark(SourceParams(mean_photon=0.1, dark_click_prob=1e-3)).entries)
+
+
+class TestReplyCache:
+    def test_repeated_request_is_evaluated_once(self, cold_replies, wick_calls):
+        body = {"mean_photon": 0.1, "bsm_efficiency": 0.8, "click_pattern": list(DEFAULT_CLICK_PATTERN)}
+        first = reply_json(compute_metrics_response(body))
+        evaluated = len(wick_calls)
+        reordered = dict(reversed(list(body.items())))
+        assert reply_json(compute_metrics_response(reordered)) == reply_json(compute_metrics_response(body)) == first
+        assert len(wick_calls) == evaluated
+
+    def test_changing_a_reply_leaves_the_next_reply_unchanged(self, cold_replies):
+        body = {"mean_photon": 0.1, "dark_click_prob": 1e-3, "click_pattern": list(DEFAULT_CLICK_PATTERN)}
+        payload = compute_metrics_response(body)
+        first = reply_json(payload)
+        payload["pgen"] = -1.0
+        payload["imag_residuals"]["pgen"] = -1.0
+        payload["imag_residuals"]["other"] = 0.0
+        payload["spin_dm"][0][0][0] = -1.0
+        payload["spin_dm"][1][2].append(0.0)
+        payload["spin_dm"][3].clear()
+        payload["spin_dm"].append([])
+        payload["extra"] = True
+        assert reply_json(compute_metrics_response(body)) == first
+
+    @pytest.mark.parametrize("field", ["mean_photon", "bsm_efficiency", "outcoupling_efficiency", "detection_efficiency", "dark_click_prob"])
+    @pytest.mark.parametrize(
+        "extra",
+        [{}, {"herald_pattern": [1, 0, 1, 0]}, {"click_pattern": list(DEFAULT_CLICK_PATTERN)}],
+        ids=["default", "no-fidelity", "click"],
+    )
+    def test_negative_zero_gets_the_reply_of_zero(self, cold_replies, field, extra):
+        # SourceParams(-0.0) == SourceParams(0.0), so both share one cache entry; each must be the other's cold reply.
+        def body(zero):
+            return {"mean_photon": 0.1, **extra, field: zero}
+
+        cold = []
+        for zero in (0.0, -0.0):
+            server._metrics_payload.cache_clear()
+            cold.append(reply_json(compute_metrics_response(body(zero))))
+            assert reply_json(compute_metrics_response(body(-zero))) == cold[-1]
+        assert cold[0] == cold[1]
