@@ -32,7 +32,7 @@ _FLAG_HELP = {"herald_pattern": "comma separated clicks on modes 3-6", "click_pa
 
 def _add_param_args(parser: argparse.ArgumentParser, *counts: str) -> None:
     """The parameter flags, plus the count flags named; a flag left out keeps SourceParams' default."""
-    for name in (*PARAM_FIELDS, "herald_pattern", *counts):
+    for name in (*PARAM_FIELDS, *counts):
         default = "0.1" if name == "mean_photon" else None
         parser.add_argument("--" + name.replace("_", "-"), default=default, help=_FLAG_HELP.get(name))
 
@@ -196,11 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--output", default=None, help="output path (default: stdout)")
     p_sweep.add_argument("--timing", action="store_true", help="append a wall_time_s column (non-deterministic)")
-    _add_param_args(p_sweep)
+    _add_param_args(p_sweep, "herald_pattern")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_metrics = sub.add_parser("metrics", help="evaluate the metrics at one parameter point")
-    _add_param_args(p_metrics)
+    _add_param_args(p_metrics, "herald_pattern")
     p_metrics.set_defaults(func=_cmd_metrics)
 
     p_spin = sub.add_parser("spin-dm", help="spin-spin density matrix for a click pattern")

@@ -7,22 +7,22 @@ eigenbasis of a numpy Hermitian eigensolve), Kraus loss, and explicit
 detection kernels.  Independent of the engine's amplitude-basis K-function
 machinery by construction; agreement between the two is the package's core
 correctness argument.  Every scalar quantity is one lossy-state element
-<d| rho |g> from ``_element``: each chain contracted with a detection kernel
-at every detected mode's own efficiency and summed over the traced modes,
-one array contraction per chain over a per-cutoff table of the sector
-unitaries (``_bs_table``), with the gathers cached per cutoff and kernel
-shifts (``_chain_gathers``).  The full truncated state, which the
-Kraus-branch heralding path needs, has one builder: ``build_pre_bsm_state``,
-then the (3, 5) and (4, 6) splitters.  A ``TruncatedState`` holds it as
-arrays, one (occupations, amplitudes) pair per Kraus branch, in an entry
-order every function keeps, so each sum over it runs in one fixed order.
-``oracle_pgen_filtered`` projects each of its entries onto the herald
-pattern through the one Kraus index per mode that reaches it, with the
-coefficients ``oracle_apply_loss`` uses (``_kraus_coeffs``).  Public entry
-points check their physical inputs once and raise a one-line ``ValueError``.
-``oracle_covariance`` reports one chain's second
-moments as ``_chain_value`` contractions with ladder-operator kernels, the
-quantity the engine's closed-form chain covariance is checked against.
+<d| rho |g> from ``_element``: two truncated chain states contracted with
+one detection kernel per mode at that mode's own efficiency, a traced mode
+being a vacuum detection at efficiency 0.  ``_chain_state`` holds a chain's
+state as one array psi[u, v, a] over its TMSV ladders and splitter output,
+gathered from a per-cutoff table of the sector unitaries (``_bs_table``).
+The full truncated state, which the Kraus-branch heralding path needs, has
+one builder: ``build_pre_bsm_state``, then the (3, 5) and (4, 6) splitters.
+A ``TruncatedState`` holds it as arrays, one (occupations, amplitudes) pair
+per Kraus branch, in an entry order every function keeps, so each sum over
+it runs in one fixed order.  ``oracle_pgen_filtered`` projects each of its
+entries onto the herald pattern through the one Kraus index per mode that
+reaches it, with the coefficients ``oracle_apply_loss`` uses
+(``_kraus_coeffs``).  Public entry points check their physical inputs once
+and raise a one-line ``ValueError``.  ``oracle_covariance`` reports one
+chain's second moments as ``_chain_value`` contractions with ladder-operator
+kernels, the quantity the engine's closed-form chain covariance is checked against.
 
 Mode bookkeeping: TMSV ladder indices (n, m, k, l) populate modes
 (1,4) = n, (2,3) = m, (5,8) = k, (6,7) = l before the splitters mix
@@ -73,7 +73,11 @@ def _bs_sector(total: int, theta: float) -> np.ndarray:
     return ((v * np.exp(-1j * theta * lam)) @ v.conj().T).real
 
 
-def _kernel_vec(nmax: int, d: int, g: int, eta: float) -> tuple[int, np.ndarray]:
+# A detection or ladder-operator kernel on one mode, (shift, vec): vec[o] weighs ket o against bra o + shift.
+Kernel = tuple[int, np.ndarray]
+
+
+def _kernel_vec(nmax: int, d: int, g: int, eta: float) -> Kernel:
     """Detection kernel <d| L_eta(|o><o'|) |g> as (shift, vec) with o' = o + shift.
 
     The Kraus index is forced to K = o - d = o' - g; vec[o] holds the value.
@@ -95,10 +99,6 @@ def _kernel_vec(nmax: int, d: int, g: int, eta: float) -> tuple[int, np.ndarray]
     return shift, vec
 
 
-def _trace_vec(nmax: int) -> tuple[int, np.ndarray]:
-    return 0, np.ones(nmax + 1)
-
-
 @functools.lru_cache(maxsize=16)
 def _bs_table(cutoff: int) -> np.ndarray:
     """Every 50:50 sector unitary a chain at this cutoff meets, as table[t, a, u].
@@ -117,82 +117,58 @@ def _bs_table(cutoff: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _chain_gathers(cutoff: int, du: int, dv: int, s1: int) -> tuple[np.ndarray, ...]:
-    """The index work of _chain_value for one set of kernel shifts, done once.
+def _chain_state(mu: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """One chain's truncated state psi[u, v, a] and the second splitter output's count u + v - a, clamped at 0.
 
-    Returns (ub, u_inside, vb, v_inside, ab_inside, rest, sectors): the bra
-    ladder indices u + du and v + dv clamped into the ladder with their
-    masks, the mask of splitter outputs a + s1 inside the table, the second
-    output's count t - a clamped at 0, and the product of the ket and bra
-    table gathers U_t[a, u] U_tb[a + s1, u + du] over the (u, v, a) box.
+    psi[u, v, a] = c_u c_v U_(u+v)[a, u], c = _tmsv_amps, is the amplitude of
+    |u, a, u + v - a, v> on the chain's (outer, splitter, splitter, outer)
+    modes, 0 for a > u + v.  The splitter is unitary, so the squared norm of
+    psi is that of two ladders, (1 - lambda^(cutoff + 1))^2, lambda = mu / (1 + mu).
     """
     ladder = np.arange(cutoff + 1)
-
-    def bra_index(shift: int) -> tuple[np.ndarray, np.ndarray]:
-        shifted = ladder + shift
-        inside = (shifted >= 0) & (shifted <= cutoff)
-        return np.where(inside, shifted, 0), inside
-
-    ub, u_inside = bra_index(du)
-    vb, v_inside = bra_index(dv)
+    amps = _tmsv_amps(mu, cutoff)
+    total = (ladder[:, None] + ladder)[:, :, None]
     out = np.arange(2 * cutoff + 1)
-    ab = out + s1
-    ab_inside = (ab >= 0) & (ab <= 2 * cutoff)
-    ab = np.where(ab_inside, ab, 0)
-    t = (ladder[:, None] + ladder)[:, :, None]
-    tb = (ub[:, None] + vb)[:, :, None]
-    rest = np.maximum(t - out, 0)
-    table = _bs_table(cutoff)
-    sectors = table[t, out, ladder[:, None, None]] * table[tb, ab, ub[:, None, None]]
-    gathers = (ub, u_inside, vb, v_inside, ab_inside, rest, sectors)
-    for array in gathers:
-        array.flags.writeable = False
-    return gathers
+    psi = (amps[:, None] * amps)[:, :, None] * _bs_table(cutoff)[total, out, ladder[:, None, None]]
+    rest = np.maximum(total - out, 0)
+    psi.flags.writeable = rest.flags.writeable = False
+    return psi, rest
 
 
-def _chain_value(
-    mu: float,
-    cutoff: int,
-    outer1: tuple[int, np.ndarray],
-    outer2: tuple[int, np.ndarray],
-    bs1: tuple[int, np.ndarray],
-    bs2: tuple[int, np.ndarray],
-) -> float:
-    """One chain's contribution: sum over its TMSV indices (u, v) and splitter output a.
+def _overlap(size: int, shift: int) -> tuple[slice, slice]:
+    """The ket slice of range(size) whose bra index, ket + shift, stays inside, and that bra slice."""
+    lo = max(0, -shift)
+    hi = max(lo, min(size, size - shift))
+    return slice(lo, hi), slice(lo + shift, hi + shift)
+
+
+def _chain_value(mu: float, cutoff: int, outer1: Kernel, outer2: Kernel, bs1: Kernel, bs2: Kernel) -> float:
+    """One chain's contribution: its state contracted with one kernel per mode.
 
     outer1/outer2 are the kernels of the chain's undisturbed modes (occupancy
     u and v on the ket, u + du and v + dv on the bra); bs1/bs2 the kernels of
-    the two splitter outputs (a and t - a photons on the ket, t = u + v).
+    the two splitter outputs (a and u + v - a photons on the ket).
     Photon-number conservation of the splitter forces the shifts to balance.
-    The sum is one contraction over a (u, v, a) box of table gathers:
+    The value sums, over the (u, v, a) whose ket and bra both lie in psi,
 
-        sum  c_u c_v U_t[a, u] U_tb[a + s1, u + du] w1[a] w2[t - a]
-
-    with c_u = amps[u] amps[u + du] vec_u[u] and tb = t + du + dv.  Indices
-    that leave the ladder or the table are clamped into it and their terms
-    masked to 0; U_t[a, u] = 0 for a > t masks the rest.  The gathers depend
-    only on the cutoff and the shifts (_chain_gathers).
+        psi[u, v, a] psi[u + du, v + dv, a + s1] vec_u[u] vec_v[v] w1[a] w2[u + v - a].
     """
-    du, vec_u = outer1
-    dv, vec_v = outer2
-    s1, w1 = bs1
-    s2, w2 = bs2
+    (du, vec_u), (dv, vec_v), (s1, w1), (s2, w2) = outer1, outer2, bs1, bs2
     if du + dv != s1 + s2:
         return 0.0
-    amps = _tmsv_amps(mu, cutoff)
-    ub, u_inside, vb, v_inside, ab_inside, rest, sectors = _chain_gathers(cutoff, du, dv, s1)
-    cu = np.where(u_inside, amps * amps[ub] * vec_u, 0.0)
-    cv = np.where(v_inside, amps * amps[vb] * vec_v, 0.0)
-    inner = np.sum(sectors * np.where(ab_inside, w1, 0.0) * w2[rest], axis=2)
-    return float(cu @ inner @ cv)
+    psi, rest = _chain_state(mu, cutoff)
+    (ku, bu), (kv, bv), (ka, ba) = map(_overlap, psi.shape, (du, dv, s1))
+    terms = psi[ku, kv, ka] * psi[bu, bv, ba] * w1[ka] * w2[rest[ku, kv, ka]]
+    return float(vec_u[ku] @ terms.sum(axis=2) @ vec_v[kv])
 
 
 def _converge(evaluate, start: int = CUTOFF_START) -> tuple[np.ndarray, int]:
-    """Increase the cutoff until the result stabilizes.
+    """Raise the cutoff until the last increment is below an absolute 1e-11 plus a relative 1e-10.
 
-    Successive increments of the TMSV truncation shrink the error by the
-    geometric Schmidt ratio, so a small last increment certifies the
-    doubled-cutoff value would agree too.
+    That certifies nothing: on a small value the absolute term can stop it
+    far too early (oracle_pgen at mu = 3, eta_b = 1e-6 stops 77 % low; the
+    strict xfail test_small_value_converges_to_closed_form).  ROADMAP item 5
+    replaces it with a certified truncation bound.
     """
     prev = np.asarray(evaluate(start))
     cutoff = start
@@ -212,7 +188,6 @@ def _evaluate(at, cutoff: int | None):
 
 
 HERALD_MODES = (3, 4, 5, 6)
-OUTER_MODES = (1, 2, 7, 8)
 
 
 def _counts(pattern, size: int, what: str) -> tuple[int, ...]:
@@ -249,18 +224,16 @@ def _efficiencies(etas) -> np.ndarray:
     return values
 
 
-def _element(mu: float, etas, d, g, traced, cutoff: int, kernel=_kernel_vec) -> float:
+def _element(mu: float, etas, d, g, cutoff: int, kernel=_kernel_vec) -> float:
     """<d| rho_lossy |g> at one cutoff: the product of the two chains' contractions.
 
-    Each detected mode m gets the kernel of its own efficiency etas[m - 1];
-    each mode in traced is summed over, so d and g are ignored there.
-    kernel builds the detection kernels; callers that take many elements
-    at one cutoff pass a per-cutoff table of _kernel_vec.
+    Each mode m gets the detection kernel of its own efficiency etas[m - 1].
+    A traced mode is a vacuum detection at efficiency 0: its kernel,
+    <0| L_0(|o><o|) |0> = 1 for every o, sums the mode out.  kernel builds
+    the detection kernels; callers that take many elements at one cutoff
+    pass a per-cutoff table of _kernel_vec.
     """
-    ker = {}
-    for m in range(1, 9):
-        nmax = 2 * cutoff if m in HERALD_MODES else cutoff
-        ker[m] = _trace_vec(nmax) if m in traced else kernel(nmax, d[m - 1], g[m - 1], etas[m - 1])
+    ker = {m: kernel(2 * cutoff if m in HERALD_MODES else cutoff, d[m - 1], g[m - 1], etas[m - 1]) for m in range(1, 9)}
     chain_b = _chain_value(mu, cutoff, ker[2], ker[8], ker[3], ker[5])
     chain_a = _chain_value(mu, cutoff, ker[1], ker[7], ker[4], ker[6])
     return chain_a * chain_b
@@ -276,10 +249,11 @@ def oracle_pgen(
     _check_mean_photon(mu)
     _check_efficiency(eta_b)
     herald = (0, 0) + _herald_pattern(pattern) + (0, 0)
-    etas = (1.0, 1.0, eta_b, eta_b, eta_b, eta_b, 1.0, 1.0)
+    # the outer modes are traced: vacuum detections at efficiency 0
+    etas = (0.0, 0.0, eta_b, eta_b, eta_b, eta_b, 0.0, 0.0)
 
     def at(c: int) -> float:
-        return _element(mu, etas, herald, herald, OUTER_MODES, c)
+        return _element(mu, etas, herald, herald, c)
 
     return float(_evaluate(at, cutoff))
 
@@ -298,7 +272,7 @@ def oracle_fock_element(
     g = _counts(g, 8, "Fock index g")
 
     def at(c: int) -> float:
-        return _element(mu, etas, d, g, (), c)
+        return _element(mu, etas, d, g, c)
 
     return complex(_evaluate(at, cutoff))
 
@@ -324,13 +298,15 @@ def oracle_fidelity(
     herald = (0, 0) + pattern + (0, 0)
     e1 = (1, 0) + pattern + (0, 1)
     e2 = (0, 1) + pattern + (1, 0)
+    # pgen traces the outer modes: vacuum detections at efficiency 0
+    traced = (0.0, 0.0, *etas[2:6], 0.0, 0.0)
 
     def at(c: int) -> float:
         kernel = functools.cache(_kernel_vec)
         t11, t22, t12, t21 = (
-            _element(mu, etas, d, g, (), c, kernel) for d, g in ((e1, e1), (e2, e2), (e1, e2), (e2, e1))
+            _element(mu, etas, d, g, c, kernel) for d, g in ((e1, e1), (e2, e2), (e1, e2), (e2, e1))
         )
-        den = _element(mu, etas, herald, herald, OUTER_MODES, c, kernel)
+        den = _element(mu, traced, herald, herald, c, kernel)
         return 0.5 * (t11 + t22 + cross_sign * (t12 + t21)) / den
 
     return float(_evaluate(at, cutoff))
@@ -373,28 +349,19 @@ def oracle_spin_spin(
     herald = click[2:6]
     opts12 = _pair_detection_amps((click[0], click[1]))
     opts78 = _pair_detection_amps((click[6], click[7]))
-    branches = ("01", "10")
+
+    def signs(r12, r78) -> np.ndarray:
+        """Signs over the spin basis (01, 01), (01, 10), (10, 01), (10, 10): branch 01 flips a photon on mode 2 or 8."""
+        return np.kron([(-1.0) ** r12[1], 1.0], [(-1.0) ** r78[1], 1.0])
 
     def at(c: int) -> np.ndarray:
-        def phase(branch: str, r_second: int) -> float:
-            return -1.0 if branch == "01" and r_second % 2 == 1 else 1.0
-
         out = np.zeros((4, 4), dtype=complex)
-        basis = tuple((a, b) for a in branches for b in branches)
         kernel = functools.cache(_kernel_vec)
         for (rk12, ak12), (rb12, ab12), (rk78, ak78), (rb78, ab78) in itertools.product(
             opts12, opts12, opts78, opts78
         ):
-            d = rk12 + herald + rk78
-            g = rb12 + herald + rb78
-            weight = 0.25 * ak12 * ab12 * ak78 * ab78 * _element(mu, etas, d, g, (), c, kernel)
-            if weight == 0.0:
-                continue
-            for r, (ket_a, ket_b) in enumerate(basis):
-                pk = phase(ket_a, rk12[1]) * phase(ket_b, rk78[1])
-                for col, (bra_a, bra_b) in enumerate(basis):
-                    pb = phase(bra_a, rb12[1]) * phase(bra_b, rb78[1])
-                    out[r, col] += weight * pk * pb
+            element = _element(mu, etas, rk12 + herald + rk78, rb12 + herald + rb78, c, kernel)
+            out += 0.25 * ak12 * ab12 * ak78 * ab78 * element * np.outer(signs(rk12, rk78), signs(rb12, rb78))
         return out
 
     return _evaluate(at, cutoff)
@@ -598,7 +565,7 @@ def oracle_pgen_filtered(
     return float(sum(_squares(projected[order])))
 
 
-def _ladder_kernel(nmax: int, raises: int, lowers: int) -> tuple[int, np.ndarray]:
+def _ladder_kernel(nmax: int, raises: int, lowers: int) -> Kernel:
     """Kernel of a^dag^raises a^lowers on one mode as (shift, vec): vec[o] = <o + shift| a^dag^raises a^lowers |o>."""
     vec = np.zeros(nmax + 1)
     for o in range(lowers, nmax + 1):

@@ -26,13 +26,17 @@ import struct
 import urllib.parse
 
 from . import __version__ as ENGINE_VERSION
-from .errors import NumericalDomainError
+from .errors import NumericalDomainError, OutOfRangeError
 from .memory import DEFAULT_CLICK_PATTERN, spin_spin_dm_dark, validate_click_pattern
 from .memory import spin_spin_dm  # noqa: F401 - unused here, but perfbench/tracing.py patches server.spin_spin_dm
 from .metrics import FIDELITY_PATTERNS, fidelity, moment_scope, pgen, pgen_with_dark, photonic_trace
 from .sources import COVARIANCE_PRESCALE, PARAM_FIELDS, SourceParams, as_count
 
 _REQUEST_FIELDS = {**dict.fromkeys(PARAM_FIELDS, float), "herald_pattern": list, "click_pattern": list}
+# The spin-matrix request's heralds are modes 3-6 of its click pattern, so it has no herald_pattern.
+_SPIN_DM_FIELDS = {field: kind for field, kind in _REQUEST_FIELDS.items() if field != "herald_pattern"}
+# The request's name of each SourceParams field, for the errors SourceParams words under its own names.
+_REQUEST_NAMES = {param: field for field, param in PARAM_FIELDS.items()}
 # A request body is a few hundred bytes; the cap bounds what one request may make the server read.
 MAX_BODY_BYTES = 1 << 16
 # Seconds a handler waits on its socket, so a client that sends less than it announced frees the thread.
@@ -78,16 +82,17 @@ def read_fields(texts: dict) -> dict:
     return data
 
 
-def _parse_request(data: dict) -> tuple[SourceParams, tuple[int, ...] | None]:
+def _parse_request(data: dict, fields: dict = _REQUEST_FIELDS) -> tuple[SourceParams, tuple[int, ...] | None]:
+    """The parameters and click pattern of a request that may hold the given fields, else a RequestError naming the field sent."""
     if not isinstance(data, dict):
         raise RequestError(400, "malformed", "", "request body must be a JSON object")
     if "mean_photon" not in data:
         raise RequestError(400, "missing_field", "mean_photon", "mean_photon is required")
     clean: dict = {}
     for field, value in data.items():
-        if field not in _REQUEST_FIELDS:
+        if field not in fields:
             raise RequestError(400, "unknown_field", field, f"unknown field {field!r}")
-        kind = _REQUEST_FIELDS[field]
+        kind = fields[field]
         if kind is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise RequestError(400, "bad_type", field, f"{field} must be a number")
@@ -105,10 +110,14 @@ def _parse_request(data: dict) -> tuple[SourceParams, tuple[int, ...] | None]:
     click = clean.pop("click_pattern", None)
     try:
         params = SourceParams(**{PARAM_FIELDS.get(field, field): value for field, value in clean.items()})
-        if click is not None:
+    except OutOfRangeError as exc:
+        field = _REQUEST_NAMES.get(exc.field, exc.field)
+        raise RequestError(422, "out_of_range", field, f"{field} {exc.rule}") from exc
+    if click is not None:
+        try:
             click = validate_click_pattern(click)
-    except ValueError as exc:
-        raise RequestError(422, "out_of_range", "", str(exc)) from exc
+        except ValueError as exc:
+            raise RequestError(422, "out_of_range", "click_pattern", str(exc)) from exc
     return params, click
 
 
@@ -130,7 +139,7 @@ def spin_dm_response(data: dict) -> dict:
     Its trace is the click pattern's probability.  The mixture's spin matrices
     share one chain-moment scope.
     """
-    params, click = _parse_request({"click_pattern": list(DEFAULT_CLICK_PATTERN), **data})
+    params, click = _parse_request({"click_pattern": list(DEFAULT_CLICK_PATTERN), **data}, _SPIN_DM_FIELDS)
     with moment_scope():
         dm = spin_spin_dm_dark(params, click)
     return {"click_pattern": list(click), "trace": dm.trace, "spin_dm": _spin_dm_wire(dm.entries), "engine_version": ENGINE_VERSION}

@@ -17,6 +17,8 @@ from math import sqrt
 
 import numpy as np
 
+from .errors import OutOfRangeError
+
 DEFAULT_HERALD_PATTERN = (1, 1, 0, 0)
 # The largest power of ten at which the precision scan (tests/test_precision.py)
 # passes: pgen within 1e-12 relative of its closed form, the trace within 1e-15
@@ -43,14 +45,14 @@ def as_count(item) -> int:
 
 
 def parse_counts(counts, size: int, what: str) -> tuple[int, ...]:
-    """counts as size nonnegative ints (as_count reads each), else a one-line ValueError."""
+    """counts as size nonnegative ints (as_count reads each), else a one-line OutOfRangeError on what."""
     counts = tuple(counts)
     try:
         parsed = tuple(map(as_count, counts))
     except TypeError:
         parsed = ()
     if len(parsed) != size or min(parsed) < 0:
-        raise ValueError(f"{what} must be {size} nonnegative integer counts, got {counts}")
+        raise OutOfRangeError(what, f"must be {size} nonnegative integer counts, got {counts}")
     return parsed
 
 
@@ -76,16 +78,16 @@ class SourceParams:
 
     def __post_init__(self):
         if not 0.0 <= self.mean_photon <= MAX_MEAN_PHOTON:
-            raise ValueError(f"mean_photon must lie in [0, {MAX_MEAN_PHOTON:g}], got {self.mean_photon}")
+            raise OutOfRangeError("mean_photon", f"must lie in [0, {MAX_MEAN_PHOTON:g}], got {self.mean_photon}")
         for name in ("eta_b", "eta_t", "eta_d"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+                raise OutOfRangeError(name, f"must lie in [0, 1], got {value}")
         if not 0.0 <= self.dark_click_prob < 1.0:
-            raise ValueError(f"dark_click_prob must lie in [0, 1), got {self.dark_click_prob}")
+            raise OutOfRangeError("dark_click_prob", f"must lie in [0, 1), got {self.dark_click_prob}")
         pattern = parse_counts(self.herald_pattern, 4, "herald_pattern")
         if sum(pattern) > 8:
-            raise ValueError("herald_pattern exceeds the total click cap of 8")
+            raise OutOfRangeError("herald_pattern", "exceeds the total click cap of 8")
         object.__setattr__(self, "herald_pattern", pattern)
 
     @property

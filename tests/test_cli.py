@@ -192,10 +192,13 @@ class TestCliProcess:
         "args, field",
         [
             (["metrics", "--herald-pattern", "1,2"], "herald_pattern"),
-            (["spin-dm", "--herald-pattern", "5,5,0,0"], "herald_pattern"),
+            (["spin-dm", "--click-pattern", "1,0,5,5,0,0,1,0"], "heralding clicks exceed the cap of 8"),
             (["metrics", "--mean-photon", "1e78"], "mean_photon"),
+            (["metrics", "--bsm-efficiency", "1.5"], "bsm_efficiency must lie in [0, 1], got 1.5"),
+            (["spin-dm", "--outcoupling-efficiency", "-0.5"], "outcoupling_efficiency must lie in [0, 1], got -0.5"),
         ],
-        ids=["metrics-short-pattern", "spin-dm-over-cap", "metrics-mean-photon-over-bound"],
+        ids=["metrics-short-pattern", "spin-dm-over-cap", "metrics-mean-photon-over-bound", "metrics-bsm-efficiency",
+             "spin-dm-outcoupling-efficiency"],
     )
     def test_bad_parameter_is_one_line_error(self, args, field):
         result = run_cli(args)
@@ -203,6 +206,13 @@ class TestCliProcess:
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"zalmsim: error: {field}")
+
+    def test_spin_dm_has_no_herald_pattern_flag(self, capsys):
+        # its heralds are modes 3-6 of --click-pattern
+        with pytest.raises(SystemExit) as info:
+            main(["spin-dm", "--herald-pattern", "0,0,1,1"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --herald-pattern" in capsys.readouterr().err
 
     @pytest.mark.parametrize("pattern, message", [("9,9", "click pattern must be 8")], ids=["invalid-pattern"])
     def test_dark_spin_dm_rejects_other_click_patterns(self, pattern, message):

@@ -22,11 +22,11 @@ from zalmsim import oracle
 from zalmsim.oracle import (
     _bs_sector,
     _bs_table,
+    _chain_state,
     _chain_value,
     _element,
     _kernel_vec,
     _tmsv_amps,
-    _trace_vec,
     apply_beamsplitter,
     build_pre_bsm_state,
     oracle_apply_loss,
@@ -191,12 +191,13 @@ class TestPerModeEfficiencies:
     @pytest.mark.parametrize("pattern", [(1, 1, 0, 0), (0, 1, 1, 0), (2, 0, 0, 1)])
     def test_heralding_element_matches_kraus_route(self, pattern):
         mu, cutoff = 0.1, 3
-        etas = (1.0, 1.0, 0.9, 0.5, 0.7, 0.6, 1.0, 1.0)
+        # modes 1, 2, 7 and 8 traced: vacuum detections at efficiency 0
+        etas = (0.0, 0.0, 0.9, 0.5, 0.7, 0.6, 0.0, 0.0)
         state = oracle_build_cascaded(mu, cutoff)
         for mode in (3, 4, 5, 6):
             state = oracle_apply_loss(state, mode, etas[mode - 1])
         herald = (0, 0) + pattern + (0, 0)
-        got = _element(mu, etas, herald, herald, (1, 2, 7, 8), cutoff)
+        got = _element(mu, etas, herald, herald, cutoff)
         np.testing.assert_allclose(got, pattern_probability(state, (3, 4, 5, 6), pattern), rtol=1e-13)
 
 
@@ -363,7 +364,7 @@ class TestChainContraction:
             kernels = []
             for nmax, shift, eta, lowest in zip(sizes, shifts, (0.9, 0.8, 0.7, 0.6), (0, 1, 1, 0)):
                 if traced and shift == 0:
-                    kernels.append(_trace_vec(nmax))
+                    kernels.append(_kernel_vec(nmax, 0, 0, 0.0))
                 else:
                     d = lowest + max(0, -shift)
                     kernels.append(_kernel_vec(nmax, d, d + shift, eta))
@@ -376,6 +377,35 @@ class TestChainContraction:
             bound = np.sum(amps * amps[0] * np.abs(vec_u)) * np.sum(amps * amps[0] * np.abs(vec_v))
             bound *= np.max(np.abs(w1)) * np.max(np.abs(w2))
             assert abs(got - ref) <= 1e-13 * (abs(ref) + bound), (shifts, got, ref)
+
+
+class TestChainState:
+    """One chain's explicit truncated state psi[u, v, a] and the efficiency-0 kernel that traces a mode."""
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-3, 0.1, 3.0])
+    @pytest.mark.parametrize("cutoff", range(2, 31))
+    def test_squared_norm_is_two_truncated_ladders(self, cutoff, mu):
+        # each TMSV ladder keeps 1 - lambda^(cutoff + 1) of its weight and the splitter is unitary
+        psi, rest = _chain_state(mu, cutoff)
+        assert psi.shape == rest.shape == (cutoff + 1, cutoff + 1, 2 * cutoff + 1)
+        ratio = mu / (1.0 + mu)
+        assert abs(np.sum(psi**2) - (1.0 - ratio ** (cutoff + 1)) ** 2) <= 1e-14
+
+    def test_holds_the_splitter_amplitudes_and_second_output(self):
+        mu, cutoff = 0.3, 4
+        psi, rest = _chain_state(mu, cutoff)
+        amps = _tmsv_amps(mu, cutoff)
+        for u, v in itertools.product(range(cutoff + 1), repeat=2):
+            np.testing.assert_array_equal(psi[u, v, : u + v + 1], amps[u] * amps[v] * _bs_sector(u + v, np.pi / 4)[:, u])
+            assert not psi[u, v, u + v + 1 :].any()
+            assert rest[u, v, : u + v + 1].tolist() == list(range(u + v, -1, -1))
+
+    def test_vacuum_kernel_at_efficiency_zero_is_one(self):
+        # a traced mode is a vacuum detection at efficiency 0: every occupation passes with weight 1
+        nmax = 2 * oracle.CUTOFF_CAP
+        shift, vec = _kernel_vec(nmax, 0, 0, 0.0)
+        assert shift == 0 and vec.shape == (nmax + 1,)
+        assert np.max(np.abs(vec - 1.0)) <= 1e-15
 
 
 class TestReturnTypes:

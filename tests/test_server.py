@@ -234,6 +234,19 @@ class TestMetricsEndpoint:
         status, payload = post(f"{server_url}/v1/metrics", {"mean_photon": 0.1, "bsm_efficiency": 1.5})
         assert status == 422
         assert payload["code"] == "out_of_range"
+        # the reply names the field the client sent, in the field and in the message
+        for field, value, message in [
+            ("bsm_efficiency", 1.5, "bsm_efficiency must lie in [0, 1], got 1.5"),
+            ("outcoupling_efficiency", -0.5, "outcoupling_efficiency must lie in [0, 1], got -0.5"),
+            ("detection_efficiency", 2, "detection_efficiency must lie in [0, 1], got 2.0"),
+            ("dark_click_prob", 1, "dark_click_prob must lie in [0, 1), got 1.0"),
+            ("mean_photon", 1e78, "mean_photon must lie in [0, 1e+77], got 1e+78"),
+            ("herald_pattern", [5, 5, 0, 0], "herald_pattern exceeds the total click cap of 8"),
+            ("herald_pattern", [1, 1], "herald_pattern must be 4 nonnegative integer counts, got (1, 1)"),
+            ("click_pattern", [1, 1, 1, 1, 0, 0, 1, 0], "memory pair (1, 2) allows at most one click, got (1, 1)"),
+        ]:
+            status, payload = post(f"{server_url}/v1/metrics", {"mean_photon": 0.1, field: value})
+            assert (status, payload) == (422, {"code": "out_of_range", "field": field, "message": message})
 
     @pytest.mark.parametrize("mean_photon, status", [(1e6, 200), (1e77, 200), (1e78, 422)])
     def test_mean_photon_bound(self, server_url, mean_photon, status):
@@ -487,6 +500,11 @@ class TestSpinDmEndpoint:
         got = np.array([[complex(re, im) for re, im in row] for row in payload["spin_dm"]])
         assert np.array_equal(got, dm.entries)
 
+    def test_herald_pattern_is_an_unknown_field(self, server_url):
+        # the spin matrix's heralds are modes 3-6 of its click pattern
+        status, payload = get(f"{server_url}/v1/spin_dm?mean_photon=0.1&herald_pattern=0,0,1,1")
+        assert (status, payload["code"], payload["field"]) == (400, "unknown_field", "herald_pattern")
+
     def test_fractional_query_count_is_400(self, server_url):
         status, payload = get(f"{server_url}/v1/spin_dm?mean_photon=0.1&click_pattern=1.5,0,1,1,0,0,1,0")
         assert (status, payload["code"], payload["field"]) == (400, "bad_type", "click_pattern")
@@ -536,7 +554,7 @@ class TestSpinDmEndpoint:
     @pytest.mark.parametrize(
         "query, field",
         [
-            ("mean_photon=0.1&herald_pattern=0_1,1,0,0", "herald_pattern"),
+            ("mean_photon=0.1&click_pattern=0_1,0,1,1,0,0,1,0", "click_pattern"),
             ("mean_photon=1_0e-1", "mean_photon"),
             ("mean_photon=nan", "mean_photon"),
             ("mean_photon=.5", "mean_photon"),
@@ -562,7 +580,7 @@ class TestSpinDmEndpoint:
     @pytest.mark.parametrize(
         "query, field",
         [
-            ("herald_pattern=1,,1,0,0", "herald_pattern"),
+            ("click_pattern=1,,0,1,1,0,0,1,0", "click_pattern"),
             ("click_pattern=1,0,1,1,0,0,1,0,", "click_pattern"),
             ("click_pattern=", "click_pattern"),
         ],

@@ -136,11 +136,11 @@ def test_validate_leaves_numpy_random_unloaded():
 
 
 def test_oracle_caches_are_bounded():
-    # the chain gathers hold arrays that grow as cutoff^3, so no oracle cache may grow without bound
+    # the chain states hold arrays that grow as cutoff^3, so no oracle cache may grow without bound
     from zalmsim import oracle
 
     caches = {name: obj for name, obj in vars(oracle).items() if hasattr(obj, "cache_info")}
-    assert {"_bs_sector", "_bs_table", "_chain_gathers"} <= set(caches)
+    assert {"_bs_sector", "_bs_table", "_chain_state"} <= set(caches)
     for name, cached in caches.items():
         assert cached.cache_info().maxsize is not None, name
     assert callable(oracle._bs_sector.cache_clear)
