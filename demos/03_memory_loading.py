@@ -21,8 +21,8 @@ np.set_printoptions(precision=6, suppress=True)
 params = SourceParams(mean_photon=0.1, eta_b=0.8, eta_t=0.9, eta_d=0.95, dark_click_prob=1e-4)
 
 dm = spin_spin_dm(params)
-print("spin-spin density matrix (unnormalized, real part):")
-print(dm.entries.real)
+print("spin-spin density matrix (unnormalized):")
+print(dm.entries)
 print(f"\nclick-pattern probability (trace): {dm.trace:.6e}")
 for target in BELL_TARGETS:
     print(f"  fidelity vs {target:9s}: {bell_fidelity_spin(dm, target):.6f}")

@@ -34,7 +34,7 @@ print("pgen equals the library call bit-exactly:", payload["pgen"] == library)
 
 dm_payload = json.loads(urllib.request.urlopen(f"{base}/v1/spin_dm?mean_photon=0.1&bsm_efficiency=0.8").read())
 dm = spin_spin_dm(SourceParams(mean_photon=0.1, eta_b=0.8))
-print("spin_dm[0][0] matches:", dm_payload["spin_dm"][0][0][0] == dm.entries[0, 0].real)
+print("spin_dm[0][0] matches:", dm_payload["spin_dm"][0][0][0] == dm.entries[0, 0])
 
 httpd.shutdown()
 httpd.server_close()

@@ -14,7 +14,8 @@ Each memory pair (1, 2) and (7, 8) joins one mode of chain A with one of
 chain B, so its detection form is expanded multilinearly: every entry is a
 signed sum of lossy-state Fock elements with the herald counts on modes 3-6
 and one photon per clicked memory pair, and the 16 entries evaluate each
-distinct chain moment once (metrics.moment_scope).
+distinct chain moment once (metrics.moment_scope).  All of it is real, so
+the matrix holds float64 entries.
 """
 
 from __future__ import annotations
@@ -74,27 +75,28 @@ SIGMA_PATTERNS = {k: patterns for k, patterns in dark_attributions(DEFAULT_CLICK
 
 @dataclass(frozen=True)
 class SpinSpinDM:
-    """Unnormalized spin-spin density matrix over the dual-rail basis."""
+    """Unnormalized spin-spin density matrix over the dual-rail basis, as real float64 entries."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.entries, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"spin-spin matrix must be 4x4, got {m.shape}")
+        m = np.asarray(self.entries)
+        if m.shape != (4, 4) or m.dtype.kind not in "biuf":
+            raise ValueError(f"spin-spin matrix must be 4x4 real numbers, got shape {m.shape} of dtype {m.dtype}")
+        m = np.array(m, dtype=float, order="C")  # a copy, so freezing it leaves the caller's array writeable
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
     @property
     def trace(self) -> float:
-        return float(np.real(np.trace(self.entries)))
+        d = self.entries.diagonal().tolist()  # summed pairwise, as replies always were; np.trace sums in sequence
+        return (d[0] + d[1]) + (d[2] + d[3])
 
     def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
+        return float(np.max(np.abs(self.entries - self.entries.T)))
 
     def min_eigenvalue(self) -> float:
-        herm = (self.entries + self.entries.conj().T) / 2.0
-        return float(np.min(np.linalg.eigvalsh(herm)))
+        return float(np.min(np.linalg.eigvalsh((self.entries + self.entries.T) / 2.0)))
 
 
 def _branch_forms(branch, click, eta) -> list[tuple[float, tuple[int, ...]]]:
@@ -163,4 +165,4 @@ def bell_fidelity_spin(dm: SpinSpinDM, target: str) -> float:
     tr = dm.trace
     if tr <= 0.0:
         raise UndefinedFidelityError("spin-spin matrix has nonpositive trace")
-    return float(np.real(vec.conj() @ dm.entries @ vec) / tr)
+    return float(vec @ dm.entries @ vec / tr)

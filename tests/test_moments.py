@@ -369,6 +369,12 @@ class TestChainWickMoment:
         assert moments.wick_moment(self.a, moments.MomentRequest(())) == 1.0
         assert moments.wick_moment(self.a, moments.MomentRequest((1, 2, 5))) == 0.0
 
+    @pytest.mark.parametrize("forms", [(), (1, 2, 5), (0, 5), (0, 1, 5, 6), (0, 0, 1, 5, 5, 5, 2, 6, 1, 0)],
+                             ids=["empty", "odd", "pair", "matchings", "repeated"])
+    def test_moment_is_a_python_float(self, forms):
+        # B is real, so every path, hafnian_repeated's included, returns a float
+        assert type(moments.wick_moment(self.a, moments.MomentRequest(forms))) is float
+
     def test_pair_moment_is_the_exponent_entry(self):
         for i, j in itertools.product(range(8), repeat=2):
             assert moments.wick_moment(self.a, moments.MomentRequest((i, j))) == self.a.entries[i, j]

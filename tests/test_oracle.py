@@ -417,7 +417,8 @@ class TestReturnTypes:
         assert type(oracle_fidelity(0.1, self.ETAS, cutoff=cutoff)) is float
         assert type(oracle_pgen_dark(0.1, 0.8, 1e-2, cutoff=cutoff)) is float
         element = oracle_fock_element(0.1, self.ETAS, (1, 0, 1, 1, 0, 0, 0, 1), (0, 1, 1, 1, 0, 0, 1, 0), cutoff=cutoff)
-        assert type(element) is complex
+        assert type(element) is float
+        assert oracle_spin_spin(0.1, self.ETAS, cutoff=cutoff).dtype == np.float64
 
     @pytest.mark.parametrize("pattern", [(1, 1, 0, 0), (5, 0, 0, 0)], ids=["inside", "outside-support"])
     def test_filtered_path_is_float(self, pattern):

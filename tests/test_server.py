@@ -2,6 +2,8 @@ import datetime
 import email.utils
 import http.client
 import json
+import math
+import random
 import socket
 import struct
 import threading
@@ -30,6 +32,7 @@ from zalmsim import (
     spin_spin_dm_dark,
 )
 from zalmsim.httpd import MAX_HEADERS, MAX_LINE_BYTES
+from zalmsim.sweep import SweepConfig, run_sweep
 from zalmsim.server import (
     MAX_BODY_BYTES,
     SOCKET_TIMEOUT_S,
@@ -703,3 +706,52 @@ class TestReplyCache:
             cold.append(reply_json(compute_metrics_response(body(zero))))
             assert reply_json(compute_metrics_response(body(-zero))) == cold[-1]
         assert cold[0] == cold[1]
+
+
+def _service_mix_bodies(seed: int, count: int) -> list[dict]:
+    """Bodies drawn as the benchmark's service_mix draws them, with dark counts and herald patterns added."""
+    rng = random.Random(seed)
+    clicks = [DEFAULT_CLICK_PATTERN] + [
+        tuple(0 if i == j else c for i, c in enumerate(DEFAULT_CLICK_PATTERN)) for j, c in enumerate(DEFAULT_CLICK_PATTERN) if c
+    ]
+    bodies = []
+    for _ in range(count):
+        body = {
+            "mean_photon": math.exp(rng.uniform(math.log(1e-3), math.log(2.0))),
+            "bsm_efficiency": rng.uniform(0.3, 1.0),
+            "outcoupling_efficiency": rng.uniform(0.5, 1.0),
+            "detection_efficiency": rng.uniform(0.5, 1.0),
+            "dark_click_prob": rng.choice([0.0, 1e-5, 1e-3]),
+            "click_pattern": list(rng.choice(clicks)),
+        }
+        if rng.random() < 0.3:
+            body["herald_pattern"] = rng.choice([[0, 0, 1, 1], [1, 0, 1, 0]])
+        bodies.append(body)
+    return bodies
+
+
+def _positive_zero(x) -> bool:
+    return x == 0.0 and math.copysign(1.0, x) == 1.0
+
+
+class TestRealWire:
+    """The engine is real: every imaginary part and residual on the wire is +0.0, kept for the schema."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_replies_carry_positive_zero_imaginary_parts(self, cold_replies, seed):
+        for body in _service_mix_bodies(seed, 20):
+            payload = compute_metrics_response(body)
+            fidelity = set() if payload["fidelity"] is None else {"fidelity"}
+            assert set(payload["imag_residuals"]) == {"trace", "pgen"} | fidelity
+            assert all(_positive_zero(x) for x in payload["imag_residuals"].values())
+            spin = spin_dm_response({k: v for k, v in body.items() if k != "herald_pattern"})
+            for reply in (payload, spin):
+                assert all(_positive_zero(im) for row in reply["spin_dm"] for _, im in row)
+
+    def test_sweep_imaginary_columns_are_positive_zero(self):
+        config = SweepConfig("mean_photon", 1e-3, 2.0, 6, SourceParams(mean_photon=0.1, eta_b=0.7, dark_click_prob=1e-3),
+                             scale="log", metrics=("pgen", "fidelity", "spin_dm"))
+        rows = run_sweep(config)
+        columns = [c for c in rows[0] if c.endswith("_im")] + ["imag_residual"]
+        assert len(columns) == 17
+        assert all(_positive_zero(row[c]) for row in rows for c in columns)
