@@ -96,6 +96,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"serving on http://{args.bind}:{port}", file=sys.stderr)
     try:
         httpd.serve_forever()
+    except KeyboardInterrupt:  # Ctrl-C: stop quietly, with the shell's status for SIGINT
+        return 130
     finally:
         httpd.server_close()
     return 0

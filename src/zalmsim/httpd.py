@@ -1,14 +1,22 @@
-"""The HTTP layer of the JSON service: an HTTP/1.0 handler and a bounded threading server on socketserver.
+"""The HTTP layer of the JSON service: an HTTP/1.0 handler and a server on socketserver with a bounded pool of handler threads.
 
 ``server`` imports this module only when it builds a server.  The handler parses
 the request itself and answers it, protocol errors included, with one JSON reply
-in one write, so no process loads http.server, http.client, email or ssl.
-Settings and payload functions are read from ``server`` at call time, where
-tests and the benchmark tracer replace them.
+in one write, so no process loads http.server, http.client, email or ssl.  The
+pool is a queue and plain threads, not concurrent.futures, which would load
+logging into the serving process.
+
+Payload functions and settings are read from ``server`` where they are used,
+so tests and the benchmark tracer can replace them, with two exceptions:
+MAX_CONCURRENT_HANDLERS is read when a server is built, and
+``_Handler.timeout`` is bound to SOCKET_TIMEOUT_S when this module is
+imported, so a later change of SOCKET_TIMEOUT_S is not seen: set
+``_Handler.timeout`` instead.
 """
 
 from __future__ import annotations
 
+import queue
 import socket
 import socketserver
 import threading
@@ -149,31 +157,58 @@ class _Handler(socketserver.StreamRequestHandler):
             raise RequestError(400, "malformed", "", f"invalid JSON: {exc}") from exc
 
 
-class BoundedHTTPServer(socketserver.ThreadingTCPServer):
-    """One thread per connection, at most server.MAX_CONCURRENT_HANDLERS of them at once."""
+class BoundedHTTPServer(socketserver.TCPServer):
+    """Connections handled by a pool of reused threads, at most server.MAX_CONCURRENT_HANDLERS of them at once.
+
+    The accept loop takes a slot for each connection, then hands it to an idle
+    thread through a queue, starting a thread only when none is idle.  A thread
+    marks itself idle before it frees its slot, so whoever takes the slot finds
+    it: the pool never outgrows the slots.
+    """
 
     allow_reuse_address = True
-    daemon_threads = True
 
     def __init__(self, address, handler):
-        super().__init__(address, handler)
+        # Set before the bind: TCPServer.__init__ calls server_close() when the bind fails.
         self._slots = threading.BoundedSemaphore(server.MAX_CONCURRENT_HANDLERS)
+        self._idle = threading.Semaphore(0)
+        self._connections: queue.SimpleQueue = queue.SimpleQueue()
+        self._threads = 0
+        super().__init__(address, handler)
 
     def process_request(self, request, client_address):
         if not self._slots.acquire(blocking=False):
             self._refuse(request)
             return
-        try:
-            super().process_request(request, client_address)
-        except BaseException:
-            self._slots.release()
-            raise
+        if not self._idle.acquire(blocking=False):
+            try:
+                threading.Thread(target=self._handle_connections, daemon=True).start()
+            except BaseException:
+                self._slots.release()
+                raise
+            self._threads += 1
+        self._connections.put((request, client_address))
 
-    def process_request_thread(self, request, client_address):
-        try:
-            super().process_request_thread(request, client_address)
-        finally:
+    def _handle_connections(self) -> None:
+        """A pool thread: handle queued connections until server_close queues None for it."""
+        while (connection := self._connections.get()) is not None:
+            try:
+                try:
+                    self.finish_request(*connection)
+                except Exception:
+                    self.handle_error(*connection)
+                finally:
+                    self.shutdown_request(connection[0])
+            except BaseException:
+                self._slots.release()  # the thread dies without marking itself idle, so no connection waits on it
+                raise
+            self._idle.release()
             self._slots.release()
+
+    def server_close(self) -> None:
+        super().server_close()
+        for _ in range(self._threads):
+            self._connections.put(None)
 
     def _refuse(self, request) -> None:
         """Answer 503 with the request unread."""

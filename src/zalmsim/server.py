@@ -5,13 +5,14 @@ the corresponding library call.  Loopback bind, no authentication.
 
 This is where evaluation is scoped.  Each metrics or spin-matrix request is
 evaluated in one chain-moment scope (metrics.moment_scope), so its metrics
-evaluate each distinct chain moment once.  Metrics replies are kept for the
-last REPLY_CACHE_SIZE distinct parsed requests (SourceParams and click
-pattern), so a repeated request is answered from the cache with a copy of
-the reply it got the first time.
+evaluate each distinct chain moment once.  The values of a metrics reply
+(floats and tuples) are kept for the last REPLY_CACHE_SIZE distinct parsed
+requests (SourceParams and click pattern), so a repeated request is answered
+from the cache, in a payload built for that request.
 
 This module holds the request and reply logic.  The HTTP layer (``httpd``:
-the socketserver handler and the bounded threading server) is imported only
+the socketserver handler and the server with its pool of at most
+MAX_CONCURRENT_HANDLERS reused handler threads) is imported only
 when a server is built, so importing the CLI or this module for its payload
 functions loads no socket server.  No process of the package, a serving one
 included, loads http.server, http.client, email, ssl or hashlib.
@@ -19,7 +20,6 @@ included, loads http.server, http.client, email, ssl or hashlib.
 
 from __future__ import annotations
 
-import copy
 import functools
 import json
 import struct
@@ -40,12 +40,14 @@ _REQUEST_NAMES = {param: field for field, param in PARAM_FIELDS.items()}
 # A request body is a few hundred bytes; the cap bounds what one request may make the server read.
 MAX_BODY_BYTES = 1 << 16
 # Seconds a handler waits on its socket, so a client that sends less than it announced frees the thread.
+# httpd._Handler.timeout binds it when httpd is imported.
 SOCKET_TIMEOUT_S = 2.0
-# Handlers that may run at once; a connection beyond them is answered 503 "busy" and closed.
+# Handlers that may run at once, and the most handler threads a server keeps; a connection beyond them
+# is answered 503 "busy" and closed.  Read when a server is built.
 MAX_CONCURRENT_HANDLERS = 32
 # Seconds a refused connection may hold the accept loop while the client takes its 503.
 BUSY_LINGER_S = 0.2
-# Distinct parsed requests whose metrics replies are kept, as many as metrics._a_variant keeps exponent matrices.
+# Distinct parsed requests whose metrics reply values are kept, as many as metrics._a_variant keeps exponent matrices.
 REPLY_CACHE_SIZE = 256
 
 
@@ -121,9 +123,9 @@ def _parse_request(data: dict, fields: dict = _REQUEST_FIELDS) -> tuple[SourcePa
     return params, click
 
 
-def _spin_dm_wire(entries) -> list:
-    """The matrix as [re, im] pairs; the entries are real, so each im is 0.0, kept for the schema."""
-    return [[[value, 0.0] for value in row] for row in entries.tolist()]
+def _spin_dm_wire(rows) -> list:
+    """The matrix rows as [re, im] pairs; the entries are real, so each im is 0.0, kept for the schema."""
+    return [[[value, 0.0] for value in row] for row in rows]
 
 
 def reply_json(payload, indent: int | None = None) -> str:
@@ -143,25 +145,22 @@ def spin_dm_response(data: dict) -> dict:
     params, click = _parse_request({"click_pattern": list(DEFAULT_CLICK_PATTERN), **data}, _SPIN_DM_FIELDS)
     with moment_scope():
         dm = spin_spin_dm_dark(params, click)
-    return {"click_pattern": list(click), "trace": dm.trace, "spin_dm": _spin_dm_wire(dm.entries), "engine_version": ENGINE_VERSION}
+    return {"click_pattern": list(click), "trace": dm.trace, "spin_dm": _spin_dm_wire(dm.entries.tolist()), "engine_version": ENGINE_VERSION}
 
 
 @functools.lru_cache(maxsize=REPLY_CACHE_SIZE)
-def _metrics_payload(params: SourceParams, click: tuple[int, ...] | None) -> dict:
-    """The metrics payload of one parsed request; the cache shares it, so it is never handed out."""
+def _metrics_values(params: SourceParams, click: tuple[int, ...] | None) -> tuple:
+    """pgen, trace, fidelity (None outside its domain) and spin-matrix rows (None without a click pattern) of one parsed request.
+
+    Floats and tuples only, so the cache shares nothing that a caller can change.
+    """
     has_fidelity = params.mean_photon > 0.0 and params.herald_pattern in FIDELITY_PATTERNS
-    payload = {
-        "pgen": pgen_with_dark(params).value,
-        "trace": photonic_trace(params).value,
-        "fidelity": fidelity(params).value if has_fidelity else None,
-        # The values are real, so each imaginary residual is 0.0, kept for the schema.
-        "imag_residuals": dict.fromkeys(("trace", "pgen", "fidelity") if has_fidelity else ("trace", "pgen"), 0.0),
-        "engine_version": ENGINE_VERSION,
-    }
-    if click is not None:
-        dm = spin_spin_dm_dark(params, click)
-        payload["spin_dm"] = _spin_dm_wire(dm.entries)
-    return payload
+    return (
+        pgen_with_dark(params).value,
+        photonic_trace(params).value,
+        fidelity(params).value if has_fidelity else None,
+        None if click is None else tuple(map(tuple, spin_spin_dm_dark(params, click).entries.tolist())),
+    )
 
 
 def compute_metrics_response(data: dict) -> dict:
@@ -169,13 +168,24 @@ def compute_metrics_response(data: dict) -> dict:
 
     pgen and spin_dm mix in dark counts at dark_click_prob; the fidelity is the photonic state's, with none.
     The metrics share one chain-moment scope.  A request equal, once parsed,
-    to one of the last REPLY_CACHE_SIZE distinct requests gets a copy of
-    that request's payload, which the caller may change.
+    to one of the last REPLY_CACHE_SIZE distinct requests is answered from
+    that request's cached values; every call builds its own payload, which
+    the caller may change.
     """
     params, click = _parse_request(data)
     with moment_scope():
-        payload = _metrics_payload(params, click)
-    return copy.deepcopy(payload)
+        pgen_value, trace, fidelity_value, spin_rows = _metrics_values(params, click)
+    payload = {
+        "pgen": pgen_value,
+        "trace": trace,
+        "fidelity": fidelity_value,
+        # The values are real, so each imaginary residual is 0.0, kept for the schema.
+        "imag_residuals": dict.fromkeys(("trace", "pgen") if fidelity_value is None else ("trace", "pgen", "fidelity"), 0.0),
+        "engine_version": ENGINE_VERSION,
+    }
+    if spin_rows is not None:
+        payload["spin_dm"] = _spin_dm_wire(spin_rows)
+    return payload
 
 
 def health_payload() -> dict:

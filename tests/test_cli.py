@@ -1,7 +1,9 @@
 import json
+import signal
 import socket
 import subprocess
 import sys
+import urllib.request
 from types import SimpleNamespace
 
 import numpy as np
@@ -313,6 +315,49 @@ class TestFlagText:
         assert result.returncode == 0, result.stderr
         rows = json.loads(result.stdout)
         assert rows[1]["pgen"] == pgen(SourceParams(mean_photon=0.2, herald_pattern=(0, 0, 1, 1))).value
+
+
+class TestServeStops:
+    """`zalmsim serve` ends promptly on a signal, with the handler threads it keeps between connections still idle."""
+
+    @staticmethod
+    def _serve_and_stop(sig: int) -> tuple[subprocess.Popen, str, str]:
+        """Serve a few requests in a subprocess, send it sig; (the process after it ended, the serving line, the rest of stderr)."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        # A child keeps a signal its parent ignores, as a shell without job control ignores SIGINT for its
+        # background jobs; with a handler of this process in place the child starts with Python's own.
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            proc = subprocess.Popen([sys.executable, "-m", "zalmsim", "serve", "--port", str(port)],
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        try:
+            serving = proc.stderr.readline()  # the server listens before it prints this line
+            body = json.dumps({"mean_photon": 0.1}).encode()
+            for _ in range(3):
+                for request in (f"http://127.0.0.1:{port}/v1/health",
+                                urllib.request.Request(f"http://127.0.0.1:{port}/v1/metrics", data=body, method="POST")):
+                    with urllib.request.urlopen(request, timeout=60) as reply:
+                        assert reply.status == 200
+            proc.send_signal(sig)
+            proc.wait(timeout=5)
+            return proc, serving, proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+
+    def test_sigterm_ends_the_process(self):
+        proc, serving, _ = self._serve_and_stop(signal.SIGTERM)
+        assert serving.startswith("serving on ") and proc.returncode == -signal.SIGTERM
+
+    def test_ctrl_c_closes_the_server_and_exits_130_quietly(self):
+        proc, serving, rest = self._serve_and_stop(signal.SIGINT)
+        assert serving.startswith("serving on ")
+        assert (proc.returncode, rest) == (130, "")
 
 
 class TestStrictJson:

@@ -48,9 +48,9 @@ def test_concurrent_requests_match_serial_bytes():
         for i, mu in enumerate((0.03, 0.05, 0.08, 0.13, 0.21, 0.34))
     ]
     bodies = [repeated, clicked] * 6 + distinct
-    server._metrics_payload.cache_clear()
+    server._metrics_values.cache_clear()
     serial = [reply_json(compute_metrics_response(body)).encode() for body in bodies]
-    server._metrics_payload.cache_clear()
+    server._metrics_values.cache_clear()
 
     httpd = build_server("127.0.0.1", 0)
     port = httpd.server_address[1]

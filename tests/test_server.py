@@ -6,12 +6,14 @@ import math
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -65,9 +67,9 @@ def server_url():
 @pytest.fixture
 def cold_replies():
     """An empty metrics reply cache, so the next request of every body is evaluated."""
-    server._metrics_payload.cache_clear()
+    server._metrics_values.cache_clear()
     yield
-    server._metrics_payload.cache_clear()
+    server._metrics_values.cache_clear()
 
 
 @pytest.fixture
@@ -463,6 +465,95 @@ class TestHandlerBound:
             httpd.server_close()
 
 
+class TestHandlerPool:
+    @pytest.fixture
+    def pooled(self, monkeypatch):
+        """A server with four handler slots; (its health URL, its server, each handler's thread in call order)."""
+        from zalmsim.httpd import _Handler
+
+        # Four, not two: each of two clients can have a handler finishing its last reply while its next connection arrives.
+        monkeypatch.setattr(server, "MAX_CONCURRENT_HANDLERS", 4)
+        threads, handle = [], _Handler.handle  # the Thread objects are held, so that each keeps its own id
+
+        def recorded(handler):
+            threads.append(threading.current_thread())
+            handle(handler)
+
+        monkeypatch.setattr(_Handler, "handle", recorded)
+        httpd = build_server("127.0.0.1", 0)
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        yield f"http://127.0.0.1:{httpd.server_address[1]}/v1/health", httpd, threads
+        httpd.shutdown()
+        httpd.server_close()
+
+    def test_connections_reuse_at_most_the_slots_in_threads(self, pooled):
+        url, _, threads = pooled
+        statuses = [get(url)[0] for _ in range(40)]
+        per_client = [[], []]
+
+        def client(out):
+            out.extend(get(url)[0] for _ in range(20))
+
+        clients = [threading.Thread(target=client, args=(out,)) for out in per_client]
+        for c in clients:
+            c.start()
+        for c in clients:
+            c.join(timeout=60)
+            assert not c.is_alive()
+        assert statuses + per_client[0] + per_client[1] == [200] * 80
+        assert len(threads) == 80 and len(set(threads)) <= 4
+
+    def test_more_clients_than_slots_stay_within_the_slots_in_threads(self, pooled):
+        # A thread that freed its slot before marking itself idle would let the accept loop start a fifth;
+        # slots that yield the processor as they are freed give the accept loop that moment.
+        class YieldingSlots(threading.BoundedSemaphore):
+            def release(self, n=1):
+                super().release(n)
+                time.sleep(1e-3)
+
+        url, httpd, threads = pooled
+        httpd._slots = YieldingSlots(server.MAX_CONCURRENT_HANDLERS)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda: [get(url)[0] for _ in range(15)]) for _ in range(8)]
+                statuses = [status for future in futures for status in future.result(timeout=120)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(statuses) <= {200, 503} and 200 in statuses
+        assert len(threads) == statuses.count(200) and len(set(threads)) <= 4
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")  # the SystemExit below
+    def test_a_handler_thread_that_dies_is_handed_no_connection(self, pooled, monkeypatch):
+        from zalmsim.httpd import _Handler
+
+        url, _, threads = pooled
+        handle = _Handler.handle
+
+        def dies_first(handler):
+            handle(handler)
+            if len(threads) == 1:
+                raise SystemExit  # ends the pool's only thread after its reply
+
+        monkeypatch.setattr(_Handler, "handle", dies_first)
+        assert [get(url)[0] for _ in range(3)] == [200] * 3
+        threads[0].join(timeout=5.0)
+        assert not threads[0].is_alive() and threads.count(threads[0]) == 1
+
+    def test_closing_the_server_ends_its_handler_threads(self, pooled):
+        url, httpd, threads = pooled
+        for _ in range(3):
+            assert get(url)[0] == 200
+        kept = set(threads)
+        assert all(t.is_alive() for t in kept)  # idle between connections, not ended after each
+        httpd.shutdown()
+        httpd.server_close()
+        for t in kept:
+            t.join(timeout=5.0)
+        assert not any(t.is_alive() for t in kept)
+
+
 class TestReplyJson:
     def test_non_finite_value_is_numerical_domain_error(self, server_url, monkeypatch):
         def reject(name):
@@ -702,7 +793,7 @@ class TestReplyCache:
 
         cold = []
         for zero in (0.0, -0.0):
-            server._metrics_payload.cache_clear()
+            server._metrics_values.cache_clear()
             cold.append(reply_json(compute_metrics_response(body(zero))))
             assert reply_json(compute_metrics_response(body(-zero))) == cold[-1]
         assert cold[0] == cold[1]
