@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import UndefinedFidelityError
 from .metrics import CHAIN_MODES, HERALD_MODES, _a_variant, _dark_mixture, _detected, _moment, _weight, dark_attributions
-from .metrics import moment_scope
+from .metrics import _etas, moment_scope
 from .moments import MAX_REQUEST_CARDINALITY
 from .moments import wick_moment  # noqa: F401 - unused here, but perfbench/tracing.py patches memory.wick_moment
 from .sources import SourceParams, parse_counts
@@ -134,7 +134,7 @@ def spin_spin_dm(params: SourceParams, click=DEFAULT_CLICK_PATTERN) -> SpinSpinD
     """
     click = validate_click_pattern(click)
     a = _a_variant(params.mean_photon, *_detected(params))
-    eta = params.eta_vector.tolist()
+    eta = _etas(params)
     herald = (0, 0) + click[2:6] + (0, 0)
     scalar, heralds, _ = _weight(eta, herald, herald)
     terms = [_branch_forms(b, click, eta) for b in BASIS]

@@ -38,6 +38,10 @@ FIDELITY_PATTERNS = ((1, 1, 0, 0), (0, 0, 1, 1))
 
 # Global mode -> (chain index, local mode 1..4).
 _CHAIN_OF = {mode: (c, local) for c, modes in enumerate(CHAIN_MODES) for local, mode in enumerate(modes, 1)}
+# _ROOT_FACTORIAL[d][g] = sqrt(d! g!) for one mode's counts d, g <= MAX_TOTAL_FOCK: _weight's divisor.
+_ROOT_FACTORIAL = tuple(
+    tuple(sqrt(factorial(d) * factorial(g)) for g in range(MAX_TOTAL_FOCK + 1)) for d in range(MAX_TOTAL_FOCK + 1)
+)
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,12 @@ def _a_variant(mu: float, eta_outer: float, eta_herald: float) -> AMatrix:
     return assemble_a(_kernel_for(mu), eta_outer, eta_herald)
 
 
+def _etas(params: SourceParams) -> list[float]:
+    """The eight per-mode efficiencies as Python floats: params.eta_vector.tolist() without the array."""
+    outer, herald = float(params.eta_t * params.eta_d), float(params.eta_b)
+    return [outer, outer, herald, herald, herald, herald, outer, outer]
+
+
 def _detected(params: SourceParams) -> tuple[float, float]:
     """Chain efficiencies with every mode detected."""
     return params.eta_t * params.eta_d, params.eta_b
@@ -92,7 +102,11 @@ class moment_scope:
     spin_spin_dm_dark (whose spin matrices each open their own) and the
     other library calls open none (ROADMAP item 2, Step A): sharing there
     waits until the benchmark's peak RSS stops growing with throughput, so
-    that a faster sweep does not read as a memory regression.
+    that a faster sweep does not read as a memory regression.  One scope
+    per sweep row was measured at 1.43-1.56x the sweep's rows per second
+    (median 1.50x over 12 interleaved in-process rounds, identical sweep
+    output); the benchmark keeps every pass's outputs, so its peak RSS
+    would rise with that gain past its bound until ROADMAP item 1 lands.
     """
 
     def __enter__(self):
@@ -145,7 +159,7 @@ def _weight(eta, d, g) -> tuple[float, list[int], list[int]]:
     bras: list[int] = []
     for mode, e, dj, gj in zip(range(1, 9), eta, d, g):
         if dj or gj:
-            scalar *= e ** ((dj + gj) / 2) / sqrt(factorial(dj) * factorial(gj))
+            scalar *= e ** ((dj + gj) / 2) / _ROOT_FACTORIAL[dj][gj]
             kets.extend([mode] * dj)
             bras.extend([mode] * gj)
     return scalar, kets, bras
@@ -206,7 +220,7 @@ def pgen(params: SourceParams) -> MetricResult:
     """Probability that the heralding detectors fire with the requested pattern."""
     herald = (0, 0) + params.herald_pattern + (0, 0)
     a = _a_variant(params.mean_photon, *_heralded(params))
-    return MetricResult(_element(a, params.eta_vector.tolist(), herald, herald))
+    return MetricResult(_element(a, _etas(params), herald, herald))
 
 
 def pgen_with_dark(params: SourceParams) -> MetricResult:
@@ -218,7 +232,7 @@ def pgen_with_dark(params: SourceParams) -> MetricResult:
     under the same exponent matrix.
     """
     a = _a_variant(params.mean_photon, *_heralded(params))
-    eta = params.eta_vector.tolist()
+    eta = _etas(params)
 
     def heralding(photons) -> float:
         herald = (0, 0) + photons + (0, 0)
@@ -250,7 +264,7 @@ def fidelity(params: SourceParams, bell_target: str = "psi_minus") -> MetricResu
     heralded = _a_variant(params.mean_photon, *_heralded(params))
     # Every element and pgen carry the same herald weight eta_b^2; leaving it
     # out of all five keeps the ratio finite in the eta_b -> 0 limit.
-    eta = [1.0 if mode in HERALD_MODES else e for mode, e in enumerate(params.eta_vector.tolist(), 1)]
+    eta = [1.0 if mode in HERALD_MODES else e for mode, e in enumerate(_etas(params), 1)]
     herald = (0, 0) + pattern + (0, 0)
     e1 = (1, 0) + pattern + (0, 1)
     e2 = (0, 1) + pattern + (1, 0)
@@ -269,4 +283,4 @@ def fock_element(params: SourceParams, d, g) -> float:
     g = parse_counts(g, 8, "Fock index g")
     if sum(d) + sum(g) > MAX_TOTAL_FOCK:
         raise ValueError(f"total photon count {sum(d) + sum(g)} exceeds the cap of {MAX_TOTAL_FOCK}")
-    return _element(_a_variant(params.mean_photon, *_detected(params)), params.eta_vector.tolist(), d, g)
+    return _element(_a_variant(params.mean_photon, *_detected(params)), _etas(params), d, g)

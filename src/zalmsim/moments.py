@@ -116,6 +116,10 @@ class AMatrix:
         object.__setattr__(self, "entries", m)
 
 
+# PAIRING's rows as Python floats: assemble_a scales them and lays out B in one np.array call.
+_PAIRING_ROWS = PAIRING.tolist()
+
+
 def assemble_a(k: ChainMoments, eta_outer: float, eta_herald: float) -> AMatrix:
     """One chain's closed-form exponent matrix B and prefactor at outer and herald efficiencies.
 
@@ -129,9 +133,11 @@ def assemble_a(k: ChainMoments, eta_outer: float, eta_herald: float) -> AMatrix:
     delta = 1.0 + (eta_outer + eta_herald * (1.0 - eta_outer)) * mu
     t_o = (1.0 - eta_herald) * mu / delta
     t_h = (1.0 - eta_outer) * mu / delta
-    thermal = np.diag([t_o, t_h, t_h, t_o])
-    pair = (k.pair / delta) * PAIRING
-    return AMatrix(np.block([[pair, thermal], [thermal, pair]]), delta**-4.0)
+    p = k.pair / delta
+    pair = [[p * x for x in row] for row in _PAIRING_ROWS]
+    thermal = ([t_o, 0.0, 0.0, 0.0], [0.0, t_h, 0.0, 0.0], [0.0, 0.0, t_h, 0.0], [0.0, 0.0, 0.0, t_o])
+    rows = [pr + tr for pr, tr in zip(pair, thermal)] + [tr + pr for pr, tr in zip(pair, thermal)]
+    return AMatrix(np.array(rows), delta**-4.0)
 
 
 def hafnian(m: np.ndarray):

@@ -12,6 +12,8 @@ one detection kernel per mode at that mode's own efficiency, a traced mode
 being a vacuum detection at efficiency 0.  ``_chain_state`` holds a chain's
 state as one array psi[u, v, a] over its TMSV ladders and splitter output,
 gathered from a per-cutoff table of the sector unitaries (``_bs_table``).
+An entry point's elements at one cutoff share a ``_chain_table``, which
+takes each distinct chain contraction once.
 The full truncated state, which the Kraus-branch heralding path needs, has
 one builder: ``build_pre_bsm_state``, then the (3, 5) and (4, 6) splitters.
 A ``TruncatedState`` holds it as arrays, one (occupations, amplitudes) pair
@@ -224,18 +226,34 @@ def _efficiencies(etas) -> np.ndarray:
     return values
 
 
-def _element(mu: float, etas, d, g, cutoff: int, kernel=_kernel_vec) -> float:
+def _chain_table(mu: float, cutoff: int):
+    """One chain's contraction at this cutoff as a function of its four modes' _kernel_vec arguments.
+
+    Each distinct contraction, and each distinct kernel, is computed once
+    per table; callers that take several elements at one cutoff share one.
+    """
+    kernel = functools.cache(_kernel_vec)
+
+    @functools.cache
+    def chain(outer1, outer2, bs1, bs2) -> float:
+        return _chain_value(mu, cutoff, *(kernel(*spec) for spec in (outer1, outer2, bs1, bs2)))
+
+    return chain
+
+
+def _element(mu: float, etas, d, g, cutoff: int, chain=None) -> float:
     """<d| rho_lossy |g> at one cutoff: the product of the two chains' contractions.
 
     Each mode m gets the detection kernel of its own efficiency etas[m - 1].
     A traced mode is a vacuum detection at efficiency 0: its kernel,
-    <0| L_0(|o><o|) |0> = 1 for every o, sums the mode out.  kernel builds
-    the detection kernels; callers that take many elements at one cutoff
-    pass a per-cutoff table of _kernel_vec.
+    <0| L_0(|o><o|) |0> = 1 for every o, sums the mode out.  chain is a
+    _chain_table at (mu, cutoff), one of its own if none is given; with a
+    pattern symmetric between the chains, chain A's contraction is chain B's.
     """
-    ker = {m: kernel(2 * cutoff if m in HERALD_MODES else cutoff, d[m - 1], g[m - 1], etas[m - 1]) for m in range(1, 9)}
-    chain_b = _chain_value(mu, cutoff, ker[2], ker[8], ker[3], ker[5])
-    chain_a = _chain_value(mu, cutoff, ker[1], ker[7], ker[4], ker[6])
+    chain = chain or _chain_table(mu, cutoff)
+    spec = {m: (2 * cutoff if m in HERALD_MODES else cutoff, d[m - 1], g[m - 1], etas[m - 1]) for m in range(1, 9)}
+    chain_b = chain(spec[2], spec[8], spec[3], spec[5])
+    chain_a = chain(spec[1], spec[7], spec[4], spec[6])
     return chain_a * chain_b
 
 
@@ -302,11 +320,11 @@ def oracle_fidelity(
     traced = (0.0, 0.0, *etas[2:6], 0.0, 0.0)
 
     def at(c: int) -> float:
-        kernel = functools.cache(_kernel_vec)
+        chain = _chain_table(mu, c)
         t11, t22, t12, t21 = (
-            _element(mu, etas, d, g, c, kernel) for d, g in ((e1, e1), (e2, e2), (e1, e2), (e2, e1))
+            _element(mu, etas, d, g, c, chain) for d, g in ((e1, e1), (e2, e2), (e1, e2), (e2, e1))
         )
-        den = _element(mu, traced, herald, herald, c, kernel)
+        den = _element(mu, traced, herald, herald, c, chain)
         return 0.5 * (t11 + t22 + cross_sign * (t12 + t21)) / den
 
     return float(_evaluate(at, cutoff))
@@ -330,6 +348,11 @@ def _pair_detection_amps(clicks: tuple[int, int]):
     return [(r, _PBS_AMP[(clicks, r)]) for r in ((1, 0), (0, 1))]
 
 
+# Signs over the spin basis (01, 01), (01, 10), (10, 01), (10, 10), keyed by the photons (0 or 1) on
+# modes 2 and 8: branch 01 flips a photon on mode 2 or 8.
+_SPIN_SIGNS = {(n2, n8): np.kron([(-1.0) ** n2, 1.0], [(-1.0) ** n8, 1.0]) for n2 in (0, 1) for n8 in (0, 1)}
+
+
 def oracle_spin_spin(
     mu: float,
     etas,
@@ -350,18 +373,15 @@ def oracle_spin_spin(
     opts12 = _pair_detection_amps((click[0], click[1]))
     opts78 = _pair_detection_amps((click[6], click[7]))
 
-    def signs(r12, r78) -> np.ndarray:
-        """Signs over the spin basis (01, 01), (01, 10), (10, 01), (10, 10): branch 01 flips a photon on mode 2 or 8."""
-        return np.kron([(-1.0) ** r12[1], 1.0], [(-1.0) ** r78[1], 1.0])
-
     def at(c: int) -> np.ndarray:
         out = np.zeros((4, 4))
-        kernel = functools.cache(_kernel_vec)
+        chain = _chain_table(mu, c)
         for (rk12, ak12), (rb12, ab12), (rk78, ak78), (rb78, ab78) in itertools.product(
             opts12, opts12, opts78, opts78
         ):
-            element = _element(mu, etas, rk12 + herald + rk78, rb12 + herald + rb78, c, kernel)
-            out += 0.25 * ak12 * ab12 * ak78 * ab78 * element * np.outer(signs(rk12, rk78), signs(rb12, rb78))
+            element = _element(mu, etas, rk12 + herald + rk78, rb12 + herald + rb78, c, chain)
+            signs_k, signs_b = _SPIN_SIGNS[rk12[1], rk78[1]], _SPIN_SIGNS[rb12[1], rb78[1]]
+            out += 0.25 * ak12 * ab12 * ak78 * ab78 * element * np.outer(signs_k, signs_b)
         return out
 
     return _evaluate(at, cutoff)

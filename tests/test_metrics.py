@@ -1,4 +1,5 @@
 import itertools
+from math import factorial, sqrt
 
 import numpy as np
 import pytest
@@ -17,6 +18,38 @@ from zalmsim import (
     pgen_with_dark,
     photonic_trace,
 )
+from zalmsim import metrics
+
+
+class TestElementInputs:
+    """The Fock weight and the efficiency list, bit for bit against the arithmetic they replace."""
+
+    def test_weight_matches_the_factorial_formula(self):
+        eta = [0.3, 0.9, 0.5, 1.0, 0.7, 0.0, 0.25, 0.8]
+        for dj, gj in itertools.product(range(metrics.MAX_TOTAL_FOCK + 1), repeat=2):
+            if dj + gj > metrics.MAX_TOTAL_FOCK:
+                continue
+            for mode in range(8):
+                d, g = [0] * 8, [0] * 8
+                d[mode], g[mode] = dj, gj
+                d[(mode + 3) % 8] += 1  # a second photon mode, so the weight is a product
+                g[(mode + 3) % 8] += 1
+                expected, kets, bras = 1.0, [], []
+                for m, e, dm, gm in zip(range(1, 9), eta, d, g):
+                    if dm or gm:
+                        expected *= e ** ((dm + gm) / 2) / sqrt(factorial(dm) * factorial(gm))
+                        kets.extend([m] * dm)
+                        bras.extend([m] * gm)
+                assert metrics._weight(eta, d, g) == (expected, kets, bras), (d, g)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{}, {"eta_b": 0.8, "eta_t": 0.9, "eta_d": 0.7}, {"eta_b": 1, "eta_t": 1, "eta_d": 0}, {"eta_t": 0.1, "eta_d": 0.3}],
+    )
+    def test_efficiencies_are_the_eta_vector_list(self, fields):
+        params = SourceParams(mean_photon=0.1, **fields)
+        got, expected = metrics._etas(params), params.eta_vector.tolist()
+        assert got == expected and all(type(e) is float for e in got)
 
 
 class TestPhotonicTrace:

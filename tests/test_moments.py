@@ -1,16 +1,19 @@
-"""Hafnians, the engine's amplitude-basis chain stage, and the quadrature reference path it replaced.
+"""Hafnians, the K-function, the engine's amplitude-basis chain stage, and the quadrature reference path it replaced.
 
-TestChainExponent and TestChainWickMoment check the engine (zalmsim.moments);
+TestChainMoments, TestChainExponent and TestChainWickMoment check the engine
+(zalmsim.moments); TestVacuumKernel, TestTmsvKernel, TestKernelStructure,
 TestWickMoment, TestWickAgainstQuadrature, TestAssembleA and
 TestGaussianPrefactor check quadrature_reference, the path the chain engine
-is compared with in test_chain_engine.
+is compared with in test_chain_engine.  quadrature_reference.k_data is the
+coherent-basis kernel of a covariance; zalmsim.moments.k_data gives the
+engine one chain's excess moments N and M, which must be the same state's.
 """
 
 import itertools
 
 import numpy as np
 import pytest
-from cascade_reference import eight_mode_cov
+from cascade_reference import eight_mode_cov, tmsv_cov
 from quadrature_reference import (
     AMatrix,
     LinearForm,
@@ -23,9 +26,9 @@ from quadrature_reference import (
     wick_moment,
 )
 
-from zalmsim import SourceParams, moments
+from zalmsim import NumericalDomainError, SourceParams, build_cascaded_cov, moments
 from zalmsim.moments import hafnian, hafnian_repeated
-from zalmsim.sources import PAIRING
+from zalmsim.sources import COVARIANCE_PRESCALE, MAX_MEAN_PHOTON, PAIRING
 
 
 def enumerate_pairings(items):
@@ -322,6 +325,17 @@ def swap_blocks(m: np.ndarray) -> np.ndarray:
 EFFICIENCY_PAIRS = [(1.0, 1.0), (0.72, 0.6), (0.0, 0.6), (0.3, 0.0), (0.0, 0.0), (1e-6, 1.0)]
 
 
+def assemble_a_by_blocks(k, eta_outer, eta_herald) -> tuple[np.ndarray, float]:
+    """B and the prefactor as np.diag and np.block lay them out: the reference for assemble_a's single np.array."""
+    mu = k.mean_photon
+    delta = 1.0 + (eta_outer + eta_herald * (1.0 - eta_outer)) * mu
+    t_o = (1.0 - eta_herald) * mu / delta
+    t_h = (1.0 - eta_outer) * mu / delta
+    thermal = np.diag([t_o, t_h, t_h, t_o])
+    pair = (k.pair / delta) * PAIRING
+    return np.block([[pair, thermal], [thermal, pair]]), delta**-4.0
+
+
 class TestChainExponent:
     @pytest.mark.parametrize("mu", [1e-3, 0.2, 5.0])
     @pytest.mark.parametrize("eta_outer, eta_herald", EFFICIENCY_PAIRS)
@@ -347,6 +361,19 @@ class TestChainExponent:
         a = moments.assemble_a(moments.k_data(mu), 0.0, 0.0)
         assert a.prefactor == 1.0
         assert np.all(np.diag(a.entries[:4, 4:]) == mu)
+
+    def test_bit_identical_to_the_block_construction(self):
+        rng = np.random.default_rng(24)
+        mus = [0.0, 1.0, MAX_MEAN_PHOTON, *np.exp(rng.uniform(np.log(1e-6), np.log(MAX_MEAN_PHOTON), 40)).tolist()]
+        etas = [0.0, 1.0, *rng.uniform(0.0, 1.0, 6).tolist()]
+        for mu in mus:
+            k = moments.k_data(mu)
+            for eta_outer, eta_herald in itertools.product(etas, repeat=2):
+                a = moments.assemble_a(k, eta_outer, eta_herald)
+                entries, prefactor = assemble_a_by_blocks(k, eta_outer, eta_herald)
+                # tobytes tells -0.0 from 0.0, which array_equal does not
+                assert a.entries.tobytes() == entries.tobytes(), (mu, eta_outer, eta_herald)
+                assert a.prefactor == prefactor
 
     def test_symmetric_and_read_only(self):
         a = moments.assemble_a(moments.k_data(0.4), 0.7, 0.3)
@@ -404,3 +431,87 @@ class TestChainWickMoment:
             moments.MomentRequest((-1, 0))
         with pytest.raises(ValueError):
             moments.wick_moment(self.a, moments.MomentRequest((0, 8)))
+
+
+def coherent_overlap_from_kernel(kd, alphas: np.ndarray) -> complex:
+    """<alpha|psi> reconstructed from the kernel data at one coherent point."""
+    q = np.sqrt(2.0) * np.real(alphas)
+    p = np.sqrt(2.0) * np.imag(alphas)
+    x = np.concatenate([q, p])
+    return np.exp(-0.5 * x @ kd.script_b @ x) * np.exp(-0.25 * kd.log_det_gamma)
+
+
+class TestVacuumKernel:
+    def test_gamma_and_exponent(self):
+        kd = k_data(tmsv_cov(0.0))
+        assert COVARIANCE_PRESCALE == 0.5
+        np.testing.assert_allclose(kd.gamma, np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(kd.script_b, 0.5 * np.eye(4), atol=1e-15)
+        assert abs(kd.log_det_gamma) < 1e-14
+
+    def test_matches_vacuum_coherent_overlap(self):
+        kd = k_data(tmsv_cov(0.0))
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            alphas = rng.normal(size=2) + 1j * rng.normal(size=2)
+            expected = np.exp(-0.5 * np.sum(np.abs(alphas) ** 2))
+            np.testing.assert_allclose(coherent_overlap_from_kernel(kd, alphas), expected, atol=1e-12)
+
+
+class TestTmsvKernel:
+    def test_matches_fock_series_closed_form(self):
+        mu = 0.1
+        kd = k_data(tmsv_cov(mu))
+        schmidt = np.sqrt(mu / (1.0 + mu))
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            alphas = rng.normal(size=2) + 1j * rng.normal(size=2)
+            closed = (
+                np.exp(-0.5 * np.sum(np.abs(alphas) ** 2))
+                * np.exp(schmidt * np.conj(alphas[0]) * np.conj(alphas[1]))
+                / np.sqrt(1.0 + mu)
+            )
+            got = coherent_overlap_from_kernel(kd, alphas)
+            assert abs(got - closed) < 1e-9
+
+    def test_normalization_factor(self):
+        # det(Gamma) = (1 + mu)^2 for the two-mode squeezed kernel
+        mu = 0.3
+        kd = k_data(tmsv_cov(mu))
+        np.testing.assert_allclose(np.exp(kd.log_det_gamma), (1.0 + mu) ** 2, rtol=1e-12)
+
+
+class TestKernelStructure:
+    def test_exponent_symmetric_for_cascaded_source(self):
+        kd = k_data(build_cascaded_cov(0.3))
+        assert np.max(np.abs(kd.script_b - kd.script_b.T)) < 1e-12
+
+    def test_gamma_positive_definite(self):
+        kd = k_data(build_cascaded_cov(2.0))
+        assert np.min(np.linalg.eigvalsh(kd.gamma)) > 0.0
+
+    def test_non_positive_definite_rejected(self):
+        with pytest.raises(NumericalDomainError):
+            k_data(-10.0 * np.eye(2))
+
+
+class TestChainMoments:
+    @pytest.mark.parametrize("mu", [0.0, 1e-3, 0.3, 7.0])
+    def test_match_the_chain_covariance(self, mu):
+        # Q = W (kappa V) W^dag + I/2 = I + S over (a_1..a_4, a_1^dag..a_4^dag),
+        # with a = (q + i p) / sqrt(2) at the hbar = 1 scale kappa V.
+        w = np.block([[np.eye(4), 1j * np.eye(4)], [np.eye(4), -1j * np.eye(4)]]) / np.sqrt(2.0)
+        q = w @ (COVARIANCE_PRESCALE * build_cascaded_cov(mu)) @ w.conj().T + 0.5 * np.eye(8)
+        k = moments.k_data(mu)
+        n, m = k.mean_photon * np.eye(4), k.pair * PAIRING
+        excess = np.block([[n, m], [m, n]])
+        np.testing.assert_allclose(q - np.eye(8), excess, atol=1e-14 * (1.0 + mu))
+
+    def test_pair_moment_stays_finite(self):
+        k = moments.k_data(1e300)
+        assert k.pair == pytest.approx(1e300, rel=1e-15)
+
+    @pytest.mark.parametrize("mu", [-1e-3, float("nan"), float("inf")])
+    def test_rejects_invalid_mean_photon(self, mu):
+        with pytest.raises(ValueError):
+            moments.k_data(mu)

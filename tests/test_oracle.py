@@ -379,6 +379,48 @@ class TestChainContraction:
             assert abs(got - ref) <= 1e-13 * (abs(ref) + bound), (shifts, got, ref)
 
 
+@pytest.fixture
+def contractions(monkeypatch):
+    """Every oracle._chain_value call as (mu, cutoff, kernels), each kernel as (shift, bytes of its vector)."""
+    calls, chain_value = [], oracle._chain_value
+
+    def counted(mu, cutoff, *kernels):
+        calls.append((mu, cutoff, tuple((shift, vec.tobytes()) for shift, vec in kernels)))
+        return chain_value(mu, cutoff, *kernels)
+
+    monkeypatch.setattr(oracle, "_chain_value", counted)
+    return calls
+
+
+class TestChainTable:
+    """A caller takes each distinct chain contraction once per cutoff."""
+
+    ETAS = (0.72, 0.72, 0.8, 0.8, 0.8, 0.8, 0.72, 0.72)
+
+    def test_symmetric_pattern_contracts_one_chain(self, contractions):
+        # herald (1, 1, 0, 0) puts one photon on mode 3 of chain B and on mode 4 of chain A: the same contraction
+        oracle_pgen(0.1, 0.8, (1, 1, 0, 0), cutoff=4)
+        assert len(contractions) == 1
+
+    @pytest.mark.parametrize("entry", ["fidelity", "spin_spin"])
+    def test_each_contraction_once_per_cutoff(self, contractions, entry):
+        if entry == "fidelity":
+            oracle_fidelity(0.05, self.ETAS)
+        else:
+            oracle_spin_spin(0.05, self.ETAS)
+        assert len({call[1] for call in contractions}) >= 2  # converged over several cutoffs
+        assert len(contractions) == len(set(contractions))
+
+    def test_shared_table_changes_no_value(self):
+        # every element of a spin matrix at one cutoff, with its own table and with the shared one
+        mu, cutoff = 0.05, 6
+        click = (1, 0, 1, 1, 0, 0, 1, 0)
+        chain = oracle._chain_table(mu, cutoff)
+        for k12, b12, k78, b78 in itertools.product(((1, 0), (0, 1)), repeat=4):
+            d, g = k12 + click[2:6] + k78, b12 + click[2:6] + b78
+            assert _element(mu, self.ETAS, d, g, cutoff, chain) == _element(mu, self.ETAS, d, g, cutoff)
+
+
 class TestChainState:
     """One chain's explicit truncated state psi[u, v, a] and the efficiency-0 kernel that traces a mode."""
 
