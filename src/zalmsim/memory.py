@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import UndefinedFidelityError
 from .metrics import CHAIN_MODES, HERALD_MODES, _a_variant, _dark_mixture, _detected, _moment, _weight, dark_attributions
-from .metrics import _etas, moment_scope
+from .metrics import moment_scope
 from .moments import MAX_REQUEST_CARDINALITY
 from .moments import wick_moment  # noqa: F401 - unused here, but perfbench/tracing.py patches memory.wick_moment
 from .sources import SourceParams, parse_counts
@@ -134,9 +134,11 @@ def spin_spin_dm(params: SourceParams, click=DEFAULT_CLICK_PATTERN) -> SpinSpinD
     """
     click = validate_click_pattern(click)
     a = _a_variant(params.mean_photon, *_detected(params))
-    eta = _etas(params)
+    eta = params.etas
     herald = (0, 0) + click[2:6] + (0, 0)
     scalar, heralds, _ = _weight(eta, herald, herald)
+    if scalar == 0.0:  # a herald click on a mode at efficiency 0: exactly 0, whatever the moments would be
+        return SpinSpinDM(np.zeros((4, 4)))
     terms = [_branch_forms(b, click, eta) for b in BASIS]
     modes = [m for _, m in terms[0]]
     coeffs = np.array([[c for c, _ in branch] for branch in terms])

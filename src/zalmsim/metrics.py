@@ -72,12 +72,6 @@ def _a_variant(mu: float, eta_outer: float, eta_herald: float) -> AMatrix:
     return assemble_a(_kernel_for(mu), eta_outer, eta_herald)
 
 
-def _etas(params: SourceParams) -> list[float]:
-    """The eight per-mode efficiencies as Python floats: params.eta_vector.tolist() without the array."""
-    outer, herald = float(params.eta_t * params.eta_d), float(params.eta_b)
-    return [outer, outer, herald, herald, herald, herald, outer, outer]
-
-
 def _detected(params: SourceParams) -> tuple[float, float]:
     """Chain efficiencies with every mode detected."""
     return params.eta_t * params.eta_d, params.eta_b
@@ -170,8 +164,11 @@ def _element(a: AMatrix, eta, d, g) -> float:
 
     With traced modes (efficiency 0) in B, the element sums over their photon
     numbers, so the heralding probability is the element of the herald counts.
+    A photon on a mode at efficiency 0 makes the element exactly 0, whatever its moment would be.
     """
     scalar, kets, bras = _weight(eta, d, g)
+    if scalar == 0.0:
+        return 0.0
     return float(a.prefactor * (scalar * _moment(a, kets, bras)))
 
 
@@ -220,7 +217,7 @@ def pgen(params: SourceParams) -> MetricResult:
     """Probability that the heralding detectors fire with the requested pattern."""
     herald = (0, 0) + params.herald_pattern + (0, 0)
     a = _a_variant(params.mean_photon, *_heralded(params))
-    return MetricResult(_element(a, _etas(params), herald, herald))
+    return MetricResult(_element(a, params.etas, herald, herald))
 
 
 def pgen_with_dark(params: SourceParams) -> MetricResult:
@@ -232,7 +229,7 @@ def pgen_with_dark(params: SourceParams) -> MetricResult:
     under the same exponent matrix.
     """
     a = _a_variant(params.mean_photon, *_heralded(params))
-    eta = _etas(params)
+    eta = params.etas
 
     def heralding(photons) -> float:
         herald = (0, 0) + photons + (0, 0)
@@ -264,7 +261,7 @@ def fidelity(params: SourceParams, bell_target: str = "psi_minus") -> MetricResu
     heralded = _a_variant(params.mean_photon, *_heralded(params))
     # Every element and pgen carry the same herald weight eta_b^2; leaving it
     # out of all five keeps the ratio finite in the eta_b -> 0 limit.
-    eta = [1.0 if mode in HERALD_MODES else e for mode, e in enumerate(_etas(params), 1)]
+    eta = [1.0 if mode in HERALD_MODES else e for mode, e in enumerate(params.etas, 1)]
     herald = (0, 0) + pattern + (0, 0)
     e1 = (1, 0) + pattern + (0, 1)
     e2 = (0, 1) + pattern + (1, 0)
@@ -283,4 +280,4 @@ def fock_element(params: SourceParams, d, g) -> float:
     g = parse_counts(g, 8, "Fock index g")
     if sum(d) + sum(g) > MAX_TOTAL_FOCK:
         raise ValueError(f"total photon count {sum(d) + sum(g)} exceeds the cap of {MAX_TOTAL_FOCK}")
-    return _element(_a_variant(params.mean_photon, *_detected(params)), _etas(params), d, g)
+    return _element(_a_variant(params.mean_photon, *_detected(params)), params.etas, d, g)

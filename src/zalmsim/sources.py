@@ -91,10 +91,15 @@ class SourceParams:
         object.__setattr__(self, "herald_pattern", pattern)
 
     @property
+    def etas(self) -> list[float]:
+        """Per-mode efficiencies as Python floats (eta_t*eta_d on 1,2,7,8 and eta_b on 3-6)."""
+        outer, herald = float(self.eta_t * self.eta_d), float(self.eta_b)
+        return [outer, outer, herald, herald, herald, herald, outer, outer]
+
+    @property
     def eta_vector(self) -> np.ndarray:
-        """Per-mode efficiencies (eta_t*eta_d on 1,2,7,8 and eta_b on 3-6)."""
-        out = self.eta_t * self.eta_d
-        return np.array([out, out, self.eta_b, self.eta_b, self.eta_b, self.eta_b, out, out])
+        """etas as a float64 array."""
+        return np.array(self.etas)
 
 
 # The pairing P = U M0 U^T of one chain's squeezed pairs (1, 2) and (3, 4)

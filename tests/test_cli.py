@@ -14,6 +14,7 @@ from zalmsim import (
     SpinSpinDM,
     UndefinedFidelityError,
     cli,
+    fidelity,
     pgen,
     pgen_with_dark,
     server,
@@ -418,8 +419,10 @@ class TestValidateChecksCanFail:
             ("pgen_with_dark", _two_detector_dark, "pgen_with_dark vs oracle_pgen_dark"),
             ("fidelity", lambda params, *target: SimpleNamespace(value=1.5), "fidelity in [0, 1]"),
             ("spin_spin_dm", lambda params, *click: SpinSpinDM(-np.eye(4)), "spin_dm PSD"),
+            ("pgen", lambda params: SimpleNamespace(value=pgen(params).value * (1 + 1e-9)), "pgen closed form"),
+            ("fidelity", lambda params, *target: SimpleNamespace(value=fidelity(params).value + 1e-9), "lossless fidelity 1/2"),
         ],
-        ids=["dark-model", "fidelity-range", "spin-psd"],
+        ids=["dark-model", "fidelity-range", "spin-psd", "pgen-closed-form", "lossless-fidelity"],
     )
     def test_a_broken_engine_fails_validate(self, name, fake, check, monkeypatch, capsys):
         monkeypatch.setattr(cli, name, fake)

@@ -1,5 +1,6 @@
 import itertools
 from math import factorial, sqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from zalmsim import (
     photonic_trace,
 )
 from zalmsim import metrics
+from zalmsim.moments import MAX_REQUEST_CARDINALITY
 
 
 class TestElementInputs:
@@ -48,7 +50,7 @@ class TestElementInputs:
     )
     def test_efficiencies_are_the_eta_vector_list(self, fields):
         params = SourceParams(mean_photon=0.1, **fields)
-        got, expected = metrics._etas(params), params.eta_vector.tolist()
+        got, expected = params.etas, params.eta_vector.tolist()
         assert got == expected and all(type(e) is float for e in got)
 
 
@@ -368,6 +370,14 @@ class TestFockElement:
         p = SourceParams(mean_photon=0.1)
         with pytest.raises(ValueError):
             fock_element(p, (3,) * 8, (0,) * 8)
+        # At exactly MAX_TOTAL_FOCK, all on chain A, the chain-moment core gets requests within its bounds.
+        d = (2, 0, 0, 2, 0, 2, 2, 0)
+        assert sum(d) * 2 == metrics.MAX_TOTAL_FOCK
+        with mock.patch.object(metrics, "wick_moment", wraps=metrics.wick_moment) as wick:
+            fock_element(p, d, d)
+        forms = [req.forms for (_, req), _ in wick.call_args_list]
+        assert max(map(len, forms)) == MAX_REQUEST_CARDINALITY
+        assert all(len(f) <= MAX_REQUEST_CARDINALITY and all(0 <= i < 8 for i in f) for f in forms), forms
 
     def test_rejects_fractional_counts(self):
         p = SourceParams(mean_photon=0.1)
