@@ -22,7 +22,7 @@ loss_settings = {
 
 curves = {}
 for label, eta_b in loss_settings.items():
-    curves[label] = [pgen(SourceParams(mean_photon=float(mu), eta_b=eta_b)).value for mu in mus]
+    curves[label] = [pgen(SourceParams(mean_photon=float(mu), eta_b=eta_b)) for mu in mus]
     peak_at = mus[int(np.argmax(curves[label]))]
     print(f"eta_b = {eta_b:.3f} ({label:8s}): peak pgen = {max(curves[label]):.5f} at mean photon {peak_at:.3f}")
 

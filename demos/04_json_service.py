@@ -29,7 +29,7 @@ req = urllib.request.Request(
 payload = json.loads(urllib.request.urlopen(req).read())
 print("metrics response:", json.dumps(payload, indent=2))
 
-library = pgen(SourceParams(mean_photon=0.1, eta_b=0.8)).value
+library = pgen(SourceParams(mean_photon=0.1, eta_b=0.8))
 print("pgen equals the library call bit-exactly:", payload["pgen"] == library)
 
 dm_payload = json.loads(urllib.request.urlopen(f"{base}/v1/spin_dm?mean_photon=0.1&bsm_efficiency=0.8").read())

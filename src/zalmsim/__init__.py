@@ -16,7 +16,6 @@ from .memory import (
     spin_spin_dm_dark,
 )
 from .metrics import (
-    MetricResult,
     fidelity,
     fock_element,
     pgen,
@@ -38,7 +37,6 @@ __all__ = [
     "BELL_TARGETS",
     "ConvergenceError",
     "DEFAULT_CLICK_PATTERN",
-    "MetricResult",
     "NumericalDomainError",
     "SourceParams",
     "SpinSpinDM",

@@ -113,10 +113,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for mu in (0.05, 0.1):
         for eta_b, eta_t, eta_d in ((1.0, 1.0, 1.0), (0.5, 0.8, 0.9)):
             p = SourceParams(mean_photon=mu, eta_b=eta_b, eta_t=eta_t, eta_d=eta_d)
-            ev = pgen(p).value
+            ev = pgen(p)
             ov = oracle_pgen(mu, eta_b)
             check(f"pgen vs oracle mu={mu} eta_b={eta_b}", abs(ev - ov) / ov < 1e-5, f"{ev:.9e} vs {ov:.9e}")
-            ef = fidelity(p).value
+            ef = fidelity(p)
             of = oracle_fidelity(mu, p.eta_vector)
             check(f"fidelity vs oracle mu={mu} eta_b={eta_b}", abs(ef - of) < 1e-5, f"{ef:.9f} vs {of:.9f}")
             dm = spin_spin_dm(p)
@@ -143,7 +143,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             eta_t=rng.uniform(0.2, 1),
             eta_d=rng.uniform(0.2, 1),
         )
-        fids.append(fidelity(p).value)
+        fids.append(fidelity(p))
     check("fidelity in [0, 1]", all(0.0 <= f <= 1.0 for f in fids), f"range [{min(fids):.6f}, {max(fids):.6f}]")
 
     # Closed forms from mu = 1e-6 to 1e3: pgen at herald (1, 1, 0, 0) is
@@ -153,21 +153,21 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for mu in mus:
         for eta_b in (1.0, 0.5):
             exact = (eta_b * mu) ** 2 / (1.0 + eta_b * mu) ** 6
-            worst = max(worst, abs(pgen(SourceParams(mean_photon=mu, eta_b=eta_b)).value - exact) / exact)
+            worst = max(worst, abs(pgen(SourceParams(mean_photon=mu, eta_b=eta_b)) - exact) / exact)
     check("pgen closed form (eta_b mu)^2 / (1 + eta_b mu)^6", worst <= 1e-12, f"max relative error {worst:.1e}")
-    worst = max(abs(fidelity(SourceParams(mean_photon=mu)).value - 0.5) for mu in mus)
+    worst = max(abs(fidelity(SourceParams(mean_photon=mu)) - 0.5) for mu in mus)
     check("lossless fidelity 1/2", worst <= 1e-12, f"max error {worst:.1e}")
 
     # Dark-count reductions.
     p0 = SourceParams(mean_photon=0.05, dark_click_prob=0.0)
-    check("pgen_with_dark(P_d=0) == pgen", pgen_with_dark(p0).value == pgen(p0).value)
+    check("pgen_with_dark(P_d=0) == pgen", pgen_with_dark(p0) == pgen(p0))
     dmd = spin_spin_dm_dark(p0).entries
     dm0 = spin_spin_dm(p0).entries
     check("spin_spin_dm_dark(P_d=0) == spin_spin_dm", np.array_equal(dmd, dm0))
 
     # One dark-count model: the engine's mixture against the referee's own enumeration.
     p_dark = SourceParams(mean_photon=0.05, dark_click_prob=1e-3)
-    ed = pgen_with_dark(p_dark).value
+    ed = pgen_with_dark(p_dark)
     od = oracle_pgen_dark(0.05, 1.0, 1e-3)
     check("pgen_with_dark vs oracle_pgen_dark", abs(ed - od) <= 1e-9 * od, f"{ed:.12e} vs {od:.12e}")
 

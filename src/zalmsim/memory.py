@@ -122,15 +122,17 @@ def _branch_forms(branch, click, eta) -> list[tuple[float, tuple[int, ...]]]:
 
 
 def spin_spin_dm(params: SourceParams, click=DEFAULT_CLICK_PATTERN) -> SpinSpinDM:
-    """Unnormalized two-memory density matrix heralded by one click pattern.
+    """Unnormalized two-memory density matrix heralded by one click pattern, counting photons only.
 
-    The exponent matrix is the every-mode-detected variant; memory loading only
-    changes the polynomial prefactor of each entry.  Every branch expands into
-    the same term modes with its own signs, so the matrix is C M C^T with C
-    the branch-by-term coefficients and M the moments of term pairs, which
-    the prefactor and the herald weight turn into Fock elements.  M is
-    evaluated in a metrics.moment_scope: the caller's, if one is open (the
-    request layer's), else one for this call alone.
+    A photon-number quantity: it ignores dark_click_prob, which
+    spin_spin_dm_dark mixes in (ROADMAP item 8).  The exponent matrix is the
+    every-mode-detected variant; memory loading only changes the polynomial
+    prefactor of each entry.  Every branch expands into the same term modes
+    with its own signs, so the matrix is C M C^T with C the branch-by-term
+    coefficients and M the moments of term pairs, which the prefactor and
+    the herald weight turn into Fock elements.  M is evaluated in a
+    metrics.moment_scope: the caller's, if one is open (the request
+    layer's), else one for this call alone.
     """
     click = validate_click_pattern(click)
     a = _a_variant(params.mean_photon, *_detected(params))

@@ -22,10 +22,9 @@ import contextvars
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from math import factorial, sqrt
 
-from .errors import UndefinedFidelityError
+from .errors import NumericalDomainError, UndefinedFidelityError
 from .moments import AMatrix, ChainMoments, MomentRequest, assemble_a, k_data, wick_moment
 from .sources import SourceParams, build_cascaded_cov, parse_counts  # noqa: F401 - perfbench/tracing.py patches metrics.build_cascaded_cov
 
@@ -42,23 +41,6 @@ _CHAIN_OF = {mode: (c, local) for c, modes in enumerate(CHAIN_MODES) for local, 
 _ROOT_FACTORIAL = tuple(
     tuple(sqrt(factorial(d) * factorial(g)) for g in range(MAX_TOTAL_FOCK + 1)) for d in range(MAX_TOTAL_FOCK + 1)
 )
-
-
-@dataclass(frozen=True)
-class MetricResult:
-    """A real scalar observable and the flags of a value outside its physical range."""
-
-    value: float
-    flags: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.flags
-
-    @property
-    def imag_residual(self) -> float:
-        """The imaginary part of the value: 0.0 by construction, since every engine quantity is real."""
-        return 0.0
 
 
 @functools.lru_cache(maxsize=256)
@@ -94,13 +76,14 @@ class moment_scope:
     opens one per request, and spin_spin_dm one for a call made outside any
     scope, so that its 16 entries share their moments.  Sweep rows,
     spin_spin_dm_dark (whose spin matrices each open their own) and the
-    other library calls open none (ROADMAP item 2, Step A): sharing there
-    waits until the benchmark's peak RSS stops growing with throughput, so
-    that a faster sweep does not read as a memory regression.  One scope
-    per sweep row was measured at 1.43-1.56x the sweep's rows per second
-    (median 1.50x over 12 interleaved in-process rounds, identical sweep
-    output); the benchmark keeps every pass's outputs, so its peak RSS
-    would rise with that gain past its bound until ROADMAP item 1 lands.
+    other library calls open none (ROADMAP item 3, "one scope per library
+    call"): sharing there waits until the benchmark's peak RSS stops
+    growing with throughput, so that a faster sweep does not read as a
+    memory regression.  One scope per sweep row was measured at
+    1.43-1.56x the sweep's rows per second (median 1.50x over 12
+    interleaved in-process rounds, identical sweep output); the benchmark
+    keeps every pass's outputs, so its peak RSS would rise with that gain
+    past its bound until ROADMAP item 1 lands.
     """
 
     def __enter__(self):
@@ -207,20 +190,24 @@ def _dark_mixture(pattern, pd: float, photon_value):
     return functools.reduce(operator.add, terms)
 
 
-def photonic_trace(params: SourceParams) -> MetricResult:
+def photonic_trace(params: SourceParams) -> float:
     """Trace of the lossy source state: the vacuum element with every mode traced out, exactly 1."""
     vacuum = (0,) * 8
-    return MetricResult(_element(_a_variant(params.mean_photon, 0.0, 0.0), (), vacuum, vacuum))
+    return _element(_a_variant(params.mean_photon, 0.0, 0.0), (), vacuum, vacuum)
 
 
-def pgen(params: SourceParams) -> MetricResult:
-    """Probability that the heralding detectors fire with the requested pattern."""
+def pgen(params: SourceParams) -> float:
+    """Probability that the heralding detectors fire with the requested pattern, counting photons only.
+
+    A photon-number quantity: it ignores dark_click_prob, which pgen_with_dark
+    mixes in (ROADMAP item 8).
+    """
     herald = (0, 0) + params.herald_pattern + (0, 0)
     a = _a_variant(params.mean_photon, *_heralded(params))
-    return MetricResult(_element(a, params.etas, herald, herald))
+    return _element(a, params.etas, herald, herald)
 
 
-def pgen_with_dark(params: SourceParams) -> MetricResult:
+def pgen_with_dark(params: SourceParams) -> float:
     """Heralding probability of the herald pattern on detectors 3-6, including dark counts.
 
     The dark-count mixture (_dark_mixture) over the four herald detectors,
@@ -235,16 +222,17 @@ def pgen_with_dark(params: SourceParams) -> MetricResult:
         herald = (0, 0) + photons + (0, 0)
         return _element(a, eta, herald, herald)
 
-    return MetricResult(float(_dark_mixture(params.herald_pattern, params.dark_click_prob, heralding)))
+    return float(_dark_mixture(params.herald_pattern, params.dark_click_prob, heralding))
 
 
-def fidelity(params: SourceParams, bell_target: str = "psi_minus") -> MetricResult:
+def fidelity(params: SourceParams, bell_target: str = "psi_minus") -> float:
     """Bell fidelity of the heralded photonic state, (rho11 + rho22 +- (rho12 + rho21)) / (2 pgen).
 
     Supported herald patterns are FIDELITY_PATTERNS; e1 and e2 put one
     photon on the outer modes (1, 8) and (2, 7).  bell_target selects the
     relative sign of the two coherence terms; "psi_minus" reproduces the
-    pattern's nominal Bell state, "psi_plus" the orthogonal one.
+    pattern's nominal Bell state, "psi_plus" the orthogonal one.  A value
+    outside [0, 1] by more than REAL_TOLERANCE, or a NaN, raises NumericalDomainError.
     """
     pattern = params.herald_pattern
     if pattern not in FIDELITY_PATTERNS:
@@ -270,8 +258,9 @@ def fidelity(params: SourceParams, bell_target: str = "psi_minus") -> MetricResu
     if denom == 0.0:
         raise UndefinedFidelityError("heralding probability vanished")
     value = 0.5 * (r11 + r22 + cross_sign * (r12 + r21)) / denom
-    flags = ("out_of_range",) if value < -REAL_TOLERANCE or value > 1.0 + REAL_TOLERANCE else ()
-    return MetricResult(value, flags)
+    if not -REAL_TOLERANCE <= value <= 1.0 + REAL_TOLERANCE:
+        raise NumericalDomainError(f"fidelity {value!r} lies outside [0, 1] beyond its {REAL_TOLERANCE} rounding bound")
+    return value
 
 
 def fock_element(params: SourceParams, d, g) -> float:

@@ -400,18 +400,30 @@ def oracle_pgen_dark(
     n >= 1 counts saw n photons and no dark count, or n - 1 photons and a
     dark count; one that reads 0 saw neither.  Every dark or silent choice
     carries its own P_d or 1 - P_d, the silent detectors' no-dark factors
-    included.
+    included.  The whole mixture is evaluated, and converged, at each cutoff
+    through one _chain_table, so its patterns share their chain contractions.
     """
+    _check_mean_photon(mu)
+    _check_efficiency(eta_b)
     pd = dark_click_prob
     if not 0.0 <= pd <= 1.0:
         raise ValueError(f"dark click probability must lie in [0, 1], got {pd}")
     pattern = _herald_pattern(pattern)
-    total = 0.0
+    # the outer modes are traced: vacuum detections at efficiency 0
+    etas = (0.0, 0.0, eta_b, eta_b, eta_b, eta_b, 0.0, 0.0)
+    terms = []
     for dark in itertools.product(*[(0, 1) if n else (0,) for n in pattern]):
-        photons = tuple(n - d for n, d in zip(pattern, dark))
-        weight = pd ** sum(dark) * (1.0 - pd) ** (4 - sum(dark))
-        total += weight * oracle_pgen(mu, eta_b, photons, cutoff=cutoff)
-    return float(total)
+        herald = (0, 0) + tuple(n - d for n, d in zip(pattern, dark)) + (0, 0)
+        terms.append((pd ** sum(dark) * (1.0 - pd) ** (4 - sum(dark)), herald))
+
+    def at(c: int) -> float:
+        chain = _chain_table(mu, c)
+        total = 0.0
+        for weight, herald in terms:
+            total += weight * _element(mu, etas, herald, herald, c, chain)
+        return total
+
+    return float(_evaluate(at, cutoff))
 
 
 @dataclass

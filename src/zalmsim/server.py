@@ -156,9 +156,9 @@ def _metrics_values(params: SourceParams, click: tuple[int, ...] | None) -> tupl
     """
     has_fidelity = params.mean_photon > 0.0 and params.herald_pattern in FIDELITY_PATTERNS
     return (
-        pgen_with_dark(params).value,
-        photonic_trace(params).value,
-        fidelity(params).value if has_fidelity else None,
+        pgen_with_dark(params),
+        photonic_trace(params),
+        fidelity(params) if has_fidelity else None,
         None if click is None else tuple(map(tuple, spin_spin_dm_dark(params, click).entries.tolist())),
     )
 
@@ -190,11 +190,10 @@ def compute_metrics_response(data: dict) -> dict:
 
 def health_payload() -> dict:
     """GET /v1/health; the checksum is the exact IEEE-754 bits of pgen at mean_photon 0.1, as 16 hex digits."""
-    probe = pgen(SourceParams(mean_photon=0.1))
     return {
         "engine_version": ENGINE_VERSION,
         "convention_scale": COVARIANCE_PRESCALE,
-        "self_test_checksum": struct.pack(">d", probe.value).hex(),
+        "self_test_checksum": struct.pack(">d", pgen(SourceParams(mean_photon=0.1))).hex(),
     }
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import OutOfRangeError
 from .memory import spin_spin_dm
 from .metrics import fidelity, pgen, pgen_with_dark, photonic_trace
-from .sources import PARAM_FIELDS, SourceParams
+from .sources import PARAM_FIELDS, SourceParams, as_count
 
 KNOWN_METRICS = ("pgen", "pgen_dark", "fidelity", "trace", "spin_dm")
 
@@ -37,8 +37,12 @@ class SweepConfig:
             )
         if not self.start < self.stop:
             raise ValueError(f"sweep range must satisfy start < stop, got [{self.start}, {self.stop}]")
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
+        try:
+            steps = as_count(self.steps)
+        except TypeError:
+            steps = 0
+        if steps < 2:
+            raise ValueError(f"steps must be an integer >= 2, got {self.steps!r}")
         if self.scale not in ("linear", "log"):
             raise ValueError(f"scale must be 'linear' or 'log', got {self.scale!r}")
         if self.scale == "log" and self.start <= 0:
@@ -89,28 +93,23 @@ def _evaluate_row(config: SweepConfig, value: float) -> dict:
     for metric in config.metrics:
         try:
             if metric == "pgen":
-                result = pgen(params)
+                row[metric] = pgen(params)
             elif metric == "pgen_dark":
-                result = pgen_with_dark(params)
+                row[metric] = pgen_with_dark(params)
             elif metric == "fidelity":
-                result = fidelity(params)
+                row[metric] = fidelity(params)
             elif metric == "trace":
-                result = photonic_trace(params)
+                row[metric] = photonic_trace(params)
             else:
                 entries = spin_spin_dm(params).entries.tolist()
                 for i in range(4):
                     for j in range(4):
                         row[f"spin_dm_{i}{j}_re"] = entries[i][j]
                         row[f"spin_dm_{i}{j}_im"] = 0.0
-                continue
         except Exception as exc:  # noqa: BLE001 - the sweep must continue past bad points
             errors.append(f"{metric}:{type(exc).__name__}")
             if metric != "spin_dm":
                 row[metric] = float("nan")
-            continue
-        row[metric] = result.value
-        if result.flags:
-            errors.append(f"{metric}:{'+'.join(result.flags)}")
     # Every metric is real, so the imaginary residual column is 0.0, kept for the schema.
     row["imag_residual"] = 0.0
     row["error"] = ";".join(errors)
@@ -120,7 +119,7 @@ def _evaluate_row(config: SweepConfig, value: float) -> dict:
 
 
 def run_sweep(config: SweepConfig) -> list[dict]:
-    """One row per grid point, in grid order; flagged metrics mark the error column."""
+    """One row per grid point, in grid order; a metric that raised is NaN, and the error column names its exception."""
     return [_evaluate_row(config, value) for value in config.grid()]
 
 

@@ -4,17 +4,18 @@ import socket
 import subprocess
 import sys
 import urllib.request
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from zalmsim import (
+    NumericalDomainError,
     SourceParams,
     SpinSpinDM,
     UndefinedFidelityError,
     cli,
     fidelity,
+    metrics,
     pgen,
     pgen_with_dark,
     server,
@@ -47,6 +48,9 @@ class TestSweepConfig:
             SweepConfig("not_a_param", 0.1, 1.0, 5, fixed)
         with pytest.raises(ValueError):
             SweepConfig("mean_photon", 0.1, 1.0, 5, fixed, metrics=("bogus",))
+        for steps in (2.5, True):
+            with pytest.raises(ValueError, match=f"steps must be an integer >= 2, got {steps}$"):
+                SweepConfig("mean_photon", 0.01, 0.1, steps, fixed)
 
     def test_metric_named_twice_is_refused(self):
         # each metric is one CSV column and one JSON key: a repeat would print two columns for one key
@@ -82,7 +86,7 @@ class TestSweepConfig:
         )
         rows = run_sweep(config)
         for row in rows:
-            direct = pgen(SourceParams(mean_photon=0.1, eta_b=row["bsm_efficiency"])).value
+            direct = pgen(SourceParams(mean_photon=0.1, eta_b=row["bsm_efficiency"]))
             assert row["pgen"] == direct
 
     def test_error_column_marks_failures_and_continues(self):
@@ -157,13 +161,13 @@ class TestCliProcess:
         assert result.returncode == 0
         rows = json.loads(result.stdout)
         assert len(rows) == 2
-        assert rows[0]["pgen"] == pgen(SourceParams(mean_photon=0.05)).value
+        assert rows[0]["pgen"] == pgen(SourceParams(mean_photon=0.05))
 
     def test_metrics_subcommand_matches_library(self):
         result = run_cli(["metrics", "--mean-photon", "0.1"])
         assert result.returncode == 0
         payload = json.loads(result.stdout)
-        assert payload["pgen"] == pgen(SourceParams(mean_photon=0.1)).value
+        assert payload["pgen"] == pgen(SourceParams(mean_photon=0.1))
 
     def test_spin_dm_subcommand(self):
         result = run_cli(["spin-dm", "--mean-photon", "0.05"])
@@ -189,13 +193,13 @@ class TestCliProcess:
         code = main(["metrics", "--mean-photon", "0.05", "--bsm-efficiency", "0.8"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["pgen"] == pgen(SourceParams(mean_photon=0.05, eta_b=0.8)).value
+        assert payload["pgen"] == pgen(SourceParams(mean_photon=0.05, eta_b=0.8))
 
     def test_metrics_mixes_dark_counts_into_pgen(self, capsys):
         assert main(["metrics", "--dark-click-prob", "1e-3"]) == 0
         payload = json.loads(capsys.readouterr().out)
         params = SourceParams(mean_photon=0.1, dark_click_prob=1e-3)
-        assert payload["pgen"] == pgen_with_dark(params).value != pgen(params).value
+        assert payload["pgen"] == pgen_with_dark(params) != pgen(params)
 
     def test_validate_passes_and_reports(self, capsys):
         code = main(["validate"])
@@ -315,7 +319,7 @@ class TestFlagText:
                           "--herald-pattern", "0,0,1,1", "--bsm-efficiency", "1", "--format", "json"])
         assert result.returncode == 0, result.stderr
         rows = json.loads(result.stdout)
-        assert rows[1]["pgen"] == pgen(SourceParams(mean_photon=0.2, herald_pattern=(0, 0, 1, 1))).value
+        assert rows[1]["pgen"] == pgen(SourceParams(mean_photon=0.2, herald_pattern=(0, 0, 1, 1)))
 
 
 class TestServeStops:
@@ -406,10 +410,24 @@ class TestStrictJson:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("zalmsim: error: ")
 
+    @pytest.mark.parametrize("element, value", [(1.0, 2.0), (float("nan"), float("nan"))], ids=["above-one", "nan"])
+    def test_out_of_range_fidelity_is_a_numerical_domain_error(self, element, value, monkeypatch, capsys):
+        # Every element equal makes the fidelity 0.5 * 4 element / element: 2.0, or NaN from a NaN element.
+        monkeypatch.setattr(metrics, "_element", lambda *_: element)
+        server._metrics_values.cache_clear()  # else an earlier reply's values would answer the request
+        params = SourceParams(mean_photon=0.0123)
+        with pytest.raises(NumericalDomainError, match=f"fidelity {value!r} lies outside"):
+            fidelity(params)
+        row = run_sweep(SweepConfig("mean_photon", 0.0123, 0.0124, 2, params, metrics=("fidelity",)))[0]
+        assert np.isnan(row["fidelity"]) and row["error"] == "fidelity:NumericalDomainError"
+        assert main(["metrics", "--mean-photon", "0.0123"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("zalmsim: error: fidelity ")
+
 
 def _two_detector_dark(params):
     # weights pd^k (1 - pd)^(2 - k): the silent herald detectors' (1 - pd)^2 left out
-    return SimpleNamespace(value=pgen_with_dark(params).value / (1 - params.dark_click_prob) ** 2)
+    return pgen_with_dark(params) / (1 - params.dark_click_prob) ** 2
 
 
 class TestValidateChecksCanFail:
@@ -417,10 +435,10 @@ class TestValidateChecksCanFail:
         "name, fake, check",
         [
             ("pgen_with_dark", _two_detector_dark, "pgen_with_dark vs oracle_pgen_dark"),
-            ("fidelity", lambda params, *target: SimpleNamespace(value=1.5), "fidelity in [0, 1]"),
+            ("fidelity", lambda params, *target: 1.5, "fidelity in [0, 1]"),
             ("spin_spin_dm", lambda params, *click: SpinSpinDM(-np.eye(4)), "spin_dm PSD"),
-            ("pgen", lambda params: SimpleNamespace(value=pgen(params).value * (1 + 1e-9)), "pgen closed form"),
-            ("fidelity", lambda params, *target: SimpleNamespace(value=fidelity(params).value + 1e-9), "lossless fidelity 1/2"),
+            ("pgen", lambda params: pgen(params) * (1 + 1e-9), "pgen closed form"),
+            ("fidelity", lambda params, *target: fidelity(params) + 1e-9, "lossless fidelity 1/2"),
         ],
         ids=["dark-model", "fidelity-range", "spin-psd", "pgen-closed-form", "lossless-fidelity"],
     )

@@ -21,8 +21,8 @@ def test_concurrent_evaluations_match_serial():
 
     def evaluate(params):
         return (
-            pgen(params).value,
-            photonic_trace(params).value,
+            pgen(params),
+            photonic_trace(params),
             spin_spin_dm(params).entries.copy(),
         )
 

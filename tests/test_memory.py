@@ -179,7 +179,7 @@ class TestSpinSpinDM:
         oracle_total = sum(np.trace(oracle_spin_spin(0.05, p.eta_vector, pat)).real for pat in patterns)
         np.testing.assert_allclose(engine_total, oracle_total, rtol=1e-5)
         # ideal memories accept the Bell half of the heralded state
-        accept_ratio = engine_total / pgen(p).value
+        accept_ratio = engine_total / pgen(p)
         assert 0.0 < accept_ratio <= 1.0
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from zalmsim import (
-    MetricResult,
     SourceParams,
     UndefinedFidelityError,
     fidelity,
@@ -56,17 +55,13 @@ class TestElementInputs:
 
 class TestPhotonicTrace:
     def test_unit_efficiency(self):
-        r = photonic_trace(SourceParams(mean_photon=0.1))
-        assert abs(r.value - 1.0) < 1e-9
-        assert r.ok
+        assert abs(photonic_trace(SourceParams(mean_photon=0.1)) - 1.0) < 1e-9
 
     def test_lossy_high_gain(self):
-        r = photonic_trace(SourceParams(mean_photon=2.0, eta_b=0.5, eta_t=0.7, eta_d=0.9))
-        assert abs(r.value - 1.0) < 1e-9
+        assert abs(photonic_trace(SourceParams(mean_photon=2.0, eta_b=0.5, eta_t=0.7, eta_d=0.9)) - 1.0) < 1e-9
 
     def test_vacuum(self):
-        r = photonic_trace(SourceParams(mean_photon=0.0))
-        assert abs(r.value - 1.0) < 1e-12
+        assert abs(photonic_trace(SourceParams(mean_photon=0.0)) - 1.0) < 1e-12
 
     def test_random_grid(self):
         rng = np.random.default_rng(123)
@@ -77,58 +72,54 @@ class TestPhotonicTrace:
                 eta_t=float(rng.uniform(0.2, 1.0)),
                 eta_d=float(rng.uniform(0.2, 1.0)),
             )
-            assert abs(photonic_trace(p).value - 1.0) < 1e-9
+            assert abs(photonic_trace(p) - 1.0) < 1e-9
 
 
 class TestPgen:
     def test_vacuum_never_heralds(self):
-        assert pgen(SourceParams(mean_photon=0.0)).value == 0.0
+        assert pgen(SourceParams(mean_photon=0.0)) == 0.0
 
     def test_matches_oracle_unit_efficiency(self):
         p = SourceParams(mean_photon=0.05)
-        got = pgen(p).value
+        got = pgen(p)
         ref = oracle_pgen(0.05, 1.0)
         assert abs(got - ref) / ref < 1e-6
 
     def test_matches_oracle_lossy(self):
         p = SourceParams(mean_photon=0.1, eta_b=0.6, eta_t=0.7, eta_d=0.8)
-        got = pgen(p).value
+        got = pgen(p)
         ref = oracle_pgen(0.1, 0.6)
         assert abs(got - ref) / ref < 1e-6
 
     def test_pattern_relabeling(self):
-        a = pgen(SourceParams(mean_photon=0.1, eta_b=0.8, herald_pattern=(1, 1, 0, 0))).value
-        b = pgen(SourceParams(mean_photon=0.1, eta_b=0.8, herald_pattern=(0, 0, 1, 1))).value
+        a = pgen(SourceParams(mean_photon=0.1, eta_b=0.8, herald_pattern=(1, 1, 0, 0)))
+        b = pgen(SourceParams(mean_photon=0.1, eta_b=0.8, herald_pattern=(0, 0, 1, 1)))
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     @pytest.mark.parametrize("pattern", [(2, 0, 0, 0), (1, 0, 1, 0), (2, 1, 1, 0)])
     def test_general_patterns_match_oracle(self, pattern):
         p = SourceParams(mean_photon=0.15, eta_b=0.75, herald_pattern=pattern)
-        got = pgen(p).value
+        got = pgen(p)
         ref = oracle_pgen(0.15, 0.75, pattern)
         assert abs(got - ref) / ref < 1e-6
 
     def test_small_mu_quadratic_scaling(self):
-        lo = pgen(SourceParams(mean_photon=1e-4)).value
-        hi = pgen(SourceParams(mean_photon=1e-3)).value
+        lo = pgen(SourceParams(mean_photon=1e-4))
+        hi = pgen(SourceParams(mean_photon=1e-3))
         slope = (np.log(hi) - np.log(lo)) / np.log(10.0)
         assert abs(slope - 2.0) < 0.05
 
-    def test_realness(self):
-        r = pgen(SourceParams(mean_photon=0.3, eta_b=0.5))
-        assert r.imag_residual < 1e-9 * max(abs(r.value), 1e-30)
-
-    def test_result_is_a_value_and_its_flags(self):
-        # every engine quantity is real: the imaginary residual is 0.0 by construction
-        r = pgen(SourceParams(mean_photon=0.3, eta_b=0.5))
-        assert r == MetricResult(r.value) and r.flags == () and r.ok
-        assert type(r.value) is float and r.imag_residual == 0.0
+    def test_each_scalar_metric_is_a_float(self):
+        # every engine quantity is real, so each scalar metric is a plain float
+        p = SourceParams(mean_photon=0.3, eta_b=0.5, dark_click_prob=1e-3)
+        for metric in (pgen, pgen_with_dark, photonic_trace, fidelity):
+            assert type(metric(p)) is float, metric.__name__
 
     @pytest.mark.parametrize("mu", [0.05, 0.5, 2.0, 20.0])
     def test_closed_form_at_unit_efficiency(self, mu):
         # with number-resolved heralding and no loss only single pairs can
         # satisfy (1,1,0,0): four configurations of amplitude c0^2 c1^2 / 2
-        got = pgen(SourceParams(mean_photon=mu)).value
+        got = pgen(SourceParams(mean_photon=mu))
         np.testing.assert_allclose(got, mu**2 / (1.0 + mu) ** 6, rtol=1e-12)
 
 
@@ -137,14 +128,14 @@ class TestPeakShift:
         mus = np.geomspace(1e-3, 20.0, 200)
         argmaxes = []
         for eta_b in (1.0, 10 ** (-3 / 10), 10 ** (-6 / 10)):
-            values = [pgen(SourceParams(mean_photon=float(m), eta_b=eta_b)).value for m in mus]
+            values = [pgen(SourceParams(mean_photon=float(m), eta_b=eta_b)) for m in mus]
             assert all(v >= 0.0 for v in values)
             argmaxes.append(float(mus[int(np.argmax(values))]))
         assert argmaxes[0] < argmaxes[1] < argmaxes[2]
 
     def test_single_interior_maximum_at_unit_efficiency(self):
         mus = np.geomspace(1e-3, 20.0, 120)
-        values = np.array([pgen(SourceParams(mean_photon=float(m))).value for m in mus])
+        values = np.array([pgen(SourceParams(mean_photon=float(m))) for m in mus])
         peak = int(np.argmax(values))
         assert 0 < peak < len(mus) - 1
         assert np.all(np.diff(values[: peak + 1]) > 0.0)
@@ -154,25 +145,25 @@ class TestPeakShift:
 class TestPgenWithDark:
     def test_zero_dark_reduces_exactly(self):
         p = SourceParams(mean_photon=0.05, eta_b=0.8, dark_click_prob=0.0)
-        assert pgen_with_dark(p).value == pgen(p).value
+        assert pgen_with_dark(p) == pgen(p)
 
     def test_vacuum_limit_is_two_dark_clicks(self):
         # both clicks dark and both silent detectors quiet
         p = SourceParams(mean_photon=0.0, dark_click_prob=1e-4)
-        np.testing.assert_allclose(pgen_with_dark(p).value, 1e-8 * (1 - 1e-4) ** 2, rtol=1e-12)
+        np.testing.assert_allclose(pgen_with_dark(p), 1e-8 * (1 - 1e-4) ** 2, rtol=1e-12)
 
     def test_perturbative_bound(self):
         p = SourceParams(mean_photon=0.05, dark_click_prob=1e-6)
-        base = pgen(p).value
-        assert abs(pgen_with_dark(p).value - base) < 1e-4 * base
+        base = pgen(p)
+        assert abs(pgen_with_dark(p) - base) < 1e-4 * base
 
     def test_multi_click_pattern_removes_one_count(self):
         # a detector reading two counts saw two photons, or one photon and a dark count
         mu, pd = 0.1, 0.1
-        dark = pgen_with_dark(SourceParams(mean_photon=mu, herald_pattern=(2, 0, 0, 0), dark_click_prob=pd)).value
+        dark = pgen_with_dark(SourceParams(mean_photon=mu, herald_pattern=(2, 0, 0, 0), dark_click_prob=pd))
 
         def pg(pattern):
-            return pgen(SourceParams(mean_photon=mu, herald_pattern=pattern)).value
+            return pgen(SourceParams(mean_photon=mu, herald_pattern=pattern))
 
         mixture = (1 - pd) ** 4 * pg((2, 0, 0, 0)) + pd * (1 - pd) ** 3 * pg((1, 0, 0, 0))
         np.testing.assert_allclose(dark, mixture, rtol=1e-13)
@@ -188,10 +179,10 @@ class TestPgenWithDark:
         mu, eta_b, pd = 0.15, 0.7, 1e-3
         dark = pgen_with_dark(
             SourceParams(mean_photon=mu, eta_b=eta_b, dark_click_prob=pd, herald_pattern=pattern)
-        ).value
+        )
 
         def pg(pattern):
-            return pgen(SourceParams(mean_photon=mu, eta_b=eta_b, herald_pattern=pattern)).value
+            return pgen(SourceParams(mean_photon=mu, eta_b=eta_b, herald_pattern=pattern))
 
         first, second = [tuple(int(i == k) for i in range(4)) for k, n in enumerate(pattern) if n]
         mixture = (
@@ -213,7 +204,7 @@ class TestPgenWithDark:
         eta_b = 0.7
         engine = pgen_with_dark(
             SourceParams(mean_photon=mu, eta_b=eta_b, dark_click_prob=pd, herald_pattern=pattern)
-        ).value
+        )
         ref = oracle_pgen_dark(mu, eta_b, pd, pattern)
         assert abs(engine - ref) <= 1e-9 * ref
 
@@ -221,7 +212,7 @@ class TestPgenWithDark:
 class TestFidelity:
     def test_matches_oracle_small_mu(self):
         p = SourceParams(mean_photon=1e-3)
-        got = fidelity(p).value
+        got = fidelity(p)
         ref = oracle_fidelity(1e-3, p.eta_vector)
         assert abs(got - ref) < 1e-6
         # the heralded state splits evenly between the Bell pair and the
@@ -230,13 +221,13 @@ class TestFidelity:
 
     def test_matches_oracle_lossy(self):
         p = SourceParams(mean_photon=0.05, eta_t=0.8, eta_d=0.9, eta_b=0.7)
-        got = fidelity(p).value
+        got = fidelity(p)
         ref = oracle_fidelity(0.05, p.eta_vector)
         assert abs(got - ref) < 1e-5
 
     def test_other_pattern_maps_modes(self):
         p = SourceParams(mean_photon=0.1, eta_b=0.8, herald_pattern=(0, 0, 1, 1))
-        got = fidelity(p).value
+        got = fidelity(p)
         ref = oracle_fidelity(0.1, p.eta_vector, (0, 0, 1, 1))
         assert abs(got - ref) < 1e-6
 
@@ -250,7 +241,7 @@ class TestFidelity:
         e2 = (0, 1) + pattern + (1, 0)
         rho = {(d, g): fock_element(p, d, g) for d in (e1, e2) for g in (e1, e2)}
         coherent = rho[e1, e1] + rho[e2, e2] + sign * (rho[e1, e2] + rho[e2, e1])
-        np.testing.assert_allclose(fidelity(p, target).value, 0.5 * coherent.real / pgen(p).value, rtol=1e-13)
+        np.testing.assert_allclose(fidelity(p, target), 0.5 * coherent.real / pgen(p), rtol=1e-13)
 
     @pytest.mark.parametrize("eta_b", [0.0, 1e-300])
     def test_vanishing_herald_efficiency_gives_the_limit(self, eta_b):
@@ -260,7 +251,7 @@ class TestFidelity:
         # (a_1^dag +- a_4^dag) on two thermal outer modes, and the limit is
         # 0.5 / (1 + mu)^6.
         for pattern in ((1, 1, 0, 0), (0, 0, 1, 1)):
-            got = fidelity(SourceParams(mean_photon=0.1, eta_b=eta_b, herald_pattern=pattern)).value
+            got = fidelity(SourceParams(mean_photon=0.1, eta_b=eta_b, herald_pattern=pattern))
             np.testing.assert_allclose(got, 0.5 / 1.1**6, rtol=5e-15)
 
     def test_coherence_terms_conjugate_pair(self):
@@ -279,21 +270,21 @@ class TestFidelity:
 
     def test_constant_one_half_without_loss(self):
         for mu in (0.01, 0.3, 1.0):
-            assert abs(fidelity(SourceParams(mean_photon=mu)).value - 0.5) < 1e-9
+            assert abs(fidelity(SourceParams(mean_photon=mu)) - 0.5) < 1e-9
 
     def test_monotone_nonincreasing_in_mu(self):
         mus = np.geomspace(1e-3, 1.0, 10)
-        unit = [fidelity(SourceParams(mean_photon=float(m))).value for m in mus]
+        unit = [fidelity(SourceParams(mean_photon=float(m))) for m in mus]
         assert all(b <= a + 1e-9 for a, b in zip(unit, unit[1:]))
         lossy = [
-            fidelity(SourceParams(mean_photon=float(m), eta_b=0.9, eta_t=0.95)).value for m in mus
+            fidelity(SourceParams(mean_photon=float(m), eta_b=0.9, eta_t=0.95)) for m in mus
         ]
         assert all(b < a for a, b in zip(lossy, lossy[1:]))
 
     def test_orthogonal_target_complements(self):
         p = SourceParams(mean_photon=0.05, eta_b=0.8)
-        f_minus = fidelity(p, bell_target="psi_minus").value
-        f_plus = fidelity(p, bell_target="psi_plus").value
+        f_minus = fidelity(p, bell_target="psi_minus")
+        f_plus = fidelity(p, bell_target="psi_plus")
         assert f_minus > f_plus >= 0.0
 
     def test_vacuum_is_undefined(self):
@@ -387,7 +378,7 @@ class TestFockElement:
 
 class TestEfficiencyLimits:
     def test_dead_heralding_arm_never_clicks(self):
-        assert pgen(SourceParams(mean_photon=0.5, eta_b=0.0)).value == 0.0
+        assert pgen(SourceParams(mean_photon=0.5, eta_b=0.0)) == 0.0
 
     def test_dead_outcoupling_blocks_memory_loading(self):
         from zalmsim import spin_spin_dm
@@ -397,4 +388,4 @@ class TestEfficiencyLimits:
 
     def test_trace_survives_total_loss(self):
         p = SourceParams(mean_photon=0.5, eta_b=0.0, eta_t=0.0)
-        assert abs(photonic_trace(p).value - 1.0) < 1e-9
+        assert abs(photonic_trace(p) - 1.0) < 1e-9

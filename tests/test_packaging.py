@@ -21,7 +21,6 @@ PUBLIC_API = [
     "BELL_TARGETS",
     "ConvergenceError",
     "DEFAULT_CLICK_PATTERN",
-    "MetricResult",
     "NumericalDomainError",
     "SourceParams",
     "SpinSpinDM",

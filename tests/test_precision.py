@@ -36,13 +36,13 @@ def test_scan(mu):
         for eta_t in OUTER_EFFICIENCIES:
             params = SourceParams(mean_photon=mu, eta_b=eta_b, eta_t=eta_t)
             exact = exact_pgen(mu, eta_b)
-            assert abs(Fraction(pgen(params).value) - exact) <= Fraction(1e-12) * exact, (eta_b, eta_t)
-            assert abs(photonic_trace(params).value - 1.0) <= 1e-15
+            assert abs(Fraction(pgen(params)) - exact) <= Fraction(1e-12) * exact, (eta_b, eta_t)
+            assert abs(photonic_trace(params) - 1.0) <= 1e-15
             for target in ("psi_minus", "psi_plus"):
-                value = fidelity(params, target).value
+                value = fidelity(params, target)
                 assert -FIDELITY_ROUNDING <= value <= 1.0 + FIDELITY_ROUNDING, (eta_b, eta_t, target)
     # without loss the fidelity is 1/2 at every mean photon number
-    assert abs(fidelity(SourceParams(mean_photon=mu)).value - 0.5) <= 1e-12
+    assert abs(fidelity(SourceParams(mean_photon=mu)) - 0.5) <= 1e-12
 
 
 # The engine's pgen at herald (1, 1, 0, 0) against its exact rational value, in units in the last place of
@@ -61,6 +61,6 @@ def test_pgen_within_ulp_budget_of_exact_value():
     for _ in range(200):
         mu = 10.0 ** rng.uniform(-6.0, 3.0)
         eta_b = 1.0 - rng.random()  # uniform in (0, 1]
-        off = ulps_off(pgen(SourceParams(mean_photon=mu, eta_b=eta_b)).value, exact_pgen(mu, eta_b))
+        off = ulps_off(pgen(SourceParams(mean_photon=mu, eta_b=eta_b)), exact_pgen(mu, eta_b))
         worst = max(worst, (off, mu, eta_b))
     assert worst[0] <= PGEN_ULP_BUDGET, worst

@@ -55,29 +55,29 @@ def source_params(mean_photon=st.floats(0.0, 3.0), **extra):
 @PROPERTY
 @given(source_params())
 def test_trace_is_one(params):
-    assert abs(photonic_trace(params).value - 1.0) <= 1e-9
+    assert abs(photonic_trace(params) - 1.0) <= 1e-9
 
 
 @PROPERTY
 @given(source_params(herald_pattern=herald_patterns))
 def test_pgen_is_a_probability(params):
-    # to the rounding the engine tolerates before it flags a value
-    assert -REAL_TOLERANCE <= pgen(params).value <= 1.0 + REAL_TOLERANCE
+    # to the rounding the engine tolerates in a fidelity before it raises
+    assert -REAL_TOLERANCE <= pgen(params) <= 1.0 + REAL_TOLERANCE
 
 
 @PROPERTY
 @given(source_params(herald_pattern=st.sampled_from([(1, 1, 0, 0), (0, 0, 1, 1)])))
 def test_fidelity_is_a_probability(params):
-    # out_of_range flags a value outside [-REAL_TOLERANCE, 1 + REAL_TOLERANCE].
-    # The heralding moments scale as mean_photon^2, so they underflow below
+    # fidelity raises NumericalDomainError outside [-REAL_TOLERANCE, 1 + REAL_TOLERANCE];
+    # the range is asserted here directly.  The heralding moments scale as mean_photon^2, so they underflow below
     # about 1e-160 (and vanish at 0): then the fidelity is undefined.
     for target in ("psi_minus", "psi_plus"):
         try:
-            result = fidelity(params, target)
+            value = fidelity(params, target)
         except UndefinedFidelityError:
             assert params.mean_photon < UNDERFLOW_MEAN_PHOTON
             continue
-        assert result.ok, result.flags
+        assert -REAL_TOLERANCE <= value <= 1.0 + REAL_TOLERANCE, value
 
 
 @PROPERTY
@@ -93,7 +93,7 @@ def test_spin_matrices_are_hermitian_and_psd(params, click):
 def test_heralding_factorizes_over_the_two_chains(params):
     # Modes 3 and 4 sit at the same position of different chains.
     patterns = ((1, 1, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0))
-    both, none, one = (pgen(replace(params, herald_pattern=p)).value for p in patterns)
+    both, none, one = (pgen(replace(params, herald_pattern=p)) for p in patterns)
     np.testing.assert_allclose(both * none, one**2, rtol=1e-12, atol=0.0)
 
 
@@ -106,9 +106,9 @@ def test_engine_matches_oracle(params):
     # probability, so it is compared where that is a normal float.
     mu, eta = params.mean_photon, params.eta_vector
     ov = oracle_pgen(mu, params.eta_b, cutoff=ORACLE_CUTOFF)
-    assert abs(pgen(params).value - ov) <= 1e-5 * ov + TINY
+    assert abs(pgen(params) - ov) <= 1e-5 * ov + TINY
     if ov >= TINY:
-        assert abs(fidelity(params).value - oracle_fidelity(mu, eta, cutoff=ORACLE_CUTOFF)) < 1e-5
+        assert abs(fidelity(params) - oracle_fidelity(mu, eta, cutoff=ORACLE_CUTOFF)) < 1e-5
     om = oracle_spin_spin(mu, eta, cutoff=ORACLE_CUTOFF)
     assert np.max(np.abs(spin_spin_dm(params).entries - om)) < 1e-6
 
@@ -117,5 +117,5 @@ def test_engine_matches_oracle(params):
 def test_small_mean_photon_precision(mu):
     params = SourceParams(mean_photon=mu, eta_b=0.5)
     ov = oracle_pgen(mu, params.eta_b, cutoff=ORACLE_CUTOFF)
-    assert abs(pgen(params).value - ov) <= 1e-5 * ov
-    assert fidelity(params).ok
+    assert abs(pgen(params) - ov) <= 1e-5 * ov
+    assert -REAL_TOLERANCE <= fidelity(params) <= 1.0 + REAL_TOLERANCE

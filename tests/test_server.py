@@ -140,7 +140,7 @@ class TestHealth:
         assert status == 200
         assert payload["engine_version"]
         assert payload["convention_scale"] == 0.5
-        assert payload["self_test_checksum"] == struct.pack(">d", pgen(SourceParams(mean_photon=0.1)).value).hex()
+        assert payload["self_test_checksum"] == struct.pack(">d", pgen(SourceParams(mean_photon=0.1))).hex()
 
     def test_reply_headers(self, server_url):
         status_line, headers, _ = raw_request(server_url, b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n")
@@ -161,8 +161,8 @@ class TestMetricsEndpoint:
         )
         assert status == 200
         params = SourceParams(mean_photon=0.1)
-        assert payload["pgen"] == pgen(params).value
-        assert payload["trace"] == photonic_trace(params).value
+        assert payload["pgen"] == pgen(params)
+        assert payload["trace"] == photonic_trace(params)
         assert payload["engine_version"] == "0.1.0"
 
     def test_random_tuples_bit_exact(self, server_url):
@@ -182,18 +182,18 @@ class TestMetricsEndpoint:
                 eta_t=req["outcoupling_efficiency"],
                 eta_d=req["detection_efficiency"],
             )
-            assert payload["pgen"] == pgen(params).value
+            assert payload["pgen"] == pgen(params)
 
     def test_dark_counts_mix_into_pgen_and_spin_dm(self, server_url):
         click = [1, 0, 1, 1, 0, 0, 1, 0]
         status, payload = post(f"{server_url}/v1/metrics", {"mean_photon": 0.1, "dark_click_prob": 1e-3, "click_pattern": click})
         assert status == 200
         params = SourceParams(mean_photon=0.1, dark_click_prob=1e-3)
-        assert payload["pgen"] == pgen_with_dark(params).value != pgen(params).value
+        assert payload["pgen"] == pgen_with_dark(params) != pgen(params)
         got = np.array([[complex(re, im) for re, im in row] for row in payload["spin_dm"]])
         assert np.array_equal(got, spin_spin_dm_dark(params, tuple(click)).entries)
         # the fidelity is the photonic state's, with no dark-count model
-        assert payload["fidelity"] == fidelity(params).value
+        assert payload["fidelity"] == fidelity(params)
 
     def test_spin_dm_present_iff_click_pattern_given(self, server_url):
         status, without = post(f"{server_url}/v1/metrics", {"mean_photon": 0.1})
@@ -291,7 +291,7 @@ class TestMetricsEndpoint:
         status, payload = post(f"{server_url}/v1/metrics", body)
         assert status == 200
         assert payload["fidelity"] is None
-        assert payload["pgen"] == pgen(SourceParams(mean_photon=0.1, eta_b=0.7, herald_pattern=(1, 0, 1, 0))).value
+        assert payload["pgen"] == pgen(SourceParams(mean_photon=0.1, eta_b=0.7, herald_pattern=(1, 0, 1, 0)))
 
     def test_undefined_fidelity_is_numerical_domain(self, server_url, monkeypatch):
         def undefined(data):
@@ -583,7 +583,7 @@ class TestConcurrentRequests:
             results = list(pool.map(call, mus))
         for mu, (status, payload) in zip(mus, results):
             assert status == 200
-            assert payload["pgen"] == pgen(SourceParams(mean_photon=mu)).value
+            assert payload["pgen"] == pgen(SourceParams(mean_photon=mu))
 
 
 class TestSpinDmEndpoint:
