@@ -4,6 +4,7 @@ and the oracle-equivalence validation report."""
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -68,8 +69,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     text = render_sweep(config, run_sweep(config))
     if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, no permission, a full disk
+            raise ValueError(f"cannot write {args.output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
     return 0
@@ -104,84 +108,102 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    checks: list[tuple[str, bool, str]] = []
+    passed: list[bool] = []
 
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        checks.append((name, bool(ok), detail))
+    def check(name: str):
+        """Run the decorated measure at once and print its (ok, detail) as name's line; a raise fails name alone."""
+
+        def run(measure) -> None:
+            try:
+                ok, detail = measure()
+            except Exception as exc:  # named in the line, and every other check still runs and prints
+                ok, detail = False, f"{type(exc).__name__}: {exc}"
+            passed.append(bool(ok))
+            print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
+
+        return run
 
     # Engine vs oracle on a reduced grid.
     for mu in (0.05, 0.1):
         for eta_b, eta_t, eta_d in ((1.0, 1.0, 1.0), (0.5, 0.8, 0.9)):
             p = SourceParams(mean_photon=mu, eta_b=eta_b, eta_t=eta_t, eta_d=eta_d)
-            ev = pgen(p)
-            ov = oracle_pgen(mu, eta_b)
-            check(f"pgen vs oracle mu={mu} eta_b={eta_b}", abs(ev - ov) / ov < 1e-5, f"{ev:.9e} vs {ov:.9e}")
-            ef = fidelity(p)
-            of = oracle_fidelity(mu, p.eta_vector)
-            check(f"fidelity vs oracle mu={mu} eta_b={eta_b}", abs(ef - of) < 1e-5, f"{ef:.9f} vs {of:.9f}")
-            dm = spin_spin_dm(p)
-            om = oracle_spin_spin(mu, p.eta_vector)
-            err = float(np.max(np.abs(dm.entries - om)))
-            check(f"spin_dm vs oracle mu={mu} eta_b={eta_b}", err < 1e-6, f"max err {err:.2e}")
-            low = dm.min_eigenvalue()
-            check(f"spin_dm PSD mu={mu} eta_b={eta_b}", low >= -1e-12 * dm.trace, f"min eigenvalue {low:.2e}")
+            dm = functools.cache(lambda: spin_spin_dm(p))
 
-    # Dual oracle paths.
-    a = oracle_pgen(0.1, 0.8, cutoff=4)
-    b = oracle_pgen_filtered(0.1, 0.8, cutoff=4)
-    check("oracle dual-path pgen", abs(a - b) < 1e-12, f"{a:.15e} vs {b:.15e}")
+            @check(f"pgen vs oracle mu={mu} eta_b={eta_b}")
+            def pgen_close():
+                ev, ov = pgen(p), oracle_pgen(mu, eta_b)
+                return abs(ev - ov) / ov < 1e-5, f"{ev:.9e} vs {ov:.9e}"
+
+            @check(f"fidelity vs oracle mu={mu} eta_b={eta_b}")
+            def fidelity_close():
+                ef, of = fidelity(p), oracle_fidelity(mu, p.eta_vector)
+                return abs(ef - of) < 1e-5, f"{ef:.9f} vs {of:.9f}"
+
+            @check(f"spin_dm vs oracle mu={mu} eta_b={eta_b}")
+            def spin_close():
+                err = float(np.max(np.abs(dm().entries - oracle_spin_spin(mu, p.eta_vector))))
+                return err < 1e-6, f"max err {err:.2e}"
+
+            @check(f"spin_dm PSD mu={mu} eta_b={eta_b}")
+            def spin_psd():
+                low = dm().min_eigenvalue()
+                return low >= -1e-12 * dm().trace, f"min eigenvalue {low:.2e}"
+
+    @check("oracle dual-path pgen")
+    def dual_path():
+        a, b = oracle_pgen(0.1, 0.8, cutoff=4), oracle_pgen_filtered(0.1, 0.8, cutoff=4)
+        return abs(a - b) < 1e-12, f"{a:.15e} vs {b:.15e}"
 
     # Fidelity range, an invariant the engine does not enforce by construction.
     # The stdlib generator keeps numpy.random, whose import costs about as
     # much as the check, out of the process.
-    rng = random.Random(7)
-    fids = []
-    for _ in range(10):
-        p = SourceParams(
-            mean_photon=rng.uniform(0, 3),
-            eta_b=rng.uniform(0.2, 1),
-            eta_t=rng.uniform(0.2, 1),
-            eta_d=rng.uniform(0.2, 1),
-        )
-        fids.append(fidelity(p))
-    check("fidelity in [0, 1]", all(0.0 <= f <= 1.0 for f in fids), f"range [{min(fids):.6f}, {max(fids):.6f}]")
+    @check("fidelity in [0, 1]")
+    def fidelity_range():
+        rng = random.Random(7)
+        fids = []
+        for _ in range(10):
+            p = SourceParams(
+                mean_photon=rng.uniform(0, 3),
+                eta_b=rng.uniform(0.2, 1),
+                eta_t=rng.uniform(0.2, 1),
+                eta_d=rng.uniform(0.2, 1),
+            )
+            fids.append(fidelity(p))
+        return all(0.0 <= f <= 1.0 for f in fids), f"range [{min(fids):.6f}, {max(fids):.6f}]"
 
     # Closed forms from mu = 1e-6 to 1e3: pgen at herald (1, 1, 0, 0) is
     # (eta_b mu)^2 / (1 + eta_b mu)^6, and without loss the fidelity is 1/2.
     mus = (1e-6, 0.1, 3.0, 1e3)
-    worst = 0.0
-    for mu in mus:
-        for eta_b in (1.0, 0.5):
-            exact = (eta_b * mu) ** 2 / (1.0 + eta_b * mu) ** 6
-            worst = max(worst, abs(pgen(SourceParams(mean_photon=mu, eta_b=eta_b)) - exact) / exact)
-    check("pgen closed form (eta_b mu)^2 / (1 + eta_b mu)^6", worst <= 1e-12, f"max relative error {worst:.1e}")
-    worst = max(abs(fidelity(SourceParams(mean_photon=mu)) - 0.5) for mu in mus)
-    check("lossless fidelity 1/2", worst <= 1e-12, f"max error {worst:.1e}")
+
+    @check("pgen closed form (eta_b mu)^2 / (1 + eta_b mu)^6")
+    def pgen_closed_form():
+        worst = 0.0
+        for mu in mus:
+            for eta_b in (1.0, 0.5):
+                exact = (eta_b * mu) ** 2 / (1.0 + eta_b * mu) ** 6
+                worst = max(worst, abs(pgen(SourceParams(mean_photon=mu, eta_b=eta_b)) - exact) / exact)
+        return worst <= 1e-12, f"max relative error {worst:.1e}"
+
+    @check("lossless fidelity 1/2")
+    def lossless_fidelity():
+        worst = max(abs(fidelity(SourceParams(mean_photon=mu)) - 0.5) for mu in mus)
+        return worst <= 1e-12, f"max error {worst:.1e}"
 
     # Dark-count reductions.
     p0 = SourceParams(mean_photon=0.05, dark_click_prob=0.0)
-    check("pgen_with_dark(P_d=0) == pgen", pgen_with_dark(p0) == pgen(p0))
-    dmd = spin_spin_dm_dark(p0).entries
-    dm0 = spin_spin_dm(p0).entries
-    check("spin_spin_dm_dark(P_d=0) == spin_spin_dm", np.array_equal(dmd, dm0))
+    check("pgen_with_dark(P_d=0) == pgen")(lambda: (pgen_with_dark(p0) == pgen(p0), ""))
+    check("spin_spin_dm_dark(P_d=0) == spin_spin_dm")(
+        lambda: (np.array_equal(spin_spin_dm_dark(p0).entries, spin_spin_dm(p0).entries), "")
+    )
 
     # One dark-count model: the engine's mixture against the referee's own enumeration.
-    p_dark = SourceParams(mean_photon=0.05, dark_click_prob=1e-3)
-    ed = pgen_with_dark(p_dark)
-    od = oracle_pgen_dark(0.05, 1.0, 1e-3)
-    check("pgen_with_dark vs oracle_pgen_dark", abs(ed - od) <= 1e-9 * od, f"{ed:.12e} vs {od:.12e}")
+    @check("pgen_with_dark vs oracle_pgen_dark")
+    def dark_model():
+        ed, od = pgen_with_dark(SourceParams(mean_photon=0.05, dark_click_prob=1e-3)), oracle_pgen_dark(0.05, 1.0, 1e-3)
+        return abs(ed - od) <= 1e-9 * od, f"{ed:.12e} vs {od:.12e}"
 
-    failures = 0
-    for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        line = f"[{status}] {name}"
-        if detail:
-            line += f" ({detail})"
-        print(line)
-        if not ok:
-            failures += 1
-    print(f"{len(checks) - failures}/{len(checks)} checks passed")
-    return 0 if failures == 0 else 2
+    print(f"{sum(passed)}/{len(passed)} checks passed")
+    return 0 if all(passed) else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

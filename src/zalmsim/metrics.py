@@ -4,9 +4,10 @@ The cascaded source is exactly a product of two identical 4-mode chains.
 Chain A holds modes 1, 4, 6, 7 and chain B modes 2, 3, 5, 8; in each, two
 squeezed pairs meet on one heralding beam splitter, and the local modes run
 (outer, herald, herald, outer).  No 8-mode state is built: the paper's
-K-function integral is taken in the amplitude basis, where one chain's
-excess moments (``moments.k_data``) give a closed-form 8x8 real exponent
-matrix B (``moments.assemble_a``) per pair of outer and herald efficiencies.
+K-function integral is taken in the amplitude basis, where the mean photon
+number and one chain's pair moment (``moments.k_data``) give a closed-form
+8x8 real exponent matrix B (``moments.assemble_a``) per pair of outer and
+herald efficiencies.
 Loss is the same on both chains, so one B serves both; a traced mode is a
 mode at efficiency 0.
 Every metric is a combination of lossy-state Fock elements <d| rho |g>, as
@@ -25,7 +26,7 @@ import operator
 from math import factorial, sqrt
 
 from .errors import NumericalDomainError, UndefinedFidelityError
-from .moments import AMatrix, ChainMoments, MomentRequest, assemble_a, k_data, wick_moment
+from .moments import AMatrix, MomentRequest, assemble_a, k_data, wick_moment
 from .sources import SourceParams, build_cascaded_cov, parse_counts  # noqa: F401 - perfbench/tracing.py patches metrics.build_cascaded_cov
 
 HERALD_MODES = (3, 4, 5, 6)
@@ -44,14 +45,14 @@ _ROOT_FACTORIAL = tuple(
 
 
 @functools.lru_cache(maxsize=256)
-def _kernel_for(mu: float) -> ChainMoments:
-    """One chain's excess moments (the K-function's amplitude-basis data); both chains share them."""
+def _kernel_for(mu: float) -> float:
+    """One chain's pair moment (with mu, the K-function's amplitude-basis data); both chains share it."""
     return k_data(mu)
 
 
 @functools.lru_cache(maxsize=256)
 def _a_variant(mu: float, eta_outer: float, eta_herald: float) -> AMatrix:
-    return assemble_a(_kernel_for(mu), eta_outer, eta_herald)
+    return assemble_a(mu, _kernel_for(mu), eta_outer, eta_herald)
 
 
 def _detected(params: SourceParams) -> tuple[float, float]:

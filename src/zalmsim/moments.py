@@ -3,15 +3,15 @@
 The paper's K-function is the coherent-state kernel of the Gaussian source
 state.  Written over one chain's amplitudes (a_1..a_4, a_1^dag..a_4^dag)
 instead of its quadratures, it is fixed by the chain's excess normally
-ordered moments (k_data)
+ordered moments
 
     S = [[N, M], [M, N]],   N = <a^dag a> = mu I,   M = <a a> = sqrt(mu (1 + mu)) P,
 
-with P the heralding splitter's pairing (``sources.PAIRING``): the Husimi
-matrix is Q = I + S, and the kernel's exponent is B below at unit
-efficiency.  S is known in closed form, so it is never formed as Q - I from
-a covariance, which would cancel the O(mu) moments against the vacuum's 1
-at small mu.
+that is by mu and the pair moment sqrt(mu (1 + mu)) (k_data), with P the
+heralding splitter's pairing (``sources.PAIRING``): the Husimi matrix is
+Q = I + S, and the kernel's exponent is B below at unit efficiency.  S is
+known in closed form, so it is never formed as Q - I from a covariance,
+which would cancel the O(mu) moments against the vacuum's 1 at small mu.
 
 A Gaussian state with excess moments S and per-mode efficiencies eta has
 the Fock elements (Hamilton et al., PRL 119, 170501 (2017), in the form of
@@ -67,21 +67,13 @@ MAX_REQUEST_CARDINALITY = 16
 REPEATED_MIN_FORMS = 8
 
 
-@dataclass(frozen=True)
-class ChainMoments:
-    """One chain's excess moments: N = mean_photon I and M = pair P."""
+def k_data(mu: float) -> float:
+    """The chain's pair moment M / P = sqrt(mu (1 + mu)) at mean photon number mu per squeezed mode.
 
-    mean_photon: float
-    pair: float
-
-
-def k_data(mu: float) -> ChainMoments:
-    """The chain's excess moments at mean photon number mu per squeezed mode.
-
-    sqrt(mu) sqrt(1 + mu) instead of sqrt(mu (1 + mu)) keeps the pair moment
-    finite wherever mu is.
+    N / I is mu itself.  sqrt(mu) sqrt(1 + mu) instead of sqrt(mu (1 + mu))
+    keeps the pair moment finite wherever mu is.
     """
-    return ChainMoments(float(mu), sqrt(mu) * sqrt(1.0 + mu))
+    return sqrt(mu) * sqrt(1.0 + mu)
 
 
 @dataclass(frozen=True)
@@ -107,20 +99,19 @@ class AMatrix:
 _PAIRING_ROWS = PAIRING.tolist()
 
 
-def assemble_a(k: ChainMoments, eta_outer: float, eta_herald: float) -> AMatrix:
+def assemble_a(mu: float, pair: float, eta_outer: float, eta_herald: float) -> AMatrix:
     """One chain's closed-form exponent matrix B and prefactor at outer and herald efficiencies.
 
-    The local modes run (outer, herald, herald, outer); an efficiency of 0
+    mu is the mean photon number and pair its k_data(mu).  The local modes run (outer, herald, herald, outer); an efficiency of 0
     traces its modes out.
     """
-    mu = k.mean_photon
     delta = 1.0 + (eta_outer + eta_herald * (1.0 - eta_outer)) * mu
     t_o = (1.0 - eta_herald) * mu / delta
     t_h = (1.0 - eta_outer) * mu / delta
-    p = k.pair / delta
-    pair = [[p * x for x in row] for row in _PAIRING_ROWS]
+    p = pair / delta
+    paired = [[p * x for x in row] for row in _PAIRING_ROWS]
     thermal = ([t_o, 0.0, 0.0, 0.0], [0.0, t_h, 0.0, 0.0], [0.0, 0.0, t_h, 0.0], [0.0, 0.0, 0.0, t_o])
-    rows = [pr + tr for pr, tr in zip(pair, thermal)] + [tr + pr for pr, tr in zip(pair, thermal)]
+    rows = [pr + tr for pr, tr in zip(paired, thermal)] + [tr + pr for pr, tr in zip(paired, thermal)]
     entries = np.array(rows)
     entries.flags.writeable = False
     return AMatrix(entries, delta**-4.0)

@@ -60,19 +60,19 @@ def _tmsv_amps(mu: float, nmax: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4096)
-def _bs_sector(total: int, theta: float) -> np.ndarray:
-    """Beam splitter unitary within one photon-number sector.
+def _bs_sector(total: int) -> np.ndarray:
+    """The 50:50 beam splitter's unitary within one photon-number sector.
 
     Basis |a, total-a> indexed by the first mode's count; generated by
-    a1^dag a2 - a1 a2^dag so that a1^dag -> cos(theta) a1^dag - sin(theta) a2^dag.
+    a1^dag a2 - a1 a2^dag so that a1^dag -> cos(BS_THETA) a1^dag - sin(BS_THETA) a2^dag.
     """
-    # exp(theta g) for the real antisymmetric tridiagonal generator g, from
-    # the eigenbasis of the Hermitian i g: exp(theta g) = V exp(-i theta L) V^dag.
+    # exp(BS_THETA g) for the real antisymmetric tridiagonal generator g, from
+    # the eigenbasis of the Hermitian i g: exp(BS_THETA g) = V exp(-i BS_THETA L) V^dag.
     a = np.arange(total)
     s = np.sqrt((a + 1.0) * (total - a))
     g = np.diag(s, -1) - np.diag(s, 1)
     lam, v = np.linalg.eigh(1j * g)
-    return ((v * np.exp(-1j * theta * lam)) @ v.conj().T).real
+    return ((v * np.exp(-1j * BS_THETA * lam)) @ v.conj().T).real
 
 
 # A detection or ladder-operator kernel on one mode, (shift, vec): vec[o] weighs ket o against bra o + shift.
@@ -113,7 +113,7 @@ def _bs_table(cutoff: int) -> np.ndarray:
     table = np.zeros((size, size, cutoff + 1))
     for t in range(size):
         cols = min(t, cutoff) + 1
-        table[t, : t + 1, :cols] = _bs_sector(t, BS_THETA)[:, :cols]
+        table[t, : t + 1, :cols] = _bs_sector(t)[:, :cols]
     table.flags.writeable = False
     return table
 
@@ -164,29 +164,26 @@ def _chain_value(mu: float, cutoff: int, outer1: Kernel, outer2: Kernel, bs1: Ke
     return float(vec_u[ku] @ terms.sum(axis=2) @ vec_v[kv])
 
 
-def _converge(evaluate, start: int = CUTOFF_START) -> tuple[np.ndarray, int]:
-    """Raise the cutoff until the last increment is below an absolute 1e-11 plus a relative 1e-10.
+def _converge(at, cutoff: int | None):
+    """at(cutoff), or for cutoff None at(c) with c raised until the last increment is below 1e-11 + 1e-10 |value|.
 
     That certifies nothing: on a small value the absolute term can stop it
     far too early (oracle_pgen at mu = 3, eta_b = 1e-6 stops 77 % low; the
     strict xfail test_small_value_converges_to_closed_form).  ROADMAP item 5
     replaces it with a certified truncation bound.
     """
-    prev = np.asarray(evaluate(start))
-    cutoff = start
+    if cutoff is not None:
+        return at(cutoff)
+    cutoff = CUTOFF_START
+    prev = np.asarray(at(cutoff))
     while cutoff < CUTOFF_CAP:
         cutoff += CUTOFF_STEP
-        cur = np.asarray(evaluate(cutoff))
+        cur = np.asarray(at(cutoff))
         delta = float(np.max(np.abs(cur - prev)))
         if delta < CONVERGENCE_ATOL + CONVERGENCE_RTOL * float(np.max(np.abs(cur))):
-            return cur, cutoff
+            return cur
         prev = cur
     raise ConvergenceError(f"no convergence by cutoff {CUTOFF_CAP}")
-
-
-def _evaluate(at, cutoff: int | None):
-    """at(cutoff) at a fixed cutoff, else the converged value."""
-    return at(cutoff) if cutoff is not None else _converge(at)[0]
 
 
 HERALD_MODES = (3, 4, 5, 6)
@@ -227,31 +224,32 @@ def _efficiencies(etas) -> np.ndarray:
 
 
 def _chain_table(mu: float, cutoff: int):
-    """One chain's contraction at this cutoff as a function of its four modes' _kernel_vec arguments.
+    """One chain's contraction at this cutoff as a function of its four modes' (d, g, eta) detections.
 
-    Each distinct contraction, and each distinct kernel, is computed once
-    per table; callers that take several elements at one cutoff share one.
+    The outer modes' kernels run to the cutoff, the splitter outputs' to
+    twice it.  Each distinct contraction, and each distinct kernel, is
+    computed once per table; callers that take several elements at one
+    cutoff share one.
     """
     kernel = functools.cache(_kernel_vec)
 
     @functools.cache
     def chain(outer1, outer2, bs1, bs2) -> float:
-        return _chain_value(mu, cutoff, *(kernel(*spec) for spec in (outer1, outer2, bs1, bs2)))
+        sizes = (cutoff, cutoff, 2 * cutoff, 2 * cutoff)
+        return _chain_value(mu, cutoff, *(kernel(n, *spec) for n, spec in zip(sizes, (outer1, outer2, bs1, bs2))))
 
     return chain
 
 
-def _element(mu: float, etas, d, g, cutoff: int, chain=None) -> float:
-    """<d| rho_lossy |g> at one cutoff: the product of the two chains' contractions.
+def _element(chain, etas, d, g) -> float:
+    """<d| rho_lossy |g> under one _chain_table: the product of the two chains' contractions.
 
     Each mode m gets the detection kernel of its own efficiency etas[m - 1].
     A traced mode is a vacuum detection at efficiency 0: its kernel,
-    <0| L_0(|o><o|) |0> = 1 for every o, sums the mode out.  chain is a
-    _chain_table at (mu, cutoff), one of its own if none is given; with a
-    pattern symmetric between the chains, chain A's contraction is chain B's.
+    <0| L_0(|o><o|) |0> = 1 for every o, sums the mode out.  With a pattern
+    symmetric between the chains, chain A's contraction is chain B's.
     """
-    chain = chain or _chain_table(mu, cutoff)
-    spec = {m: (2 * cutoff if m in HERALD_MODES else cutoff, d[m - 1], g[m - 1], etas[m - 1]) for m in range(1, 9)}
+    spec = {m: (d[m - 1], g[m - 1], etas[m - 1]) for m in range(1, 9)}
     chain_b = chain(spec[2], spec[8], spec[3], spec[5])
     chain_a = chain(spec[1], spec[7], spec[4], spec[6])
     return chain_a * chain_b
@@ -263,17 +261,11 @@ def oracle_pgen(
     pattern=(1, 1, 0, 0),
     cutoff: int | None = None,
 ) -> float:
-    """Heralding-pattern probability by direct Fock-space contraction, eta_b on every herald mode."""
-    _check_mean_photon(mu)
+    """Heralding-pattern probability: the Fock element of the herald counts, eta_b on every herald mode."""
     _check_efficiency(eta_b)
     herald = (0, 0) + _herald_pattern(pattern) + (0, 0)
     # the outer modes are traced: vacuum detections at efficiency 0
-    etas = (0.0, 0.0, eta_b, eta_b, eta_b, eta_b, 0.0, 0.0)
-
-    def at(c: int) -> float:
-        return _element(mu, etas, herald, herald, c)
-
-    return float(_evaluate(at, cutoff))
+    return oracle_fock_element(mu, (0.0, 0.0, eta_b, eta_b, eta_b, eta_b, 0.0, 0.0), herald, herald, cutoff)
 
 
 def oracle_fock_element(
@@ -290,9 +282,9 @@ def oracle_fock_element(
     g = _counts(g, 8, "Fock index g")
 
     def at(c: int) -> float:
-        return _element(mu, etas, d, g, c)
+        return _element(_chain_table(mu, c), etas, d, g)
 
-    return float(_evaluate(at, cutoff))
+    return float(_converge(at, cutoff))
 
 
 def oracle_fidelity(
@@ -321,13 +313,11 @@ def oracle_fidelity(
 
     def at(c: int) -> float:
         chain = _chain_table(mu, c)
-        t11, t22, t12, t21 = (
-            _element(mu, etas, d, g, c, chain) for d, g in ((e1, e1), (e2, e2), (e1, e2), (e2, e1))
-        )
-        den = _element(mu, traced, herald, herald, c, chain)
+        t11, t22, t12, t21 = (_element(chain, etas, d, g) for d, g in ((e1, e1), (e2, e2), (e1, e2), (e2, e1)))
+        den = _element(chain, traced, herald, herald)
         return 0.5 * (t11 + t22 + cross_sign * (t12 + t21)) / den
 
-    return float(_evaluate(at, cutoff))
+    return float(_converge(at, cutoff))
 
 
 _PBS_AMP = {
@@ -379,12 +369,12 @@ def oracle_spin_spin(
         for (rk12, ak12), (rb12, ab12), (rk78, ak78), (rb78, ab78) in itertools.product(
             opts12, opts12, opts78, opts78
         ):
-            element = _element(mu, etas, rk12 + herald + rk78, rb12 + herald + rb78, c, chain)
+            element = _element(chain, etas, rk12 + herald + rk78, rb12 + herald + rb78)
             signs_k, signs_b = _SPIN_SIGNS[rk12[1], rk78[1]], _SPIN_SIGNS[rb12[1], rb78[1]]
             out += 0.25 * ak12 * ab12 * ak78 * ab78 * element * np.outer(signs_k, signs_b)
         return out
 
-    return _evaluate(at, cutoff)
+    return _converge(at, cutoff)
 
 
 def oracle_pgen_dark(
@@ -420,17 +410,17 @@ def oracle_pgen_dark(
         chain = _chain_table(mu, c)
         total = 0.0
         for weight, herald in terms:
-            total += weight * _element(mu, etas, herald, herald, c, chain)
+            total += weight * _element(chain, etas, herald, herald)
         return total
 
-    return float(_evaluate(at, cutoff))
+    return float(_converge(at, cutoff))
 
 
 @dataclass
 class TruncatedState:
     """Truncated Fock state of the cascaded source as Kraus-loss branches of arrays.
 
-    Each branch is an (occ, amp) pair: occ an (N, n_modes) int array with one
+    Each branch is an (occ, amp) pair: occ an (N, 8) int array with one
     row of occupation numbers per entry, amp the (N,) real amplitudes.  Rows
     are distinct within a branch and stay in the order their builder made
     them, which fixes the order of every product and sum over them.  Before
@@ -438,11 +428,8 @@ class TruncatedState:
     to truncation.
     """
 
-    n_modes: int
-    cutoff: int
     branches: list[tuple[np.ndarray, np.ndarray]]
     norm_deficit: float
-    warning: str | None = None
 
     def total_weight(self) -> float:
         return sum(sum(_squares(amp)) for _, amp in self.branches)
@@ -455,10 +442,7 @@ def _squares(amps: np.ndarray) -> list[float]:
 
 def oracle_build_cascaded(mu: float, cutoff: int) -> TruncatedState:
     """Cascaded-source state: four truncated TMSV ladders, then the BSM splitters (3, 5) and (4, 6)."""
-    state = apply_beamsplitter(apply_beamsplitter(build_pre_bsm_state(mu, cutoff), 3, 5), 4, 6)
-    if state.norm_deficit > 1e-3:
-        state.warning = f"norm deficit {state.norm_deficit:.2e} exceeds 1e-3 at mu={mu}"
-    return state
+    return apply_beamsplitter(apply_beamsplitter(build_pre_bsm_state(mu, cutoff), 3, 5), 4, 6)
 
 
 def _kraus_coeffs(max_occ: int, eta: float) -> np.ndarray:
@@ -492,7 +476,7 @@ def oracle_apply_loss(state: TruncatedState, mode: int, eta: float) -> Truncated
                 lost = occ[keep]
                 lost[:, i] -= kk
                 new_branches.append((lost, amp[keep] * coeff[keep]))
-    return TruncatedState(state.n_modes, state.cutoff, new_branches, state.norm_deficit)
+    return TruncatedState(new_branches, state.norm_deficit)
 
 
 def build_pre_bsm_state(mu: float, cutoff: int) -> TruncatedState:
@@ -511,7 +495,7 @@ def build_pre_bsm_state(mu: float, cutoff: int) -> TruncatedState:
     occ = np.stack((n, m, m, n, k, l, l, k), axis=1)[keep]
     ratio = mu / (1.0 + mu)
     deficit = 1.0 - (1.0 - ratio ** (cutoff + 1)) ** 4
-    return TruncatedState(8, cutoff, [(occ, amp[keep])], deficit)
+    return TruncatedState([(occ, amp[keep])], deficit)
 
 
 def apply_beamsplitter(state: TruncatedState, i: int, j: int) -> TruncatedState:
@@ -529,7 +513,7 @@ def apply_beamsplitter(state: TruncatedState, i: int, j: int) -> TruncatedState:
         tmax = int(total.max(initial=0))
         sectors = np.zeros((tmax + 1, tmax + 1, tmax + 1))
         for t in range(tmax + 1):
-            sectors[t, : t + 1, : t + 1] = _bs_sector(t, BS_THETA)
+            sectors[t, : t + 1, : t + 1] = _bs_sector(t)
         # One row per (entry, a), entry-major.
         width = total + 1
         src = np.repeat(np.arange(len(amp)), width)
@@ -548,15 +532,15 @@ def apply_beamsplitter(state: TruncatedState, i: int, j: int) -> TruncatedState:
         rank[order] = np.arange(len(order))
         merged = np.bincount(rank[slot], weights=amp[src] * f, minlength=len(order))
         new_branches.append((out[first[order]], merged))
-    return TruncatedState(state.n_modes, state.cutoff, new_branches, state.norm_deficit)
+    return TruncatedState(new_branches, state.norm_deficit)
 
 
-def pattern_probability(state: TruncatedState, modes: tuple[int, ...], pattern: tuple[int, ...]) -> float:
-    """Probability of an exact click pattern on a mode subset, tracing the rest.
+def pattern_probability(state: TruncatedState, pattern: tuple[int, ...]) -> float:
+    """Probability of an exact click pattern on the herald modes 3-6, tracing the rest.
 
     The |amp|^2 of the matching entries are summed branch by branch, in entry order.
     """
-    idx = [m - 1 for m in modes]
+    idx = [m - 1 for m in HERALD_MODES]
     pattern = np.asarray(tuple(pattern))
     return sum(
         itertools.chain.from_iterable(

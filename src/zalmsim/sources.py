@@ -115,7 +115,7 @@ COVARIANCE_PRESCALE = 0.5
 
 
 def build_cascaded_cov(mu: float) -> np.ndarray:
-    """One chain of the cascaded/ZALM source: its 8x8 covariance, in closed form.
+    """One chain of the cascaded/ZALM source: its 8x8 covariance, in closed form, for 0 <= mu <= MAX_MEAN_PHOTON.
 
     The local modes run (outer, herald, herald, outer) and the quadratures
     (q_1..q_4, p_1..p_4), with unit vacuum variance.  The squeezed pairs
@@ -125,8 +125,8 @@ def build_cascaded_cov(mu: float) -> np.ndarray:
 
         V = (1 + 2 mu) I + 2 sqrt(mu (1 + mu)) diag(P, -P).
     """
-    if not np.isfinite(mu) or mu < 0:
-        raise ValueError(f"mean photon number must be finite and >= 0, got {mu}")
+    if not 0.0 <= mu <= MAX_MEAN_PHOTON:
+        raise ValueError(f"mean photon number must lie in [0, {MAX_MEAN_PHOTON:g}], got {mu}")
     squeeze = 2.0 * sqrt(mu * (1.0 + mu))
     cov = (1.0 + 2.0 * mu) * np.eye(8)
     cov[:4, :4] += squeeze * PAIRING

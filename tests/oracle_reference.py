@@ -12,7 +12,7 @@ replaced (below).
 import itertools
 from math import factorial, sqrt
 
-from zalmsim.oracle import BS_THETA, _bs_sector, _tmsv_amps
+from zalmsim.oracle import _bs_sector, _tmsv_amps
 
 
 def chain_value_loop(mu, cutoff, outer1, outer2, bs1, bs2):
@@ -41,8 +41,8 @@ def chain_value_loop(mu, cutoff, outer1, outer2, bs1, bs2):
                 continue
             t = u + v
             tb = ub + vb
-            uk = _bs_sector(t, BS_THETA)
-            ukb = _bs_sector(tb, BS_THETA)
+            uk = _bs_sector(t)
+            ukb = _bs_sector(tb)
             acc = 0.0
             for a in range(t + 1):
                 ab = a + s1
@@ -79,7 +79,7 @@ def apply_beamsplitter_dict(branches, i, j):
         nb = {}
         for occ, amp in branch.items():
             oi, oj = occ[i - 1], occ[j - 1]
-            for a, f in enumerate(_bs_sector(oi + oj, BS_THETA)[:, oi].tolist()):
+            for a, f in enumerate(_bs_sector(oi + oj)[:, oi].tolist()):
                 if f == 0.0:
                     continue
                 new_occ = list(occ)

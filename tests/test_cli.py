@@ -24,7 +24,7 @@ from zalmsim import (
     sweep,
 )
 from zalmsim.cli import main
-from zalmsim.errors import OutOfRangeError
+from zalmsim.errors import ConvergenceError, OutOfRangeError
 from zalmsim.sweep import SweepConfig, render_sweep, run_sweep
 
 
@@ -314,6 +314,13 @@ class TestFlagText:
         out, err = capsys.readouterr()
         assert out == "" and err == "zalmsim: error: mean_photon is too large for a float\n"
 
+    def test_sweep_to_a_path_it_cannot_write_is_one_line_error(self, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        result = run_cli(["sweep", "--param", "mean_photon", "--from", "0.01", "--to", "0.1", "--steps", "2",
+                          "--output", str(path)])
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == f"zalmsim: error: cannot write {path}: No such file or directory\n"
+
     def test_sweep_takes_its_fixed_params_from_the_request_parser(self):
         result = run_cli(["sweep", "--param", "mean_photon", "--from", "0.1", "--to", "0.2", "--steps", "2",
                           "--herald-pattern", "0,0,1,1", "--bsm-efficiency", "1", "--format", "json"])
@@ -430,6 +437,13 @@ def _two_detector_dark(params):
     return pgen_with_dark(params) / (1 - params.dark_click_prob) ** 2
 
 
+def _raising(error):
+    def fake(*args, **kwargs):
+        raise error
+
+    return fake
+
+
 class TestValidateChecksCanFail:
     @pytest.mark.parametrize(
         "name, fake, check",
@@ -439,10 +453,36 @@ class TestValidateChecksCanFail:
             ("spin_spin_dm", lambda params, *click: SpinSpinDM(-np.eye(4)), "spin_dm PSD"),
             ("pgen", lambda params: pgen(params) * (1 + 1e-9), "pgen closed form"),
             ("fidelity", lambda params, *target: fidelity(params) + 1e-9, "lossless fidelity 1/2"),
+            ("fidelity", _raising(NumericalDomainError("fidelity nan lies outside [0, 1]")),
+             "fidelity vs oracle mu=0.05 eta_b=1.0 (NumericalDomainError: fidelity nan lies outside [0, 1])"),
+            ("oracle_fidelity", _raising(ConvergenceError("no convergence by cutoff 30")),
+             "fidelity vs oracle mu=0.1 eta_b=0.5 (ConvergenceError: no convergence by cutoff 30)"),
         ],
-        ids=["dark-model", "fidelity-range", "spin-psd", "pgen-closed-form", "lossless-fidelity"],
+        ids=["dark-model", "fidelity-range", "spin-psd", "pgen-closed-form", "lossless-fidelity", "fidelity-raises",
+             "oracle-raises"],
     )
     def test_a_broken_engine_fails_validate(self, name, fake, check, monkeypatch, capsys):
         monkeypatch.setattr(cli, name, fake)
         assert main(["validate"]) == 2
-        assert f"[FAIL] {check}" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"[FAIL] {check}" in out
+        # every check still runs and prints its line, then the summary
+        *lines, summary = out.splitlines()
+        assert len(lines) == 23 and all(line.startswith(("[PASS] ", "[FAIL] ")) for line in lines)
+        assert summary == f"{sum(line.startswith('[PASS]') for line in lines)}/23 checks passed"
+
+    @pytest.mark.parametrize(
+        "name, error, failing",
+        [
+            ("fidelity", NumericalDomainError("fidelity nan lies outside [0, 1]"),
+             ("fidelity vs oracle",) * 4 + ("fidelity in [0, 1]", "lossless fidelity 1/2")),
+            ("oracle_fidelity", ConvergenceError("no convergence by cutoff 30"), ("fidelity vs oracle",) * 4),
+        ],
+        ids=["fidelity", "oracle"],
+    )
+    def test_a_raising_call_fails_only_the_checks_that_make_it(self, name, error, failing, monkeypatch, capsys):
+        monkeypatch.setattr(cli, name, _raising(error))
+        assert main(["validate"]) == 2
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+        assert [line.split(" mu=")[0].split(" (")[0] for line in failed] == [f"[FAIL] {n}" for n in failing]
+        assert all(line.endswith(f" ({type(error).__name__}: {error})") for line in failed)

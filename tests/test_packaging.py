@@ -45,7 +45,7 @@ PUBLIC_API = [
 
 # Engine and referee internals, kept out of __all__ but imported from their modules by tests and perfbench.
 INTERNALS = {
-    "moments": ("AMatrix", "MomentRequest", "assemble_a", "wick_moment", "hafnian", "hafnian_repeated", "k_data", "ChainMoments"),
+    "moments": ("AMatrix", "MomentRequest", "assemble_a", "wick_moment", "hafnian", "hafnian_repeated", "k_data"),
     "sources": ("COVARIANCE_PRESCALE",),
     "memory": ("BASIS", "SIGMA_PATTERNS"),
     "oracle": ("TruncatedState", "oracle_apply_loss", "oracle_build_cascaded"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from zalmsim import SourceParams, build_cascaded_cov, oracle_covariance
+from zalmsim.sources import MAX_MEAN_PHOTON
 
 
 class TestSourceParams:
@@ -52,6 +53,17 @@ class TestCascadedCov:
         cov = build_cascaded_cov(0.4)
         swap = np.r_[2, 3, 0, 1, 6, 7, 4, 5]
         np.testing.assert_array_equal(cov[np.ix_(swap, swap)], cov)
+
+    @pytest.mark.parametrize("mu", [-0.1, float("nan"), float("inf"), 1e78, 1e160])
+    def test_mean_photon_outside_the_domain_raises(self, mu):
+        # past MAX_MEAN_PHOTON the prefactor leaves the normal floats, and at 1e160 mu (1 + mu) overflows to inf
+        with pytest.raises(ValueError, match=r"^mean photon number must lie in \[0, 1e\+77\], got \S+$"):
+            build_cascaded_cov(mu)
+
+    def test_domain_ends_at_the_largest_mean_photon(self):
+        assert np.all(np.isfinite(build_cascaded_cov(MAX_MEAN_PHOTON)))
+        with pytest.raises(ValueError):
+            build_cascaded_cov(np.nextafter(MAX_MEAN_PHOTON, np.inf))
 
     @pytest.mark.parametrize("mu", [0.05, 0.2])
     def test_second_moments_match_fock_oracle(self, mu):
