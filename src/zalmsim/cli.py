@@ -67,15 +67,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         output_format=args.format,
         include_timing=args.timing,
     )
-    text = render_sweep(config, run_sweep(config))
-    if args.output:
-        try:
-            with open(args.output, "w", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:  # a missing directory, no permission, a full disk
-            raise ValueError(f"cannot write {args.output}: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.write(text)
+    if not args.output:
+        sys.stdout.write(render_sweep(config, run_sweep(config)))
+        return 0
+    try:
+        # Opened before the sweep runs, so a path it cannot write fails at once.
+        with open(args.output, "w", newline="") as fh:
+            fh.write(render_sweep(config, run_sweep(config)))
+    except OSError as exc:  # a missing directory, no permission, a full disk
+        raise ValueError(f"cannot write {args.output}: {exc.strerror or exc}") from None
     return 0
 
 

@@ -180,12 +180,14 @@ def _dark_mixture(pattern, pd: float, photon_value):
 
     Each of the N = len(pattern) detectors fires a dark count with probability pd, so
     P(c) = sum over D of pd^|D| (1 - pd)^(N - |D|) P_photons(c - 1_D), D running over the
-    subsets of the clicked detectors in dark_attributions order.  At pd = 0 only D = {} is evaluated.
+    subsets of the clicked detectors in dark_attributions order.  At pd = 0 the mixture is its
+    k = 0 term, photon_value(pattern), exactly: 0.0**0 * 1.0**N == 1.0, so no attribution is built.
     """
+    if pd == 0.0:
+        return photon_value(pattern)
     terms = (
         pd**k * (1.0 - pd) ** (len(pattern) - k) * photon_value(photons)
         for k, photon_patterns in dark_attributions(pattern).items()
-        if k == 0 or pd > 0.0
         for photons in photon_patterns
     )
     return functools.reduce(operator.add, terms)

@@ -10,12 +10,14 @@ evaluate each distinct chain moment once.  The values of a metrics reply
 requests (SourceParams and click pattern), so a repeated request is answered
 from the cache, in a payload built for that request.
 
-This module holds the request and reply logic.  The HTTP layer (``httpd``:
-the socketserver handler and the server with its pool of at most
-MAX_CONCURRENT_HANDLERS reused handler threads) is imported only
-when a server is built, so importing the CLI or this module for its payload
-functions loads no socket server.  No process of the package, a serving one
-included, loads http.server, http.client, email, ssl or hashlib.
+This module holds the request and reply logic, JSON decoding and encoding
+included: read_json and reply_json each reuse one strict coder built at
+import.  The HTTP layer (``httpd``: the socketserver handler, which reads each
+request from one receive buffer within REQUEST_DEADLINE_S, and the server with
+its pool of at most MAX_CONCURRENT_HANDLERS reused handler threads) is
+imported only when a server is built, so importing the CLI or this module for
+its payload functions loads no socket server.  No process of the package, a
+serving one included, loads http.server, http.client, email, ssl or hashlib.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ MAX_BODY_BYTES = 1 << 16
 # Seconds a handler waits on its socket, so a client that sends less than it announced frees the thread.
 # httpd._Handler.timeout binds it when httpd is imported.
 SOCKET_TIMEOUT_S = 2.0
+# Seconds from a connection's accept to its request's last byte, so that a client trickling bytes cannot
+# hold a handler either; a request not in by then is answered 408 "timeout".  Read by each handler.
+REQUEST_DEADLINE_S = 5.0
 # Handlers that may run at once, and the most handler threads a server keeps; a connection beyond them
 # is answered 503 "busy" and closed.  Read when a server is built.
 MAX_CONCURRENT_HANDLERS = 32
@@ -62,10 +67,20 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not JSON")
 
 
+# The coders of read_json and reply_json, built once: neither keeps state from one call to the next, so threads share them.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
 def read_json(text: str):
-    """The one JSON reader, reply_json's input twin: strict JSON, so NaN, Infinity and nesting too deep to read raise ValueError."""
+    """The one JSON reader, reply_json's input twin: strict JSON, so NaN, Infinity and nesting too deep to read raise ValueError.
+
+    As json.loads does, it refuses text that starts with a byte order mark.
+    """
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
-        return json.loads(text, parse_constant=_refuse_constant)
+        return _DECODER.decode(text)
     except RecursionError as exc:
         raise ValueError("JSON nested too deeply") from exc
 
@@ -131,7 +146,7 @@ def _spin_dm_wire(rows) -> list:
 def reply_json(payload, indent: int | None = None) -> str:
     """The JSON text of every reply; NaN and Infinity are not JSON, so they raise NumericalDomainError."""
     try:
-        return json.dumps(payload, allow_nan=False, indent=indent)
+        return _ENCODER.encode(payload) if indent is None else json.dumps(payload, allow_nan=False, indent=indent)
     except ValueError as exc:
         raise NumericalDomainError(f"non-finite value in the reply: {exc}") from exc
 

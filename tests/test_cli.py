@@ -4,6 +4,7 @@ import socket
 import subprocess
 import sys
 import urllib.request
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -320,6 +321,11 @@ class TestFlagText:
                           "--output", str(path)])
         assert result.returncode == 2 and result.stdout == ""
         assert result.stderr == f"zalmsim: error: cannot write {path}: No such file or directory\n"
+        # The path is opened before the sweep runs: no row is computed for an output that cannot be written.
+        with mock.patch.object(cli, "run_sweep") as sweep_run:
+            assert main(["sweep", "--param", "mean_photon", "--from", "0.01", "--to", "0.1", "--steps", "2",
+                         "--output", str(path)]) == 2
+        sweep_run.assert_not_called()
 
     def test_sweep_takes_its_fixed_params_from_the_request_parser(self):
         result = run_cli(["sweep", "--param", "mean_photon", "--from", "0.1", "--to", "0.2", "--steps", "2",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zalmsim import (
+    DEFAULT_CLICK_PATTERN,
     SourceParams,
     UndefinedFidelityError,
     fidelity,
@@ -17,6 +18,8 @@ from zalmsim import (
     pgen,
     pgen_with_dark,
     photonic_trace,
+    spin_spin_dm,
+    spin_spin_dm_dark,
 )
 from zalmsim import metrics
 from zalmsim.moments import MAX_REQUEST_CARDINALITY
@@ -144,8 +147,23 @@ class TestPeakShift:
 
 class TestPgenWithDark:
     def test_zero_dark_reduces_exactly(self):
-        p = SourceParams(mean_photon=0.05, eta_b=0.8, dark_click_prob=0.0)
-        assert pgen_with_dark(p) == pgen(p)
+        # At P_d = 0 the dark-count mixture is its k = 0 term, 0.0**0 * 1.0**N * value, which is value bit for bit.
+        heralds = [(1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (2, 0, 0, 1)]
+        clicks = [DEFAULT_CLICK_PATTERN, (0, 1, 1, 1, 0, 0, 0, 1), (1, 0, 2, 0, 0, 1, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0)]
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            point = {
+                "mean_photon": float(np.exp(rng.uniform(np.log(1e-4), np.log(20.0)))),
+                "eta_b": float(rng.uniform(0.0, 1.0)),
+                "eta_t": float(rng.uniform(0.0, 1.0)),
+                "eta_d": float(rng.uniform(0.0, 1.0)),
+            }
+            for herald in heralds:
+                p = SourceParams(**point, herald_pattern=herald, dark_click_prob=0.0)
+                assert np.float64(pgen_with_dark(p)).tobytes() == np.float64(pgen(p)).tobytes(), (point, herald)
+            p = SourceParams(**point, dark_click_prob=0.0)
+            for click in clicks:
+                assert spin_spin_dm_dark(p, click).entries.tobytes() == spin_spin_dm(p, click).entries.tobytes(), (point, click)
 
     def test_vacuum_limit_is_two_dark_clicks(self):
         # both clicks dark and both silent detectors quiet

@@ -108,18 +108,26 @@ def get(url: str) -> tuple[int, dict]:
         return err.code, json.loads(err.read())
 
 
-def raw_request(url: str, request: bytes) -> tuple[bytes, dict, dict]:
-    """Send request bytes as written; (status line, headers by lower-case name, reply body read as strict JSON)."""
+def raw_reply(url: str, *pieces: bytes, pause: float = 0.0) -> bytes:
+    """Send the request bytes as written, each piece as its own segment after a pause; the whole reply."""
     parts = urllib.parse.urlsplit(url)
     with socket.create_connection((parts.hostname, parts.port), timeout=30) as sock:
-        sock.sendall(request)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for piece in pieces:
+            time.sleep(pause)
+            sock.sendall(piece)
         reply = b""
         try:
             while chunk := sock.recv(65536):
                 reply += chunk
         except ConnectionResetError:  # the server closed with part of a refused request unread
             pass
-    head, _, body = reply.partition(b"\r\n\r\n")
+    return reply
+
+
+def raw_request(url: str, request: bytes) -> tuple[bytes, dict, dict]:
+    """Send request bytes as written; (status line, headers by lower-case name, reply body read as strict JSON)."""
+    head, _, body = raw_reply(url, request).partition(b"\r\n\r\n")
     status_line, *lines = head.decode("latin-1").split("\r\n")
     headers = {name.lower(): value.strip() for name, _, value in (line.partition(":") for line in lines)}
     assert int(headers["content-length"]) == len(body)
@@ -213,8 +221,9 @@ class TestMetricsEndpoint:
 
     @pytest.mark.parametrize(
         "body",
-        [b"[" * 60_000, b'{"mean_photon": NaN}', b'{"mean_photon": Infinity}', b'{"mean_photon": -Infinity}'],
-        ids=["nested-past-the-recursion-limit", "nan-token", "infinity-token", "minus-infinity-token"],
+        [b"[" * 60_000, b'{"mean_photon": NaN}', b'{"mean_photon": Infinity}', b'{"mean_photon": -Infinity}',
+         b'\xef\xbb\xbf{"mean_photon": 0.1}'],
+        ids=["nested-past-the-recursion-limit", "nan-token", "infinity-token", "minus-infinity-token", "byte-order-mark"],
     )
     def test_body_that_strict_json_cannot_read_is_400(self, server_url, body):
         status, payload = post(f"{server_url}/v1/metrics", body)
@@ -428,6 +437,132 @@ class TestProtocolErrors:
             httpd.shutdown()
             httpd.server_close()
         assert capsys.readouterr().err == ""
+
+
+class TestRequestReader:
+    """The handler reads a request from one receive buffer, however its bytes arrive."""
+
+    BODY = {"mean_photon": 0.1, "bsm_efficiency": 0.8, "click_pattern": [1, 0, 1, 1, 0, 0, 1, 0]}
+
+    def test_post_sent_in_pieces_is_answered_as_one(self, server_url):
+        body = json.dumps(self.BODY).encode()
+        head = f"Host: x\r\nContent-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n".encode()
+        # the request line, the headers cut inside a line, then the body
+        reply = raw_reply(server_url, b"POST /v1/metrics HTTP/1.1\r\n", head[:20], head[20:], body, pause=0.05)
+        status_line, _, payload = reply.partition(b"\r\n\r\n")
+        assert status_line.startswith(b"HTTP/1.0 200 OK\r\n")
+        assert payload == reply_json(compute_metrics_response(self.BODY)).encode()
+
+    def test_bytes_after_the_body_leave_the_reply_unchanged(self, server_url):
+        body = json.dumps(self.BODY).encode()
+        head = f"POST /v1/metrics HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n".encode()
+        alone = raw_reply(server_url, head + body).partition(b"\r\n\r\n")[2]
+        followed = raw_reply(server_url, head + body + b'{"mean_photon": 0.5}\r\n\r\n').partition(b"\r\n\r\n")[2]
+        assert followed == alone == reply_json(compute_metrics_response(self.BODY)).encode()
+
+    def test_head_that_stops_gets_408_after_the_socket_timeout(self, server_url, monkeypatch):
+        from zalmsim.httpd import _Handler
+
+        monkeypatch.setattr(_Handler, "timeout", 0.3)
+        started = time.perf_counter()
+        head, _, body = raw_reply(server_url, b"GET /v1/health HTTP/1.1\r\nX-Cut: ").partition(b"\r\n\r\n")
+        assert 0.25 < time.perf_counter() - started < 0.3 + 2.0
+        assert head.startswith(b"HTTP/1.0 408 Request Timeout\r\n")
+        assert server.read_json(body.decode()) == {"code": "timeout", "field": "", "message": "request head not complete"}
+
+    def test_trickled_head_gets_408_at_the_deadline(self, server_url, monkeypatch):
+        # One byte every 0.1 s never leaves the socket silent for its timeout: only the deadline ends the wait.
+        deadline = 0.5
+        monkeypatch.setattr(server, "REQUEST_DEADLINE_S", deadline)
+        parts = urllib.parse.urlsplit(server_url)
+        with socket.create_connection((parts.hostname, parts.port), timeout=30) as sock:
+            started = time.perf_counter()
+            sock.sendall(b"GET /v1/health HTTP/1.1\r\nX-Slow: ")
+            sock.settimeout(0.1)
+            reply, answered = b"", None
+            while time.perf_counter() - started < deadline + SOCKET_TIMEOUT_S + 5.0:
+                try:
+                    chunk = sock.recv(65536)
+                except TimeoutError:
+                    sock.sendall(b"y")
+                    continue
+                answered = answered or time.perf_counter()
+                if not chunk:
+                    break
+                reply += chunk
+        assert answered is not None, "no reply"
+        assert deadline - 0.05 < answered - started < deadline + SOCKET_TIMEOUT_S
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.0 408 Request Timeout\r\n")
+        assert server.read_json(body.decode())["code"] == "timeout"
+
+
+def _masked_date(reply: bytes) -> bytes:
+    head, sep, body = reply.partition(b"\r\n\r\n")
+    lines = [b"Date: *" if line.startswith(b"Date: ") else line for line in head.split(b"\r\n")]
+    return b"\r\n".join(lines) + sep + body
+
+
+def _pinned_reply(status: int, payload: dict, allow: bool = False) -> bytes:
+    """A reply byte for byte, its Date masked; the status phrase is the standard library's."""
+    body = json.dumps(payload, allow_nan=False).encode()
+    allow_line = "Allow: GET, POST\r\n" if allow else ""
+    return (
+        f"HTTP/1.0 {status} {http.HTTPStatus(status).phrase}\r\nServer: zalmsim/{server.ENGINE_VERSION}\r\nDate: *\r\n"
+        f"Content-Type: application/json; charset=utf-8\r\nContent-Length: {len(body)}\r\n{allow_line}Connection: close\r\n\r\n"
+    ).encode() + body
+
+
+class TestReplyBytes:
+    """Every reply's head, pinned byte for byte but for its Date value."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, status, payload",
+        [
+            (b"GET /v1/health HTTP/1.1\r\n\r\n", 200, None),
+            (b"GARBAGE\r\n\r\n", 400, {"code": "malformed", "field": "", "message": "request line must be 'METHOD TARGET HTTP/x.y', got 'GARBAGE'"}),
+            (b"GET /v1/other HTTP/1.1\r\n\r\n", 404, {"code": "not_found", "field": "", "message": "/v1/other"}),
+            (b"PUT /v1/metrics HTTP/1.1\r\n\r\n", 405, {"code": "method_not_allowed", "field": "", "message": "method PUT is not allowed; use GET or POST"}),
+            (
+                b"POST /v1/metrics HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1),
+                413,
+                {"code": "too_large", "field": "Content-Length", "message": f"body of {MAX_BODY_BYTES + 1} bytes exceeds the cap of {MAX_BODY_BYTES}"},
+            ),
+            (
+                b"GET /" + b"a" * MAX_LINE_BYTES + b" HTTP/1.1\r\n\r\n",
+                414,
+                {"code": "too_large", "field": "", "message": f"request line over {MAX_LINE_BYTES} bytes"},
+            ),
+            (
+                b"GET /v1/health HTTP/1.1\r\n" + b"".join(b"X-%d: y\r\n" % i for i in range(MAX_HEADERS + 1)) + b"\r\n",
+                431,
+                {"code": "too_large", "field": "", "message": f"headers are capped at {MAX_HEADERS} lines of {MAX_LINE_BYTES} bytes"},
+            ),
+        ],
+        ids=["200", "400", "404", "405", "413", "414", "431"],
+    )
+    def test_reply_is_pinned(self, server_url, request_bytes, status, payload):
+        payload = server.health_payload() if payload is None else payload
+        assert _masked_date(raw_reply(server_url, request_bytes)) == _pinned_reply(status, payload, allow=status == 405)
+
+    def test_busy_reply_is_pinned(self, monkeypatch):
+        from zalmsim.httpd import _Handler
+
+        monkeypatch.setattr(server, "MAX_CONCURRENT_HANDLERS", 1)
+        monkeypatch.setattr(_Handler, "timeout", 1.0)
+        httpd = build_server("127.0.0.1", 0)
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        url = f"http://127.0.0.1:{httpd.server_address[1]}"
+        try:
+            # One connection that sends nothing holds the only handler until its socket timeout.
+            with socket.create_connection(httpd.server_address, timeout=30):
+                time.sleep(0.1)
+                reply = raw_reply(url, b"GET /v1/health HTTP/1.1\r\n\r\n")
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+        expected = _pinned_reply(503, {"code": "busy", "field": "", "message": "every request handler is in use"})
+        assert _masked_date(reply) == expected
 
 
 class TestHandlerBound:
